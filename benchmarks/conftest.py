@@ -17,6 +17,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The routing bench compares the kernel against the dict-loop oracle that
+# lives with the equivalence suite (tests/routing_oracle.py).
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from bench_utils import BenchRecorder, full_bench  # noqa: E402
 

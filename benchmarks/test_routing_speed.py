@@ -1,13 +1,14 @@
-"""Routing-backend speed regression: Python oracle vs sparse backend.
+"""Routing speed regression: the dict-loop oracle vs the stacked routing kernel.
 
-Times the two workloads the vectorized backend was built for, on Abilene and
-a Rocketfuel-profile topology:
+Times the two batched workloads of the routing kernel, on Abilene and a
+Rocketfuel-profile topology, against the dict-loop reference implementation
+in ``tests/routing_oracle.py``:
 
 * **batched split-ratio assignment** -- route a demand ensemble over fixed
   per-destination DAGs with explicit (exponential) split ratios.  The oracle
-  re-runs its dict loops per matrix; the sparse backend compiles each DAG to
-  CSR once and propagates all matrices in one stacked sweep.  The ISSUE's
-  acceptance bar (>= 5x on Abilene) is asserted here.
+  re-runs its dict loops per matrix; the kernel compiles each DAG once and
+  propagates all matrices in one stacked pass.  The acceptance bar
+  (>= 5x on Abilene) is asserted here.
 * **ECMP ensemble sweep** -- the scenario-engine shape: one weight setting,
   many demand matrices, the oracle paying Dijkstra + propagation per matrix
   while :class:`~repro.routing.SparseRouter` amortises both.
@@ -28,6 +29,7 @@ from typing import Dict, List
 
 import numpy as np
 import pytest
+import routing_oracle
 
 from bench_utils import BenchRecorder, full_bench, smoke_bench
 
@@ -37,7 +39,6 @@ from repro.network.graph import Network
 from repro.network.spt import all_shortest_path_dags
 from repro.protocols.ospf import invcap_weights
 from repro.routing import SparseRouter
-from repro.solvers.assignment import ecmp_assignment, split_ratio_assignment
 from repro.topology.backbones import abilene_network
 from repro.topology.rocketfuel import synthetic_rocketfuel
 from repro.traffic.gravity import gravity_traffic_matrix
@@ -53,7 +54,7 @@ ON_CI = bool(os.environ.get("CI"))
 def _bar(local: float, ci: float) -> float:
     return ci if ON_CI else local
 
-#: Ensemble sizes per topology: large enough that the sparse backend's
+#: Ensemble sizes per topology: large enough that the kernel's
 #: one-off compilation is amortised (the regime the batched API targets).
 ENSEMBLE_SIZES = {"abilene": 240, "rocketfuel": 40}
 FULL_ENSEMBLE_SIZES = {"abilene": 600, "rocketfuel": 120}
@@ -113,7 +114,7 @@ def _topologies():
 
 @pytest.mark.parametrize("name,network,count", _topologies(), ids=lambda v: v if isinstance(v, str) else "")
 def test_batched_split_ratio_speedup(name, network, count):
-    """Sparse batched split-ratio assignment beats the oracle (>=5x on Abilene)."""
+    """Batched split-ratio assignment on the kernel beats the oracle (>=5x on Abilene)."""
     weights = invcap_weights(network)
     dags = all_shortest_path_dags(network, list(network.nodes), weights)
     rng = np.random.default_rng(1)
@@ -126,7 +127,7 @@ def test_batched_split_ratio_speedup(name, network, count):
 
     start = time.perf_counter()
     oracle = [
-        split_ratio_assignment(network, tm, dags, ratios, backend="python").aggregate()
+        routing_oracle.split_ratio_assignment(network, tm, dags, ratios).aggregate()
         for tm in matrices
     ]
     python_seconds = time.perf_counter() - start
@@ -163,7 +164,7 @@ def test_ecmp_ensemble_sweep_speedup(name, network, count):
 
     start = time.perf_counter()
     oracle = [
-        ecmp_assignment(network, tm, weights, backend="python").aggregate()
+        routing_oracle.ecmp_assignment(network, tm, weights).aggregate()
         for tm in matrices
     ]
     python_seconds = time.perf_counter() - start

@@ -17,10 +17,10 @@ The public API re-exports the pieces most users need:
 * the scenario engine (:class:`~repro.scenarios.Scenario`,
   :class:`~repro.scenarios.BatchRunner`) for failure sweeps, demand
   ensembles and cached parallel robustness evaluation;
-* the vectorized routing backend (:mod:`repro.routing`):
-  :class:`~repro.routing.SparseRouter` compiles shortest-path DAGs into CSR
-  split-ratio matrices and routes whole demand ensembles in stacked sparse
-  sweeps; every assignment routine accepts ``backend="sparse"|"python"``;
+* the routing kernel (:mod:`repro.routing`): every routing path stacks its
+  per-destination DAGs into one edge list and propagates flow level by
+  level; :class:`~repro.routing.SparseRouter` routes whole demand ensembles
+  against one compiled weight setting;
 * the online control plane (:mod:`repro.online`):
   :class:`~repro.online.TEController` absorbing event streams over
   incremental shortest-path DAGs, :class:`~repro.online.ControllerSession`

@@ -31,8 +31,7 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
-from ..routing import resolve_backend
-from ..routing.sparse import CompiledDagSet
+from ..routing import CompiledDagSet
 from ..solvers.subgradient import StepRule, default_step_for_flows, project_nonnegative
 from .traffic_distribution import path_weight_sums, traffic_distribution
 
@@ -88,7 +87,6 @@ def compute_second_weights(
     step_ratio: float = 1.0,
     initial_weights: np.ndarray | None = None,
     record_history: bool = True,
-    backend: str | None = None,
 ) -> SecondWeightsResult:
     """Run Algorithm 2 and return the second link weights.
 
@@ -109,11 +107,10 @@ def compute_second_weights(
     initial_weights:
         Starting second weights, ``v(0) = 0`` by default (the paper notes this
         is already a good approximation).
-    backend:
-        Routing backend for the inner traffic distributions.  ``"sparse"``
-        compiles the DAGs once and re-evaluates only the exponential ratios
-        and the propagation each iteration, which is where Algorithm 2 spends
-        nearly all of its time; ``"python"`` keeps the reference dict loops.
+
+    The DAGs are compiled once; each iteration re-evaluates only the
+    exponential ratios and one stacked propagation, which is where
+    Algorithm 2 spends nearly all of its time.
     """
     demands.validate(network)
     target = np.asarray(target_flows, dtype=float)
@@ -130,26 +127,14 @@ def compute_second_weights(
     scale = float(np.max(target)) if target.size and np.max(target) > 0 else 1.0
     epsilon = tolerance * scale
 
-    if resolve_backend(backend) == "sparse":
-        # Compile every destination DAG once; each iteration then only
-        # recomputes the exponential ratios and one vectorised propagation.
-        dag_set = CompiledDagSet(network, dags)
-
-        def distribute(second: np.ndarray) -> FlowAssignment:
-            return dag_set.traffic_distribution(demands, second)
-
-    else:
-
-        def distribute(second: np.ndarray) -> FlowAssignment:
-            return traffic_distribution(network, demands, dags, second, backend="python")
-
+    dag_set = CompiledDagSet(network, dags)
     history: list[float] = []
     flows: FlowAssignment | None = None
     converged = False
     iteration = 0
     max_excess = float("inf")
     for iteration in range(1, max_iterations + 1):
-        flows = distribute(weights)
+        flows = traffic_distribution(network, demands, dag_set, weights)
         aggregate = flows.aggregate()
         if record_history:
             history.append(
@@ -164,7 +149,7 @@ def compute_second_weights(
         weights = project_nonnegative(weights - step * (target - aggregate))
 
     if flows is None:  # max_iterations == 0: report the v(0) distribution
-        flows = distribute(weights)
+        flows = traffic_distribution(network, demands, dag_set, weights)
 
     return SecondWeightsResult(
         weights=weights,

@@ -63,11 +63,6 @@ class SPEFConfig:
         Add optimal-flow-carrying downhill links to the equal-cost DAGs (see
         :meth:`SPEF._augment_dags`).  With exact optimal weights this is a
         no-op; with approximate weights it keeps the NEM target attainable.
-    routing_backend:
-        Backend for the NEM inner loop's traffic distributions
-        (``"sparse"``/``"python"``/``None`` for the library default; see
-        :mod:`repro.routing`).  The sparse backend compiles the DAGs once per
-        fit, which is where Algorithm 2 spends nearly all of its time.
     dag_flow_threshold:
         Per-destination optimal flow (as a fraction of the total demand
         volume) below which a link is not considered "carrying" flow for the
@@ -82,7 +77,6 @@ class SPEFConfig:
     max_integer_weight: int | None = 65535
     augment_dags_with_optimum: bool = True
     dag_flow_threshold: float = 1e-4
-    routing_backend: str | None = None
     te_max_iterations: int = 400
     te_tolerance: float = 1e-7
     alg1_max_iterations: int = 2000
@@ -395,7 +389,6 @@ class SPEF:
                 step_ratio=cfg.alg2_step_ratio,
                 initial_weights=initial_second,
                 record_history=False,
-                backend=cfg.routing_backend,
             )
         if telemetry.enabled():
             telemetry.count(

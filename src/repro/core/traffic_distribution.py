@@ -16,8 +16,11 @@ so that ``Gamma_t(s, k) = exp(-v_sk) * Z_t(k) / Z_t(s)``.  This is exact and
 keeps the computation polynomial even when the number of equal-cost paths is
 exponential.
 
-Traffic is then propagated in decreasing first-weight distance order exactly
-as the paper's Algorithm 3 prescribes.
+The dict forms below feed SPEF's forwarding tables and NEM's dual
+objective; :func:`traffic_distribution` computes the same ratios and the
+propagation on the routing kernel (:mod:`repro.routing`), all destinations
+in one stacked pass, so every node splits its whole incoming flow at once as
+the paper's Algorithm 3 prescribes.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
-from ..routing import resolve_backend
-from ..routing.sparse import sparse_traffic_distribution
-from ..solvers.assignment import split_ratio_assignment
+from ..routing import CompiledDagSet
 
 
 def path_weight_sums(
@@ -92,9 +93,8 @@ def exponential_split_ratios(
 def traffic_distribution(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
+    dags: Mapping[Node, ShortestPathDag] | CompiledDagSet,
     second_weights: np.ndarray,
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Algorithm 3: the traffic distribution induced by second weights ``v``.
 
@@ -102,28 +102,13 @@ def traffic_distribution(
     ----------
     dags:
         Shortest-path DAGs per destination, built from the *first* weights
-        (the set ``ON`` of the paper).
+        (the set ``ON`` of the paper).  Callers that re-evaluate many ``v``
+        against fixed DAGs (Algorithm 2) pass a
+        :class:`~repro.routing.CompiledDagSet` to compile them only once.
     second_weights:
         Link-indexed vector ``v``; ``v = 0`` gives plain even-ish splitting
         weighted by the number of downstream equal-cost paths.
-    backend:
-        ``"sparse"`` computes the exponential ratios and the propagation with
-        the compiled vectorised backend, ``"python"`` runs the dict-loop
-        reference above; ``None`` uses the library default.  Callers that
-        re-evaluate many ``v`` against fixed DAGs (Algorithm 2) should use
-        :class:`repro.routing.CompiledDagSet` directly to amortise the DAG
-        compilation as well.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_traffic_distribution(network, demands, dags, second_weights)
-    second = np.asarray(second_weights, dtype=float)
-    if second.shape != (network.num_links,):
-        raise ValueError(
-            f"second weights must have length {network.num_links}, got {second.shape}"
-        )
-    split_ratios: dict[Node, dict[Node, dict[Node, float]]] = {}
-    for destination, dag in dags.items():
-        split_ratios[destination] = exponential_split_ratios(network, dag, second)
-    return split_ratio_assignment(
-        network, demands, dict(dags), split_ratios, backend="python"
-    )
+    demands.validate(network)
+    dag_set = dags if isinstance(dags, CompiledDagSet) else CompiledDagSet(network, dags)
+    return dag_set.traffic_distribution(demands, second_weights)

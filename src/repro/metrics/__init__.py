@@ -6,7 +6,6 @@ from .load_balance import (
     is_min_max_balanced,
     is_qbeta_balanced,
     minimizes_mlu,
-    perturbed_distributions,
     proportional_balance_score,
     spare_capacity,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "is_min_max_balanced",
     "is_qbeta_balanced",
     "minimizes_mlu",
-    "perturbed_distributions",
     "proportional_balance_score",
     "spare_capacity",
     "average_path_diversity",

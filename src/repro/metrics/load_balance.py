@@ -11,7 +11,7 @@ alternative feasible distributions, they verify the defining inequalities.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -116,14 +116,3 @@ def alternative_routings(network, demands, count: int = 3, seed: int = 0) -> lis
         weights = 0.5 + rng.random(network.num_links)
         alternatives.append(ecmp_assignment(network, demands, weights))
     return alternatives
-
-
-def perturbed_distributions(flows: FlowAssignment, magnitudes: Sequence[float] = (0.01, 0.05)) -> list:
-    """Deprecated alias kept for backwards compatibility.
-
-    Scaled-down copies of a distribution are *not* feasible alternatives for
-    the load-balance criteria (they route less demand); use
-    :func:`alternative_routings` instead.  This helper now only returns
-    capacity-feasible scaled copies for tests that need them.
-    """
-    return [flows.scale(1.0 - magnitude) for magnitude in magnitudes if 0 < magnitude < 1]

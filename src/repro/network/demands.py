@@ -8,8 +8,10 @@ demands and exposes the per-destination aggregation used by every solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,10 +125,7 @@ class TrafficMatrix:
     # ------------------------------------------------------------------
     def destinations(self) -> list[Node]:
         """The destination set ``D`` (nodes that terminate some demand)."""
-        seen: dict[Node, None] = {}
-        for (_, target) in self._demands:
-            seen.setdefault(target, None)
-        return list(seen)
+        return list(dict.fromkeys(map(itemgetter(1), self._demands)))
 
     def sources(self) -> list[Node]:
         """Nodes that originate some demand."""
@@ -209,10 +208,13 @@ class TrafficMatrix:
         DemandError
             If some endpoint is not a node of the network.
         """
+        unknown = set(itertools.chain.from_iterable(self._demands)).difference(network.nodes)
+        if not unknown:
+            return
         for source, target in self._demands:
-            if not network.has_node(source):
+            if source in unknown:
                 raise DemandError(f"demand source {source!r} is not in the network")
-            if not network.has_node(target):
+            if target in unknown:
                 raise DemandError(f"demand target {target!r} is not in the network")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

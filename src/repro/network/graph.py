@@ -88,6 +88,7 @@ class Network:
         # out_links/in_links millions of times on a static topology).
         self._out_cache: dict[Node, list[Link]] = {}
         self._in_cache: dict[Node, list[Link]] = {}
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -131,6 +132,7 @@ class Network:
         self._in_links[target].append(link.index)
         self._out_cache.pop(source, None)
         self._in_cache.pop(target, None)
+        self._endpoints = None
         return link
 
     def add_duplex_link(
@@ -201,6 +203,20 @@ class Network:
             return self._link_index[(source, target)]
         except KeyError:
             raise NetworkError(f"unknown link {source}->{target}") from None
+
+    def link_node_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense node indices of every link's source and target, link-indexed.
+
+        Memoised until the next :meth:`add_link`; callers must not modify the
+        returned arrays.
+        """
+        if self._endpoints is None:
+            index = self._node_set
+            self._endpoints = (
+                np.array([index[link.source] for link in self._links], dtype=np.int64),
+                np.array([index[link.target] for link in self._links], dtype=np.int64),
+            )
+        return self._endpoints
 
     def out_links(self, node: Node) -> list[Link]:
         """Links leaving ``node`` (a shared cached list — do not mutate)."""

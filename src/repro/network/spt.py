@@ -17,7 +17,7 @@ model.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -126,12 +126,20 @@ class ShortestPathDag:
         shortest path towards the destination (within the tolerance).
     tolerance:
         The cost tolerance used to declare two paths equal.
+    hop_links:
+        Link index of every next hop, flattened in ``next_hops`` order
+        (filled by :func:`shortest_path_dag`, so compiling the DAG needs no
+        link lookups).  It is only used while its length matches the total
+        next-hop count, so hops appended later (SPEF's DAG augmentation)
+        make the compiler look every link up; code that *replaces* next
+        hops in place must clear it.
     """
 
     destination: Node
     distances: dict[Node, float]
     next_hops: dict[Node, list[Node]]
     tolerance: float = DEFAULT_TOLERANCE
+    hop_links: list[int] = field(default_factory=list)
 
     def reachable(self, node: Node) -> bool:
         return node in self.distances
@@ -257,9 +265,9 @@ def shortest_path_dag(
     structure acyclic while guaranteeing every reachable node has a next hop.
     """
     vector = as_weight_vector(network, weights)
-    validate_weights(vector)
-    distances, parents = _dijkstra_to(network, destination, vector)
+    distances, parents = _dijkstra_to(network, destination, vector)  # validates
     next_hops: dict[Node, list[Node]] = {}
+    hop_links: list[int] = []
     for node, dist_node in distances.items():
         if node == destination:
             continue
@@ -271,6 +279,7 @@ def shortest_path_dag(
             on_shortest = vector[link.index] + dist_hop <= dist_node + tolerance
             if on_shortest and dist_hop < dist_node - 1e-15:
                 hops.append(link.target)
+                hop_links.append(link.index)
         parent = parents.get(node)
         # The tree edge is always on a shortest path; it is only missing
         # from `hops` when it lies on an equal-distance plateau.
@@ -280,12 +289,14 @@ def shortest_path_dag(
             and distances.get(parent, float("inf")) >= dist_node - 1e-15
         ):
             hops.append(parent)
+            hop_links.append(network.link_index(node, parent))
         next_hops[node] = hops
     return ShortestPathDag(
         destination=destination,
         distances=distances,
         next_hops=next_hops,
         tolerance=tolerance,
+        hop_links=hop_links,
     )
 
 

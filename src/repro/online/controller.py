@@ -455,7 +455,8 @@ class TEController:
         nodes and pushes load *deltas* down the DAG: a popped node recomputes
         every out-link load from its current throughflow (idempotent, so
         re-pushes are safe), applying the difference to the downstream
-        throughflow.  Requires a plateau-free state (DAG edges then strictly
+        throughflow.  A node already waiting in the worklist is not pushed
+        again: it reads its throughflow when popped.  Requires a plateau-free state (DAG edges then strictly
         decrease the distance, so the max-distance order is topological up
         to benign re-pushes).  Works on copies and commits only on success;
         returns False — caches untouched — when the worklist exceeds its
@@ -468,12 +469,15 @@ class TEController:
         next_hops = state.next_hops
         out_pairs, in_indices = self._flat_adjacency()
         # The kernel indexes single elements millions of times across a
-        # sweep; a plain list beats ndarray scalar access by a wide margin.
-        loads = self._dest_loads[destination].tolist()
+        # sweep; a memoryview over a copy of the cached loads reads and
+        # writes Python floats without converting the whole vector.
+        updated = self._dest_loads[destination].copy()
+        loads = memoryview(updated)
         through = dict(self._dest_through[destination])
         dropped = dict(self._dest_dropped.get(destination, {}))
 
         heap: list[tuple[float, int, Node]] = []
+        queued: set[Node] = set()
         seq = 0
         for node in region:
             d = dist.get(node)
@@ -489,7 +493,8 @@ class TEController:
                         loads[index] = 0.0
                         if target in dist:
                             through[target] = through.get(target, 0.0) - load
-                            if target != destination:
+                            if target != destination and target not in queued:
+                                queued.add(target)
                                 heapq.heappush(heap, (-dist[target], seq, target))
                                 seq += 1
                 continue
@@ -501,7 +506,8 @@ class TEController:
                     inflow += loads[index]
                 through[node] = inflow
                 dropped.pop(node, None)
-            if node != destination:
+            if node != destination and node not in queued:
+                queued.add(node)
                 heapq.heappush(heap, (-d, seq, node))
                 seq += 1
 
@@ -511,6 +517,7 @@ class TEController:
             if budget < 0:
                 return False
             _, _, node = heapq.heappop(heap)
+            queued.discard(node)
             flow = through.get(node, 0.0)
             hops = next_hops.get(node) or ()
             if flow != 0.0 and not hops:
@@ -524,11 +531,12 @@ class TEController:
                 loads[index] = new_load
                 if target in dist:
                     through[target] += delta
-                    if target != destination:
+                    if target != destination and target not in queued:
+                        queued.add(target)
                         heapq.heappush(heap, (-dist[target], seq, target))
                         seq += 1
 
-        self._store_destination(destination, np.asarray(loads), dropped, through)
+        self._store_destination(destination, updated, dropped, through)
         return True
 
     def _flat_adjacency(

@@ -16,16 +16,13 @@ window, i.e. what the network looked like after the policy (if any) had
 reacted — and :attr:`ReplayResult.worst` compares fairly between the
 no-policy, closed-loop and every-event-oracle replays.
 
-The controller construction knobs (``tolerance``,
-``max_affected_fraction``, ``verify``) moved onto
-:class:`ControllerSession`; passing them here still works for one release
-but emits a :class:`DeprecationWarning` — build a session and pass
-``session=`` instead.
+The controller construction knobs (tolerance, fallback threshold, verify
+mode, custom weights) live on :class:`ControllerSession`: build a session
+and pass ``session=``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -36,9 +33,6 @@ from ..scenarios.scenario import Scenario
 from .controller import ControllerMeasurement, ControllerUpdate, TEController
 from .events import NetworkEvent, failure_recovery_trace
 from .session import ControllerSession
-
-#: Sentinel distinguishing "not passed" from an explicit default value.
-_UNSET = object()
 
 
 @dataclass
@@ -177,9 +171,6 @@ def replay_failure_trace(
     policy: object | None = None,
     *,
     session: ControllerSession | None = None,
-    tolerance: object = _UNSET,
-    max_affected_fraction: object = _UNSET,
-    verify: object = _UNSET,
 ) -> ReplayResult:
     """Replay ``scenarios`` as a timed fail → repair trace and sample MLU.
 
@@ -194,34 +185,10 @@ def replay_failure_trace(
 
     Pass a prebuilt :class:`ControllerSession` (``session=``) to control
     the controller's construction (tolerance, fallback threshold, verify
-    mode, custom weights); the legacy ``tolerance`` /
-    ``max_affected_fraction`` / ``verify`` keywords still work but are
-    deprecated and will be removed next release.
+    mode, custom weights).
     """
-    deprecated = {
-        name: value
-        for name, value in (
-            ("tolerance", tolerance),
-            ("max_affected_fraction", max_affected_fraction),
-            ("verify", verify),
-        )
-        if value is not _UNSET
-    }
-    if deprecated:
-        if session is not None:
-            raise ValueError(
-                "pass controller knobs on the ControllerSession, not alongside "
-                f"session= (got {', '.join(sorted(deprecated))})"
-            )
-        warnings.warn(
-            f"passing {', '.join(sorted(deprecated))} to replay_failure_trace is "
-            "deprecated; construct a repro.online.ControllerSession with these "
-            "knobs and pass session= instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if session is None:
-        session = ControllerSession(network, demands, policy=policy, **deprecated)
+        session = ControllerSession(network, demands, policy=policy)
     elif policy is not None and session.policy is not policy:
         raise ValueError("pass the policy on the ControllerSession, not alongside session=")
     trace = failure_recovery_trace(network, scenarios, period=period, outage=outage)

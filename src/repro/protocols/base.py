@@ -61,9 +61,7 @@ class RoutingProtocol(abc.ABC):
         scenarios against those weights with incremental shortest-path
         updates instead of from-scratch recomputes (the scenario runner's
         incremental fast path).  Everything else — protocols that
-        re-optimise per instance, split unevenly, or have a forced
-        ``"python"`` backend (an all-oracle run must stay all-oracle) —
-        returns ``None``.
+        re-optimise per instance or split unevenly — returns ``None``.
         """
         return None
 

@@ -115,9 +115,6 @@ class FortzThorup(RoutingProtocol):
         How many candidate single-weight moves are sampled per iteration.
     seed:
         Seed of the random sampling, for reproducibility.
-    backend:
-        Routing backend used for every candidate evaluation of the local
-        search (``"sparse"``/``"python"``/``None`` for the library default).
     """
 
     name = "FortzThorup"
@@ -129,7 +126,6 @@ class FortzThorup(RoutingProtocol):
         neighbourhood_size: int = 24,
         restarts: int = 2,
         seed: int = 0,
-        backend: str | None = None,
     ) -> None:
         if max_weight < 1:
             raise ValueError("max_weight must be at least 1")
@@ -138,14 +134,13 @@ class FortzThorup(RoutingProtocol):
         self.neighbourhood_size = neighbourhood_size
         self.restarts = restarts
         self.seed = seed
-        self.backend = backend
         self._last_result: LocalSearchResult | None = None
 
     # ------------------------------------------------------------------
     def _evaluate(
         self, network: Network, demands: TrafficMatrix, weights: np.ndarray
     ) -> float:
-        flows = ecmp_assignment(network, demands, weights, backend=self.backend)
+        flows = ecmp_assignment(network, demands, weights)
         return network_cost(flows)
 
     def _initial_weights(
@@ -251,7 +246,7 @@ class FortzThorup(RoutingProtocol):
     # ------------------------------------------------------------------
     def route(self, network: Network, demands: TrafficMatrix) -> FlowAssignment:
         result = self.optimize(network, demands)
-        return ecmp_assignment(network, demands, result.weights, backend=self.backend)
+        return ecmp_assignment(network, demands, result.weights)
 
     @property
     def last_result(self) -> LocalSearchResult | None:

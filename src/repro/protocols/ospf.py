@@ -18,8 +18,7 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import DEFAULT_TOLERANCE, WeightsLike, all_shortest_path_dags, as_weight_vector
-from ..routing import resolve_backend
-from ..routing.sparse import SparseRouter
+from ..routing import SparseRouter
 from ..solvers.assignment import ecmp_assignment
 from .base import RoutingProtocol
 
@@ -54,9 +53,6 @@ class OSPF(RoutingProtocol):
     ecmp_tolerance:
         Cost tolerance when declaring paths equal (integer OSPF weights make
         exact ties common, so the default exact comparison is usually right).
-    backend:
-        Routing backend (``"sparse"``/``"python"``/``None`` for the library
-        default) handed to :func:`repro.solvers.assignment.ecmp_assignment`.
     """
 
     name = "OSPF"
@@ -66,11 +62,9 @@ class OSPF(RoutingProtocol):
         weights: WeightsLike | None = None,
         ecmp_tolerance: float = DEFAULT_TOLERANCE,
         name: str | None = None,
-        backend: str | None = None,
     ) -> None:
         self._weights = weights
         self.ecmp_tolerance = ecmp_tolerance
-        self.backend = backend
         if name is not None:
             self.name = name
 
@@ -82,9 +76,7 @@ class OSPF(RoutingProtocol):
 
     def route(self, network: Network, demands: TrafficMatrix) -> FlowAssignment:
         weights = self.link_weights(network)
-        return ecmp_assignment(
-            network, demands, weights, self.ecmp_tolerance, backend=self.backend
-        )
+        return ecmp_assignment(network, demands, weights, self.ecmp_tolerance)
 
     def batch_link_loads(
         self, network: Network, matrices: Sequence[TrafficMatrix]
@@ -94,12 +86,7 @@ class OSPF(RoutingProtocol):
         OSPF's forwarding state depends only on the network (explicit weights
         or InvCap derived from capacities), so the shortest-path DAGs are
         compiled once and every matrix rides the same batched propagation.
-        With the ``"python"`` backend forced -- on this instance or through
-        the process/environment default -- batching is declined so an
-        all-oracle comparison really is all-oracle.
         """
-        if resolve_backend(self.backend) == "python":
-            return None
         router = SparseRouter(
             network,
             weights=self.link_weights(network),
@@ -113,17 +100,13 @@ class OSPF(RoutingProtocol):
 
         Returns the weight vector the incremental failure sweep should hold
         fixed while links fail and recover.  Declined (``None``) when the
-        ``"python"`` backend is forced (for the same reason
-        :meth:`batch_link_loads` declines then) and when the instance was
-        configured with a raw link-indexed weight *vector*: such a vector
-        cannot be applied to a pruned failure instance (its link indexing
-        differs), so the cold per-cell path errors where the sweep would
+        instance was configured with a raw link-indexed weight *vector*:
+        such a vector cannot be applied to a pruned failure instance (its
+        link indexing differs), so the cold per-cell path errors where the sweep would
         succeed — the two paths must stay result-equivalent.  Mapping
         weights and capacity-derived defaults carry over edge-by-edge and
         qualify.
         """
-        if resolve_backend(self.backend) == "python":
-            return None
         if self._weights is not None and not isinstance(self._weights, Mapping):
             return None
         return self.link_weights(network)
@@ -161,10 +144,8 @@ class MinHopOSPF(OSPF):
 
     name = "OSPF-minhop"
 
-    def __init__(
-        self, ecmp_tolerance: float = DEFAULT_TOLERANCE, backend: str | None = None
-    ) -> None:
-        super().__init__(weights=None, ecmp_tolerance=ecmp_tolerance, backend=backend)
+    def __init__(self, ecmp_tolerance: float = DEFAULT_TOLERANCE) -> None:
+        super().__init__(weights=None, ecmp_tolerance=ecmp_tolerance)
 
     def link_weights(self, network: Network) -> np.ndarray:
         return unit_weights(network)

@@ -17,6 +17,12 @@ link ``(u, v)`` is proportional to
 where ``Z_t`` ("effective number of downward paths") satisfies the recursion
 ``Z_t(t) = 1``, ``Z_t(u) = sum_v exp(-(w_uv + d_v - d_u)) * Z_t(v)``.
 
+Two corners keep the forwarding graph acyclic so every routable demand is
+delivered: a node with no strictly-downward neighbour (only possible on
+zero-weight plateaus) forwards along its Dijkstra tree edge, and a node whose
+exponential shares all underflow to zero splits evenly over its downward
+neighbours.
+
 PEFT's own theory sets the link weights to the Lagrange multipliers of the TE
 problem -- the same quantities SPEF uses as first weights -- so by default the
 protocol derives its weights from the optimal TE solution for the configured
@@ -25,7 +31,7 @@ objective.  Explicit weights can be supplied for ablations.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -34,9 +40,8 @@ from ..core.te_problem import TEProblem, solve_optimal_te
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import WeightsLike, as_weight_vector, distances_to
-from ..routing import resolve_backend
-from ..routing.compiled import CompiledDag
+from ..network.spt import WeightsLike, as_weight_vector, shortest_path_dag
+from ..routing.compiled import CompiledDag, DagPart
 from .base import RoutingProtocol
 
 
@@ -54,13 +59,6 @@ class PEFT(RoutingProtocol):
         Scales the exponential penalty: the share of a path decays as
         ``exp(-extra_length / temperature)``.  1.0 reproduces the original
         protocol; larger values spread traffic more aggressively.
-    backend:
-        ``"sparse"`` routes over the compiled downward DAG (the ``Z``
-        recursion and the propagation become vectorised sweeps),
-        ``"python"`` keeps the dict-loop reference.  Degenerate corners
-        (zero-weight plateaus where a node has no strictly-downward next
-        hop) always use the reference path so the fallback semantics stay
-        bit-for-bit identical.
     """
 
     name = "PEFT"
@@ -70,14 +68,12 @@ class PEFT(RoutingProtocol):
         weights: WeightsLike | None = None,
         objective: LoadBalanceObjective | None = None,
         temperature: float = 1.0,
-        backend: str | None = None,
     ) -> None:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         self._weights = weights
         self.objective = objective or LoadBalanceObjective.proportional()
         self.temperature = temperature
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def link_weights(self, network: Network, demands: TrafficMatrix) -> np.ndarray:
@@ -87,174 +83,63 @@ class PEFT(RoutingProtocol):
         problem = TEProblem(network=network, demands=demands, objective=self.objective)
         return solve_optimal_te(problem).link_weights
 
-    def _downward_split(
-        self,
-        network: Network,
-        destination: Node,
-        weights: np.ndarray,
-    ) -> dict[Node, dict[Node, float]]:
-        """Per-node split ratios over downward neighbours for one destination."""
-        distances = distances_to(network, destination, weights)
-        # Effective number of downward paths, computed in increasing-distance
-        # order so every downstream Z value is available.
-        z_values: dict[Node, float] = {destination: 1.0}
-        order = sorted(distances, key=lambda n: distances[n])
-        for node in order:
-            if node == destination:
-                continue
-            total = 0.0
-            for link in network.out_links(node):
-                neighbour = link.target
-                if neighbour not in distances or distances[neighbour] >= distances[node]:
-                    continue
-                extra = weights[link.index] + distances[neighbour] - distances[node]
-                total += float(np.exp(-extra / self.temperature)) * z_values.get(neighbour, 0.0)
-            z_values[node] = total
-        ratios: dict[Node, dict[Node, float]] = {}
-        for node in order:
-            if node == destination:
-                continue
-            shares: dict[Node, float] = {}
-            for link in network.out_links(node):
-                neighbour = link.target
-                if neighbour not in distances or distances[neighbour] >= distances[node]:
-                    continue
-                extra = weights[link.index] + distances[neighbour] - distances[node]
-                share = float(np.exp(-extra / self.temperature)) * z_values.get(neighbour, 0.0)
-                if share > 0:
-                    shares[neighbour] = share
-            total = sum(shares.values())
-            if total > 0:
-                ratios[node] = {hop: share / total for hop, share in shares.items()}
-            else:
-                # Disconnected downward set (only possible with zero weights
-                # everywhere); fall back to any neighbour not farther away.
-                fallback = [
+    def _downward_graph(
+        self, network: Network, destinations: Iterable[Node], weights: np.ndarray
+    ) -> tuple[CompiledDag, np.ndarray]:
+        """The destinations' downward graphs, stacked, and their split ratios.
+
+        Edge ``(u, v)`` gets the factor ``exp(-(w_uv + d_v - d_u) / T)``; the
+        ratios are the factor times ``Z_t(v)``, normalised per node.
+        """
+        parts: list[DagPart] = []
+        distances: list[np.ndarray] = []
+        for destination in destinations:
+            dag = shortest_path_dag(network, destination, weights)
+            dist = dag.distances
+            next_hops = {
+                node: [
                     link.target
                     for link in network.out_links(node)
-                    if link.target in distances and distances[link.target] <= distances[node]
+                    if dist.get(link.target, np.inf) < dist[node]
                 ]
-                if fallback:
-                    ratios[node] = {hop: 1.0 / len(fallback) for hop in fallback}
-        return ratios
+                or hops
+                for node, hops in dag.next_hops.items()
+            }
+            parts.append(DagPart.from_next_hops(network, destination, next_hops, dist))
+            vector = np.full(network.num_nodes, np.inf)
+            vector[[network.node_index(node) for node in dist]] = list(dist.values())
+            distances.append(vector)
+        stack = CompiledDag.from_parts(network, parts)
+        dist = np.concatenate([np.empty(0), *distances])
+        head, tail = dist[stack.targets], dist[stack.rows]
+        extra = weights[stack.links] + head - tail
+        # Plateau tree edges carry no downward path weight (Z counts downward paths only).
+        factors = np.where(head < tail, np.exp(-extra / self.temperature), 0.0)
+        return stack, stack.boltzmann_ratios(factors)
 
     # ------------------------------------------------------------------
     def split_ratios(
         self, network: Network, demands: TrafficMatrix
     ) -> dict[Node, dict[Node, dict[Node, float]]]:
         weights = self.link_weights(network, demands)
-        return {
-            destination: self._downward_split(network, destination, weights)
-            for destination in demands.destinations()
-        }
-
-    def _compile_downward(
-        self, network: Network, destination: Node, weights: np.ndarray
-    ) -> tuple[CompiledDag, np.ndarray] | None:
-        """Compile the downward DAG and its exponential ratios for one destination.
-
-        Returns ``None`` when the downward structure is degenerate (some
-        reachable node has no strictly-downward next hop, or the exponential
-        weights underflow to a zero split) -- those corners keep the
-        reference implementation's fallback semantics.
-        """
-        distances = distances_to(network, destination, weights)
-        order = sorted(distances, key=lambda n: distances[n], reverse=True)
-        next_hops: dict[Node, list[Node]] = {}
-        for node in order:
-            if node == destination:
-                continue
-            downward = [
-                link.target
-                for link in network.out_links(node)
-                if link.target in distances and distances[link.target] < distances[node]
-            ]
-            if not downward:
-                return None
-            next_hops[node] = downward
-        compiled = CompiledDag.from_next_hops(network, destination, order, next_hops)
-        if compiled.num_edges == 0:
-            return compiled, np.empty(0)
-        # Per-link extra length beyond the shortest path; only the compiled
-        # (strictly downward) edges are gathered, so restrict the computation
-        # to them instead of building a full link-indexed vector.
-        extra = np.fromiter(
-            (
-                weights[index]
-                + distances[network.link_by_index(index).target]
-                - distances[network.link_by_index(index).source]
-                for index in compiled.links
-            ),
-            dtype=float,
-            count=compiled.num_edges,
-        )
-        boltzmann = np.exp(-extra / self.temperature)
-        z_values = compiled.path_weight_sums(boltzmann)
-        shares = boltzmann * z_values[compiled.targets]
-        totals = np.zeros(compiled.num_nodes)
-        np.add.at(totals, compiled.rows, shares)
-        if np.any(totals[compiled.out_degree() > 0] <= 0):
-            return None
-        ratios = shares / totals[compiled.rows]
-        return compiled, ratios
-
-    def _route_python(
-        self, network: Network, demands: TrafficMatrix, weights: np.ndarray
-    ) -> FlowAssignment:
-        """The reference dict-loop implementation (the equivalence oracle)."""
-        flows = FlowAssignment(network=network)
-        for destination, entering in demands.by_destination().items():
-            self._propagate_python(network, destination, entering, weights, flows)
-        return flows
-
-    def _propagate_python(
-        self,
-        network: Network,
-        destination: Node,
-        entering: dict[Node, float],
-        weights: np.ndarray,
-        flows: FlowAssignment,
-    ) -> None:
-        ratios = self._downward_split(network, destination, weights)
-        distances = distances_to(network, destination, weights)
-        vector = flows.ensure_destination(destination)
-        transit: dict[Node, float] = {}
-        for node in sorted(distances, key=lambda n: distances[n], reverse=True):
-            if node == destination:
-                continue
-            load = entering.get(node, 0.0) + transit.get(node, 0.0)
-            if load <= 0:
-                continue
-            node_ratios = ratios.get(node)
-            if not node_ratios:
-                raise RuntimeError(
-                    f"PEFT has no downward next hop at {node!r} for {destination!r}"
-                )
-            for hop, ratio in node_ratios.items():
-                share = load * ratio
-                if share <= 0:
-                    continue
-                vector[network.link_index(node, hop)] += share
-                transit[hop] = transit.get(hop, 0.0) + share
+        stack, ratios = self._downward_graph(network, demands.destinations(), weights)
+        nodes = network.nodes
+        n = len(nodes)
+        result: dict[Node, dict[Node, dict[Node, float]]] = {d: {} for d in stack.destinations}
+        for row, target, ratio in zip(
+            stack.rows.tolist(), stack.targets.tolist(), ratios.tolist(), strict=True
+        ):
+            if ratio > 0:
+                block, index = divmod(row, n)
+                per_node = result[stack.destinations[block]].setdefault(nodes[index], {})
+                per_node[nodes[target - block * n]] = ratio
+        return result
 
     def route(self, network: Network, demands: TrafficMatrix) -> FlowAssignment:
         demands.validate(network)
         weights = self.link_weights(network, demands)
-        if resolve_backend(self.backend) != "sparse":
-            # "auto" picks the oracle for one-shot single-matrix routing (the
-            # dict loops beat numpy's per-row overhead at this shape).
-            return self._route_python(network, demands, weights)
-        flows = FlowAssignment(network=network)
-        for destination, entering in demands.by_destination().items():
-            compiled_ratios = self._compile_downward(network, destination, weights)
-            if compiled_ratios is None:
-                self._propagate_python(network, destination, entering, weights, flows)
-                continue
-            compiled, ratios = compiled_ratios
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            compiled.scatter_link_loads(compiled.propagate(demand, ratios), ratios, out=vector)
-        return flows
+        stack, ratios = self._downward_graph(network, demands.destinations(), weights)
+        return stack.flows(demands, ratios, missing="drop")
 
     def batch_link_loads(
         self, network: Network, matrices: Sequence[TrafficMatrix]
@@ -265,34 +150,12 @@ class PEFT(RoutingProtocol):
         PEFT prescription solves the TE problem per matrix), so batching
         would change semantics and ``None`` is returned.
         """
-        if self._weights is None or resolve_backend(self.backend) == "python":
+        if self._weights is None:
             return None
         weights = as_weight_vector(network, self._weights)
         matrices = list(matrices)
         for tm in matrices:
             tm.validate(network)
-        m = len(matrices)
-        loads = np.zeros((network.num_links, m))
-        by_destination = [tm.by_destination() for tm in matrices]
-        destinations: dict[Node, None] = {}
-        for per in by_destination:
-            for destination in per:
-                destinations.setdefault(destination, None)
-        for destination in destinations:
-            compiled_ratios = self._compile_downward(network, destination, weights)
-            if compiled_ratios is None:
-                # Degenerate corner somewhere in the ensemble: let the runner
-                # fall back to per-matrix routing for exact semantics.
-                return None
-            compiled, ratios = compiled_ratios
-            entering = np.zeros((compiled.num_nodes, m))
-            for column, per in enumerate(by_destination):
-                volumes = per.get(destination)
-                if volumes:
-                    compiled.entering_vector(
-                        volumes, column=column, out=entering, missing="drop"
-                    )
-            compiled.scatter_link_loads(
-                compiled.propagate(entering, ratios), ratios, out=loads
-            )
-        return loads.T
+        destinations = dict.fromkeys(d for tm in matrices for d in tm.destinations())
+        stack, ratios = self._downward_graph(network, destinations, weights)
+        return stack.ensemble_loads(matrices, ratios, missing="drop")

@@ -20,10 +20,7 @@ class SPEFProtocol(RoutingProtocol):
     """SPEF as a drop-in routing protocol.
 
     The ``beta`` shorthand mirrors the paper's notation SPEF0 / SPEF1 / SPEF5
-    for SPEF run with the (1, beta) load-balance objective.  The routing
-    backend of the NEM inner loop is selected through the config:
-    ``SPEFProtocol(routing_backend="sparse")`` (see
-    :attr:`repro.core.spef.SPEFConfig.routing_backend`).
+    for SPEF run with the (1, beta) load-balance objective.
     """
 
     name = "SPEF"

@@ -1,53 +1,62 @@
-"""Compiled destination DAGs: the data structure of the sparse routing backend.
+"""The routing kernel: destination DAGs stacked into one block-diagonal edge list.
 
-The reference (oracle) routines in :mod:`repro.solvers.assignment` propagate
-traffic per destination with nested Python dict loops.  This module compiles a
-:class:`~repro.network.spt.ShortestPathDag` once into flat CSR-style arrays so
-that the propagation becomes sparse linear algebra:
+Every routing computation in the library -- ECMP and all-or-nothing
+assignment, explicit split ratios, SPEF's exponential split (Algorithm 3),
+PEFT's downward graph -- is the same linear algebra over per-destination
+DAGs, and this module is its only implementation:
 
-* nodes are renumbered into topological order ``0..k-1`` (every node precedes
-  all of its next hops, the destination carries no out-edges);
-* the DAG edges form a split-ratio matrix ``P`` where ``P[i, j]`` is the
-  fraction of node ``i``'s throughflow forwarded to node ``j``.  Under the
-  topological numbering ``P`` is strictly upper triangular, so the node
-  throughflows ``x`` (local demand plus transit) solve the unit lower
-  triangular system
+* position ``k * n + i`` holds network node ``i`` (``network.node_index``) in
+  destination block ``k``.  A DAG edge is a (tail position, head position,
+  link index) triple; ``P[u, v]`` is the share of ``u``'s throughflow
+  forwarded to ``v``;
+* node throughflows solve ``x = b + P^T x`` (``b`` the demand entering at each
+  position) and the path-weight sums of Eq. (22) solve ``Z = e_t + A Z``
+  (``A[u, v]`` a per-edge factor, ``e_t`` one at each destination).  The DAGs
+  are acyclic, so ``P`` and ``A`` are nilpotent and iterating either equation
+  from its right-hand side is exact after DAG-depth steps: level scheduling
+  of a triangular solve (Anderson & Saad, 1989).  Each step is one
+  ``bincount`` over the edges of all destinations at once, and the loop stops
+  as soon as an iterate repeats;
+* link loads follow as ``f[link(u, v)] = P[u, v] * x[u]``.
 
-      (I - P^T) x = e
-
-  where ``e`` is the demand entering at each node.  :meth:`CompiledDag.propagate`
-  performs that forward substitution directly on the CSR arrays, one sparse
-  axpy per node row, and accepts a matrix right-hand side so a whole demand
-  ensemble is routed in a single stacked sweep;
-* link loads follow as the gather/scatter ``f[link(i, j)] = P[i, j] * x[i]``.
-
-Compilation is pure-Python :math:`O(E)` and is meant to be *amortised*: build
-a :class:`CompiledDag` once per (network, weight setting, destination) and
-reuse it across demand matrices, gradient iterations and scenario sweeps.
+Compiling is one Python pass over each DAG's next-hop lists (link indices
+come from :attr:`ShortestPathDag.hop_links` where available) and one numpy
+pass over all of them (:meth:`CompiledDag.from_parts`); the result is reused
+across demand matrices, gradient iterations and scenario sweeps.  The dict-loop reference the
+equivalence suite checks this kernel against lives in
+``tests/routing_oracle.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from ..network.graph import Network, Node
+from ..network.demands import TrafficMatrix
+from ..network.flows import FlowAssignment
+from ..network.graph import Network, NetworkError, Node
 from ..network.spt import ShortestPathDag, UnreachableError
 
 logger = logging.getLogger(__name__)
+
+#: ``split_ratios[destination][node][hop]``: explicit per-node split ratios.
+SplitRatios = Mapping[Node, Mapping[Node, Mapping[Node, float]]]
 
 
 def warn_degenerate_split(node: Node, destination: Node, total: float, count: int) -> None:
     """Log the even-split fallback for degenerate stored split ratios.
 
-    Called by both backends when a node has *stored* split ratios towards a
-    destination but they sum to (numerically) zero over its next hops.  The
+    Called when a node carrying traffic has *stored* split ratios towards a
+    destination that sum to (numerically) zero over its next hops.  The
     traffic is still delivered -- split evenly -- but silently ignoring the
-    configured ratios used to hide configuration bugs, so the fallback is now
-    logged explicitly.
+    configured ratios would hide configuration bugs.
     """
     logger.warning(
         "stored split ratios at node %r towards %r sum to %g over %d next hop(s); "
@@ -59,97 +68,172 @@ def warn_degenerate_split(node: Node, destination: Node, total: float, count: in
     )
 
 
-@dataclass
-class CompiledDag:
-    """One destination DAG compiled to CSR arrays in topological node order.
+def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``out[index[e]] += values[e]`` as one ``bincount``; ``values`` 1-D or ``(E, m)``."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=size)
+    m = values.shape[1]
+    flat = (index[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=size * m).reshape(size, m)
 
-    Attributes
-    ----------
-    destination:
-        The destination node the DAG routes towards.
-    order:
-        DAG nodes in topological order (position ``i`` holds the node whose
-        row is ``i``; every node precedes all of its next hops).
-    positions:
-        Inverse of ``order``: ``positions[node] = i``.
-    node_ids:
-        Dense network node index of each position (``network.node_index``).
-    indptr, targets, links:
-        CSR layout of the DAG edges: the out-edges of position ``i`` are the
-        slice ``indptr[i]:indptr[i + 1]``; ``targets`` holds the position of
-        each edge's head and ``links`` its dense link index in the network.
-    rows:
-        Position of each edge's tail (the expanded CSR row index), kept for
-        vectorised per-edge gathers.
-    num_links:
-        ``network.num_links`` of the owning network (the scatter width).
+
+def _solve_levels(
+    rhs: np.ndarray, push: Callable[[np.ndarray], np.ndarray], depth_bound: int
+) -> np.ndarray:
+    """Fixed point of ``y = rhs + push(y)`` for a nilpotent linear ``push``.
+
+    Iterates from ``rhs``; after DAG-depth steps every entry is final and the
+    next iterate repeats exactly, which ends the loop.
+    """
+    y = rhs
+    for _ in range(depth_bound + 1):
+        following = rhs + push(y)
+        if np.array_equal(following, y):
+            return y
+        y = following
+    raise NetworkError("routing graph contains a cycle")
+
+
+class DagPart(NamedTuple):
+    """One destination's DAG, walked but not yet stacked.
+
+    ``links`` holds the link index of every edge, grouped by tail node in
+    next-hop order; ``members`` the dense indices of the nodes that can
+    reach ``destination``.  Plain lists, so compiling many destinations
+    costs one numpy pass in :meth:`CompiledDag.from_parts`.
     """
 
     destination: Node
-    order: list[Node]
-    positions: dict[Node, int]
-    node_ids: np.ndarray
-    indptr: np.ndarray
-    targets: np.ndarray
-    links: np.ndarray
-    rows: np.ndarray
-    num_links: int
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dag(cls, network: Network, dag: ShortestPathDag) -> CompiledDag:
-        """Compile a shortest-path DAG (including augmented DAGs)."""
-        return cls.from_next_hops(network, dag.destination, dag.topological_order(), dag.next_hops)
+    links: list[int]
+    members: list[int]
 
     @classmethod
     def from_next_hops(
         cls,
         network: Network,
         destination: Node,
-        order: Sequence[Node],
         next_hops: Mapping[Node, Sequence[Node]],
-    ) -> CompiledDag:
-        """Compile an explicit (topological order, next-hop map) pair.
+        members: Iterable[Node] | None = None,
+        hop_links: Sequence[int] = (),
+    ) -> DagPart:
+        """Walk an explicit next-hop map.
 
-        ``order`` must list every node of the DAG with each node before all of
-        its next hops; this is what lets non-shortest-path structures (e.g.
-        PEFT's downward graph, ordered by decreasing distance) reuse the same
-        kernels.
+        ``members`` defaults to the keys of ``next_hops`` plus the
+        destination.  ``hop_links`` optionally gives every next hop's link
+        index, flattened in ``next_hops`` order (see
+        :attr:`ShortestPathDag.hop_links`); it is trusted only when its
+        length matches, otherwise every link is looked up.
         """
-        positions = {node: i for i, node in enumerate(order)}
-        k = len(order)
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        targets: list[int] = []
-        links: list[int] = []
-        for i, node in enumerate(order):
-            if node != destination:
-                for hop in next_hops.get(node, ()):
-                    position = positions.get(hop)
-                    if position is None:
-                        raise UnreachableError(
-                            f"next hop {hop!r} of {node!r} is not part of the DAG "
-                            f"towards {destination!r}"
-                        )
-                    targets.append(position)
-                    links.append(network.link_index(node, hop))
-            indptr[i + 1] = len(targets)
-        targets_arr = np.asarray(targets, dtype=np.int64)
-        rows = np.repeat(np.arange(k, dtype=np.int64), np.diff(indptr))
-        node_ids = np.fromiter(
-            (network.node_index(node) for node in order), dtype=np.int64, count=k
+        if hop_links and not next_hops.get(destination) and len(hop_links) == sum(
+            map(len, next_hops.values())
+        ):
+            links = list(hop_links)
+        else:
+            links = [
+                network.link_index(node, hop)
+                for node, hops in next_hops.items()
+                if node != destination
+                for hop in hops
+            ]
+        node_index = network.node_index
+        indices = [node_index(node) for node in (next_hops if members is None else members)]
+        indices.append(node_index(destination))
+        return cls(destination, links, indices)
+
+    @classmethod
+    def from_dag(cls, network: Network, dag: ShortestPathDag) -> DagPart:
+        """Walk a shortest-path DAG (including augmented DAGs)."""
+        return cls.from_next_hops(
+            network, dag.destination, dag.next_hops, dag.distances, dag.hop_links
         )
-        return cls(
-            destination=destination,
-            order=list(order),
-            positions=positions,
-            node_ids=node_ids,
-            indptr=indptr,
-            targets=targets_arr,
-            links=np.asarray(links, dtype=np.int64),
-            rows=rows,
-            num_links=network.num_links,
+
+
+@dataclass
+class CompiledDag:
+    """One or more destination DAGs compiled into a single stacked edge list.
+
+    Attributes
+    ----------
+    network:
+        The network the DAGs live on; ``n = network.num_nodes`` positions
+        per destination block.
+    destinations:
+        Destination of each block, in block order.
+    rows, targets, links:
+        Per edge: tail position, head position and dense link index.  Edges
+        are sorted by tail (a CSR layout) and keep each node's next-hop order.
+    member:
+        Per position: whether the node is part of its block's DAG (can reach
+        the destination).  Demand entering elsewhere is unroutable.
+    """
+
+    network: Network
+    destinations: list[Node]
+    rows: np.ndarray
+    targets: np.ndarray
+    links: np.ndarray
+    member: np.ndarray
+
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_parts(cls, network: Network, parts: Sequence[DagPart]) -> CompiledDag:
+        """Stack walked DAGs into one block-diagonal structure (one numpy pass).
+
+        Raises
+        ------
+        UnreachableError
+            If some next hop is not a member of its destination's DAG.
+        """
+        n = network.num_nodes
+        block_offsets = np.arange(len(parts), dtype=np.int64) * n
+        links = np.fromiter(
+            itertools.chain.from_iterable(part.links for part in parts), dtype=np.int64
+        )
+        edge_offsets = np.repeat(block_offsets, [len(part.links) for part in parts])
+        member_positions = np.fromiter(
+            itertools.chain.from_iterable(part.members for part in parts), dtype=np.int64
+        ) + np.repeat(block_offsets, [len(part.members) for part in parts])
+        member = np.zeros(len(parts) * n, dtype=bool)
+        member[member_positions] = True
+        sources, heads = network.link_node_indices()
+        rows = sources[links] + edge_offsets
+        order = np.argsort(rows, kind="stable")
+        compiled = cls(
+            network=network,
+            destinations=[part.destination for part in parts],
+            rows=rows[order],
+            targets=(heads[links] + edge_offsets)[order],
+            links=links[order],
+            member=member,
+        )
+        outside = np.flatnonzero(~member[compiled.targets])
+        if outside.size:
+            link = network.link_by_index(int(compiled.links[outside[0]]))
+            destination = compiled.destinations[int(compiled.rows[outside[0]]) // n]
+            raise UnreachableError(
+                f"next hop {link.target!r} of {link.source!r} is not part of the DAG "
+                f"towards {destination!r}"
+            )
+        return compiled
+
+    @classmethod
+    def from_dag(cls, network: Network, dag: ShortestPathDag) -> CompiledDag:
+        """Compile one shortest-path DAG (including augmented DAGs)."""
+        return cls.from_parts(network, [DagPart.from_dag(network, dag)])
+
+    @classmethod
+    def from_next_hops(
+        cls,
+        network: Network,
+        destination: Node,
+        next_hops: Mapping[Node, Sequence[Node]],
+        members: Iterable[Node] | None = None,
+    ) -> CompiledDag:
+        """Compile one destination's explicit next-hop map (see :class:`DagPart`)."""
+        return cls.from_parts(
+            network, [DagPart.from_next_hops(network, destination, next_hops, members)]
         )
 
     # ------------------------------------------------------------------
@@ -157,23 +241,41 @@ class CompiledDag:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return len(self.order)
+        """Number of (destination, node) positions."""
+        return int(self.member.size)
 
     @property
     def num_edges(self) -> int:
         return int(self.links.size)
 
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointer: the out-edges of position ``i`` are ``indptr[i]:indptr[i + 1]``."""
+        return np.concatenate(([0], np.cumsum(self.out_degree())))
+
     def out_degree(self) -> np.ndarray:
         """Number of next hops per position."""
-        return np.diff(self.indptr)
+        return np.bincount(self.rows, minlength=self.num_nodes)
+
+    @cached_property
+    def destination_positions(self) -> np.ndarray:
+        """Position of each block's destination."""
+        n = self.network.num_nodes
+        return np.array(
+            [k * n + self.network.node_index(d) for k, d in enumerate(self.destinations)],
+            dtype=np.int64,
+        )
+
+    def _label(self, position: int) -> tuple[Node, Node]:
+        """``(node, destination)`` of a position."""
+        block, index = divmod(int(position), self.network.num_nodes)
+        return self.network.nodes[index], self.destinations[block]
 
     def split_matrix(self, ratios: np.ndarray | None = None):
         """The split-ratio matrix ``P`` as a :class:`scipy.sparse.csr_matrix`.
 
-        ``P[i, j]`` is the fraction of position ``i``'s throughflow forwarded
-        to position ``j``; strictly upper triangular by construction.  With
-        ``ratios=None`` the even ECMP split is used.  Mostly a debugging and
-        interop view -- :meth:`propagate` works on the raw arrays directly.
+        With ``ratios=None`` the even ECMP split is used.  A debugging and
+        interop view -- the kernels work on the edge arrays directly.
         """
         import scipy.sparse as sp
 
@@ -183,224 +285,232 @@ class CompiledDag:
         )
 
     # ------------------------------------------------------------------
-    # ratio vectors (one value per compiled edge)
+    # ratio vectors (one value per edge)
     # ------------------------------------------------------------------
     def uniform_ratios(self) -> np.ndarray:
         """Even ECMP split: ``1 / out_degree`` on every edge."""
-        degrees = self.out_degree()
-        with np.errstate(divide="ignore"):
-            inverse = np.where(degrees > 0, 1.0 / np.maximum(degrees, 1), 0.0)
-        return np.repeat(inverse, degrees)
+        return 1.0 / self.out_degree()[self.rows]
+
+    def _first_edges(self) -> np.ndarray:
+        """Index of each node's first edge (edges are grouped by tail)."""
+        if not self.num_edges:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(np.concatenate(([True], self.rows[1:] != self.rows[:-1])))
 
     def first_hop_ratios(self) -> np.ndarray:
         """All-or-nothing split: the first next hop of every node gets 1.0."""
         ratios = np.zeros(self.num_edges)
-        ratios[self.indptr[:-1][np.diff(self.indptr) > 0]] = 1.0
+        ratios[self._first_edges()] = 1.0
         return ratios
 
     def bind_ratios(
-        self,
-        split_ratios: Mapping[Node, Mapping[Node, float]] | None,
-        degenerate: list[tuple[int, float]] | None = None,
-    ) -> np.ndarray:
-        """Normalise per-node ``{hop: ratio}`` mappings into a per-edge vector.
+        self, split_ratios: SplitRatios | None
+    ) -> tuple[np.ndarray, list[tuple[int, float]]]:
+        """Normalise stored ``{destination: {node: {hop: ratio}}}`` into edge ratios.
 
-        Mirrors the oracle's semantics exactly: nodes absent from
-        ``split_ratios`` (or with an empty mapping) split evenly; nodes whose
-        stored ratios sum to zero over their next hops also fall back to an
-        even split.  The latter are logged via :func:`warn_degenerate_split`
-        -- immediately when ``degenerate`` is ``None``, or collected into it
-        as ``(position, total)`` pairs so the caller can warn only for nodes
-        that actually carry traffic (:meth:`warn_loaded_degenerates`), which
-        is when the oracle's warning fires.
+        Nodes without stored ratios split evenly.  Stored ratios are
+        normalised by their signed total over the node's next hops and
+        negative shares are clamped to zero; a node whose total is not
+        positive splits evenly too and is returned as a ``(position,
+        total)`` pair, so :meth:`warn_loaded_degenerates` can warn for the
+        ones that actually carry traffic.
         """
-        if split_ratios is None:
-            return self.uniform_ratios()
-        ratios = np.empty(self.num_edges)
-        indptr = self.indptr
-        for i, node in enumerate(self.order):
-            start, end = indptr[i], indptr[i + 1]
-            if start == end:
-                continue
-            stored = split_ratios.get(node)
+        ratios = self.uniform_ratios()
+        degenerate: list[tuple[int, float]] = []
+        if not split_ratios:
+            return ratios, degenerate
+        nodes = self.network.nodes
+        n = len(nodes)
+        starts = self._first_edges()
+        ends = np.append(starts[1:], self.num_edges)
+        for start, end in zip(starts.tolist(), ends.tolist(), strict=True):
+            block, index = divmod(int(self.rows[start]), n)
+            stored = (split_ratios.get(self.destinations[block]) or {}).get(nodes[index])
             if not stored:
-                ratios[start:end] = 1.0 / (end - start)
                 continue
-            values = np.fromiter(
-                (stored.get(self.order[t], 0.0) for t in self.targets[start:end]),
-                dtype=float,
-                count=end - start,
+            values = np.array(
+                [stored.get(nodes[t], 0.0) for t in (self.targets[start:end] - block * n).tolist()]
             )
             total = float(values.sum())
             if total <= 0:
-                if degenerate is None:
-                    warn_degenerate_split(node, self.destination, total, int(end - start))
-                else:
-                    degenerate.append((i, total))
-                ratios[start:end] = 1.0 / (end - start)
+                degenerate.append((int(self.rows[start]), total))
             else:
-                # Clamp negative stored ratios to zero *after* normalising,
-                # mirroring the oracle, which normalises by the signed total
-                # but never pushes a non-positive share onto a link.
                 ratios[start:end] = np.maximum(values / total, 0.0)
-        return ratios
+        return ratios, degenerate
 
     def warn_loaded_degenerates(
-        self, degenerate: list[tuple[int, float]], throughflow: np.ndarray
+        self, degenerate: Sequence[tuple[int, float]], throughflow: np.ndarray
     ) -> None:
-        """Warn for degenerate-ratio nodes that actually carried traffic.
-
-        ``degenerate`` is what :meth:`bind_ratios` collected; ``throughflow``
-        the corresponding :meth:`propagate` result (single or batched).
-        """
+        """Warn for degenerate-ratio nodes (from :meth:`bind_ratios`) that carried traffic."""
+        if not degenerate:
+            return
+        degrees = self.out_degree()
         for position, total in degenerate:
             if np.any(throughflow[position] > 0):
-                count = int(self.indptr[position + 1] - self.indptr[position])
-                warn_degenerate_split(self.order[position], self.destination, total, count)
-
-    def exponential_ratios(self, link_lengths: np.ndarray) -> np.ndarray:
-        """The exponential split ratios of Eq. (22), vectorised.
-
-        ``link_lengths`` is a link-indexed vector (e.g. the second weights
-        ``v``); the ratio of edge ``(s, k)`` is
-        ``exp(-v_sk) * Z(k) / sum_i exp(-v_si) * Z(i)`` where the path-weight
-        sums ``Z`` are computed by one reverse topological sweep.  Rows whose
-        total is numerically zero fall back to an even split, matching
-        :func:`repro.core.traffic_distribution.exponential_split_ratios`.
-        """
-        lengths = np.asarray(link_lengths, dtype=float)
-        boltzmann = np.exp(-lengths[self.links]) if self.num_edges else np.empty(0)
-        z_values = self.path_weight_sums(boltzmann)
-        data = boltzmann * z_values[self.targets]
-        totals = np.zeros(self.num_nodes)
-        np.add.at(totals, self.rows, data)
-        edge_totals = totals[self.rows]
-        degrees = self.out_degree()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                edge_totals > 0,
-                np.divide(data, edge_totals, out=np.zeros_like(data), where=edge_totals > 0),
-                1.0 / degrees[self.rows],
-            )
-        return ratios
+                node, destination = self._label(position)
+                warn_degenerate_split(node, destination, total, int(degrees[position]))
 
     def path_weight_sums(self, edge_factors: np.ndarray) -> np.ndarray:
-        """``Z(s) = sum over DAG paths p from s of prod of edge factors on p``.
+        """``Z(s) = sum over DAG paths p from s of the product of edge factors on p``.
 
-        One reverse topological sweep; ``Z(destination) = 1``.  With
-        ``edge_factors = exp(-v)`` this is the dynamic program of the paper's
-        Eq. (22) (:func:`repro.core.traffic_distribution.path_weight_sums`).
+        ``Z = e_t + A Z`` solved level by level; ``Z(destination) = 1``.  With
+        ``edge_factors = exp(-v[links])`` this is the dynamic program of the
+        paper's Eq. (22).
         """
-        z_values = np.zeros(self.num_nodes)
-        destination_pos = self.positions[self.destination]
-        z_values[destination_pos] = 1.0
-        indptr, targets = self.indptr, self.targets
-        for i in range(self.num_nodes - 1, -1, -1):
-            start, end = indptr[i], indptr[i + 1]
-            if start == end:
-                continue
-            z_values[i] = float(np.dot(edge_factors[start:end], z_values[targets[start:end]]))
-        return z_values
+        rhs = np.zeros(self.num_nodes)
+        rhs[self.destination_positions] = 1.0
+        rows, targets, size = self.rows, self.targets, self.num_nodes
+        return _solve_levels(
+            rhs,
+            lambda z: np.bincount(rows, weights=edge_factors * z[targets], minlength=size),
+            self.network.num_nodes,
+        )
+
+    def boltzmann_ratios(self, edge_factors: np.ndarray) -> np.ndarray:
+        """Split ``(s, k)`` proportionally to ``factor(s, k) * Z(k)``.
+
+        With ``edge_factors = exp(-v[links])`` these are the exponential split
+        ratios of Eq. (22).  Nodes whose total is not positive split evenly.
+        """
+        z_values = self.path_weight_sums(edge_factors)
+        data = edge_factors * z_values[self.targets]
+        totals = np.bincount(self.rows, weights=data, minlength=self.num_nodes)[self.rows]
+        positive = totals > 0
+        return np.where(
+            positive,
+            data / np.where(positive, totals, 1.0),
+            1.0 / self.out_degree()[self.rows],
+        )
+
+    def exponential_ratios(self, link_lengths: np.ndarray) -> np.ndarray:
+        """Eq. (22) ratios for a link-indexed length vector (the second weights ``v``)."""
+        return self.boltzmann_ratios(np.exp(-np.asarray(link_lengths, dtype=float)[self.links]))
 
     # ------------------------------------------------------------------
     # demand vectors
     # ------------------------------------------------------------------
-    def entering_vector(
-        self,
-        entering: Mapping[Node, float],
-        columns: int = 0,
-        column: int = 0,
-        out: np.ndarray | None = None,
-        missing: str = "raise",
+    def entering(
+        self, matrices: Sequence[TrafficMatrix], missing: str = "raise", batched: bool = True
     ) -> np.ndarray:
-        """Scatter ``{node: volume}`` into a (stacked) position-indexed vector.
+        """Demand entering at each position: ``(num_nodes, m)`` (or 1-D for one matrix).
 
-        ``missing`` controls sources outside the DAG (unreachable nodes):
-        ``"raise"`` matches the ECMP/all-or-nothing oracles, ``"drop"``
-        matches the split-ratio oracle which silently ignores them.
+        Column ``j`` holds ``matrices[j]``, whose destinations must all be in
+        this stack.  ``missing`` controls sources that cannot reach their
+        destination: ``"raise"`` (ECMP, all-or-nothing) or ``"drop"``
+        (explicit and exponential splits).
         """
-        if out is None:
-            shape = (self.num_nodes, columns) if columns else (self.num_nodes,)
-            out = np.zeros(shape)
-        positions = self.positions
-        target = out[:, column] if out.ndim == 2 else out
-        for node, volume in entering.items():
-            position = positions.get(node)
-            if position is None:
-                if missing == "raise":
-                    raise UnreachableError(
-                        f"demand source {node!r} cannot reach {self.destination!r}"
-                    )
-                continue
-            target[position] += volume
-        return out
+        n = self.network.num_nodes
+        index = {node: i for i, node in enumerate(self.network.nodes)}
+        base = {d: k * n for k, d in enumerate(self.destinations)}
+        positions: list[int] = []
+        volumes: list[float] = []
+        pairs: list[tuple[Node, Node]] = []
+        block: list[int] = []
+        for matrix in matrices:
+            # Ensembles usually repeat one pair set: map it to positions once.
+            keys = list(matrix)
+            if keys != pairs:
+                pairs = keys
+                block = [base[target] + index[source] for source, target in pairs]
+            positions.extend(block)
+            volumes.extend(map(itemgetter(1), matrix.items()))
+        position_array = np.asarray(positions, dtype=np.int64)
+        volume_array = np.asarray(volumes, dtype=float)
+        column_array = np.repeat(np.arange(len(matrices)), [len(matrix) for matrix in matrices])
+        routable = self.member[position_array]
+        if not np.all(routable):
+            if missing == "raise":
+                source, destination = self._label(position_array[~routable][0])
+                raise UnreachableError(f"demand source {source!r} cannot reach {destination!r}")
+            position_array = position_array[routable]
+            volume_array = volume_array[routable]
+            column_array = column_array[routable]
+        if not batched:
+            return np.bincount(position_array, weights=volume_array, minlength=self.num_nodes)
+        m = len(matrices)
+        return np.bincount(
+            position_array * m + column_array, weights=volume_array, minlength=self.num_nodes * m
+        ).reshape(self.num_nodes, m)
 
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
     def propagate(self, entering: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-        """Node throughflows ``x`` solving ``(I - P^T) x = entering``.
+        """Node throughflows ``x`` solving ``x = entering + P^T x``, level by level.
 
-        Forward substitution in topological order: each row's (now final)
-        throughflow is pushed to its next hops with one sparse axpy.  A 2-D
-        ``entering`` of shape ``(num_nodes, m)`` routes ``m`` demand vectors
-        at once -- the batched path the scenario engine uses.
+        A 2-D ``entering`` of shape ``(num_nodes, m)`` routes ``m`` demand
+        vectors at once.
 
         Raises
         ------
         UnreachableError
-            If positive traffic reaches a node with no next hops (other than
-            the destination), matching the oracle's behaviour.
+            If positive traffic reaches a position with no next hops other
+            than a destination.
         """
-        x = np.array(entering, dtype=float, copy=True)
-        indptr, targets = self.indptr, self.targets
-        destination_pos = self.positions[self.destination]
-        batched = x.ndim == 2
-        for i in range(self.num_nodes):
-            start, end = indptr[i], indptr[i + 1]
-            if start == end:
-                if i != destination_pos and np.any(x[i] > 0):
-                    raise UnreachableError(
-                        f"node {self.order[i]!r} has traffic for "
-                        f"{self.destination!r} but no next hop"
-                    )
-                continue
-            if batched:
-                x[targets[start:end]] += ratios[start:end, None] * x[i]
-            else:
-                x[targets[start:end]] += ratios[start:end] * x[i]
+        rhs = np.asarray(entering, dtype=float)
+        rows, targets, size = self.rows, self.targets, self.num_nodes
+        weights = ratios if rhs.ndim == 1 else ratios[:, None]
+        x = _solve_levels(
+            rhs,
+            lambda y: _scatter_add(targets, weights * y[rows], size),
+            self.network.num_nodes,
+        )
+        dead = self.out_degree() == 0
+        dead[self.destination_positions] = False
+        loaded = dead & (x > 0 if x.ndim == 1 else np.any(x > 0, axis=1))
+        if np.any(loaded):
+            node, destination = self._label(int(np.flatnonzero(loaded)[0]))
+            raise UnreachableError(
+                f"node {node!r} has traffic for {destination!r} but no next hop"
+            )
         return x
 
-    def scatter_link_loads(
-        self,
-        throughflow: np.ndarray,
-        ratios: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-link loads ``f[link(i, j)] = ratio_ij * x_i`` (added into ``out``).
+    def link_loads(self, throughflow: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+        """Aggregate per-link loads ``(num_links,)`` (or ``(num_links, m)``)."""
+        weights = ratios if throughflow.ndim == 1 else ratios[:, None]
+        return _scatter_add(self.links, weights * throughflow[self.rows], self.network.num_links)
 
-        ``throughflow`` is the result of :meth:`propagate`; a 2-D input yields
-        ``(num_links, m)`` stacked loads.  Each link appears at most once in
-        the DAG, so a vectorised fancy-index add is exact.
-        """
-        if out is None:
-            if throughflow.ndim == 2:
-                out = np.zeros((self.num_links, throughflow.shape[1]))
-            else:
-                out = np.zeros(self.num_links)
-        if self.num_edges:
-            if throughflow.ndim == 2:
-                out[self.links] += ratios[:, None] * throughflow[self.rows]
-            else:
-                out[self.links] += ratios * throughflow[self.rows]
-        return out
+    def destination_loads(self, throughflow: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+        """Per-destination link loads ``(len(destinations), num_links)`` of a 1-D throughflow."""
+        num_links = self.network.num_links
+        blocks = self.rows // self.network.num_nodes
+        return np.bincount(
+            blocks * num_links + self.links,
+            weights=ratios * throughflow[self.rows],
+            minlength=len(self.destinations) * num_links,
+        ).reshape(len(self.destinations), num_links)
 
-    def link_loads(
+    # ------------------------------------------------------------------
+    # routing
+    # ------------------------------------------------------------------
+    def flows(
         self,
-        entering: Mapping[Node, float],
+        demands: TrafficMatrix,
         ratios: np.ndarray,
         missing: str = "raise",
+        degenerate: Sequence[tuple[int, float]] = (),
+    ) -> FlowAssignment:
+        """Route one matrix over the stack: the per-destination flow decomposition.
+
+        ``degenerate`` comes from :meth:`bind_ratios`; see :meth:`entering`
+        for ``missing``.
+        """
+        throughflow = self.propagate(self.entering([demands], missing, batched=False), ratios)
+        self.warn_loaded_degenerates(degenerate, throughflow)
+        loads = self.destination_loads(throughflow, ratios)
+        return FlowAssignment(
+            network=self.network,
+            per_destination=dict(zip(self.destinations, loads, strict=True)),
+        )
+
+    def ensemble_loads(
+        self,
+        matrices: Sequence[TrafficMatrix],
+        ratios: np.ndarray,
+        missing: str = "raise",
+        degenerate: Sequence[tuple[int, float]] = (),
     ) -> np.ndarray:
-        """Convenience: entering mapping -> per-link load vector."""
-        demand = self.entering_vector(entering, missing=missing)
-        return self.scatter_link_loads(self.propagate(demand, ratios), ratios)
+        """Route ``m`` matrices in one propagation: ``(m, num_links)`` aggregate loads."""
+        throughflow = self.propagate(self.entering(matrices, missing), ratios)
+        self.warn_loaded_degenerates(degenerate, throughflow)
+        return self.link_loads(throughflow, ratios).T

@@ -1,28 +1,24 @@
-"""Vectorized routing entry points built on :class:`CompiledDag`.
+"""Routing entry points built on the stacked kernel (:class:`CompiledDag`).
 
-Three layers, from most throwaway to most amortised:
-
-* ``sparse_*_assignment`` -- drop-in equivalents of the oracle routines in
-  :mod:`repro.solvers.assignment` / :mod:`repro.core.traffic_distribution`.
-  They compile each destination DAG, route, and throw the compilation away;
-  use them through the ``backend="sparse"`` switch of the oracle functions.
 * :class:`CompiledDagSet` -- compile a ``{destination: dag}`` mapping once
-  and route arbitrarily many demand matrices / split-ratio settings against
-  it.  This is what Algorithm 2's gradient loop and the SPEF pipeline use.
+  (lazily, per destination) and route arbitrarily many demand matrices,
+  split-ratio settings or second-weight vectors against it.  Every
+  destination a call touches rides one stacked propagation.  This is what
+  the one-shot assignment routines, Algorithm 2's gradient loop and the
+  SPEF pipeline use.
 * :class:`SparseRouter` -- owns the whole pipeline for one weight setting
   (Dijkstra, compilation, ratio binding) and exposes the batched entry point
   :meth:`SparseRouter.link_loads_many` that evaluates a whole demand ensemble
-  in one stacked propagation per destination.  This is what the scenario
-  engine's failure sweeps amortise their DAG compilation through.
+  in one stacked propagation.  This is what the scenario engine's failure
+  sweeps amortise their DAG compilation through.
 
-All routines produce link loads identical (to float round-off, well below the
-equivalence suite's 1e-9) to the pure-Python oracles; the golden-equivalence
-tests in ``tests/test_routing_equivalence.py`` pin that property.
+``tests/test_routing_equivalence.py`` pins every routine here to the
+dict-loop reference in ``tests/routing_oracle.py`` within 1e-9.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,21 +33,30 @@ from ..network.spt import (
     as_weight_vector,
     shortest_path_dag,
 )
-from .compiled import CompiledDag
+from .compiled import CompiledDag, DagPart, SplitRatios
 
-#: Ratio modes understood by :class:`SparseRouter`.
+#: Ratio modes: even ECMP split, single first-hop path, explicit split ratios.
 _MODES = ("ecmp", "all_or_nothing", "split")
 
 
-# ----------------------------------------------------------------------
-# compiled DAG sets (compile once, route many)
-# ----------------------------------------------------------------------
+def _missing(mode: str) -> str:
+    """Explicit splits drop unroutable sources; ECMP and all-or-nothing raise."""
+    return "drop" if mode == "split" else "raise"
+
+
+def _destinations(matrices: Sequence[TrafficMatrix]) -> list[Node]:
+    """Every destination of an ensemble, in order of first appearance."""
+    return list(dict.fromkeys(d for tm in matrices for d in tm.destinations()))
+
+
 class CompiledDagSet:
     """Per-destination compiled DAGs over one network.
 
-    Compilation is lazy with caching: a DAG handed in (or added later) is
-    compiled on first use through :meth:`compiled`, so routing a traffic
-    matrix only pays compilation for the destinations it actually touches.
+    Compilation is lazy with caching: a DAG handed in (or installed later)
+    is walked on first use, so routing a traffic matrix only pays for the
+    destinations it actually touches.  The stack of the last destination set
+    routed is cached too, which is what makes repeated calls with the same
+    demands (Algorithm 2) cheap.
     """
 
     def __init__(
@@ -61,7 +66,8 @@ class CompiledDagSet:
     ) -> None:
         self.network = network
         self._dags: dict[Node, ShortestPathDag] = dict(dags or {})
-        self._compiled: dict[Node, CompiledDag] = {}
+        self._parts: dict[Node, DagPart] = {}
+        self._stacked: tuple[tuple[Node, ...], CompiledDag] | None = None
 
     def __contains__(self, destination: Node) -> bool:
         return destination in self._dags
@@ -70,82 +76,112 @@ class CompiledDagSet:
     def destinations(self) -> list[Node]:
         return list(self._dags)
 
-    def add(self, destination: Node, dag: ShortestPathDag) -> CompiledDag:
-        """Compile (and cache) one more destination DAG."""
-        compiled = CompiledDag.from_dag(self.network, dag)
-        self._dags[destination] = dag
-        self._compiled[destination] = compiled
-        return compiled
-
     def update(self, destination: Node, dag: ShortestPathDag) -> None:
-        """Replace one destination's DAG after a network event.
+        """Install (or replace, after a network event) one destination's DAG.
 
-        The delta-compilation entry point: only the touched destination's
-        compilation is dropped (and lazily rebuilt on next use) — every
-        other destination keeps its compiled CSR arrays, which is what makes
-        per-event work proportional to the event's footprint rather than to
-        the destination count.
+        The delta-compilation entry point: only the touched destination is
+        walked again on next use — every other destination keeps its walked
+        edge list, which is what makes per-event work proportional to the
+        event's footprint rather than to the destination count.
         """
         self._dags[destination] = dag
-        self._compiled.pop(destination, None)
+        self._parts.pop(destination, None)
+        self._stacked = None
 
     def discard(self, destination: Node) -> None:
         """Forget one destination entirely (DAG and compilation)."""
         self._dags.pop(destination, None)
-        self._compiled.pop(destination, None)
+        self._parts.pop(destination, None)
+        self._stacked = None
 
     def dag(self, destination: Node) -> ShortestPathDag:
         return self._dags[destination]
 
+    def _part(self, destination: Node) -> DagPart:
+        part = self._parts.get(destination)
+        if part is None:
+            dag = self._dags.get(destination)
+            if dag is None:
+                raise UnreachableError(
+                    f"no shortest-path DAG for destination {destination!r}"
+                )
+            part = self._parts[destination] = DagPart.from_dag(self.network, dag)
+        return part
+
     def compiled(self, destination: Node) -> CompiledDag:
-        cached = self._compiled.get(destination)
-        if cached is not None:
-            return cached
-        dag = self._dags.get(destination)
-        if dag is None:
-            raise UnreachableError(
-                f"no shortest-path DAG for destination {destination!r}"
-            )
-        return self.add(destination, dag)
+        """One destination's DAG compiled on its own."""
+        return self.stacked([destination])
+
+    def stacked(self, destinations: Iterable[Node]) -> CompiledDag:
+        """The destinations' DAGs compiled as one stack (cached for repeat calls)."""
+        key = tuple(destinations)
+        if self._stacked is None or self._stacked[0] != key:
+            parts = [self._part(destination) for destination in key]
+            self._stacked = (key, CompiledDag.from_parts(self.network, parts))
+        return self._stacked[1]
 
     # ------------------------------------------------------------------
+    def _ratios(
+        self, stack: CompiledDag, mode: str, split_ratios: SplitRatios | None
+    ) -> tuple[np.ndarray, list[tuple[int, float]]]:
+        if mode == "ecmp":
+            return stack.uniform_ratios(), []
+        if mode == "all_or_nothing":
+            return stack.first_hop_ratios(), []
+        return stack.bind_ratios(split_ratios)
+
+    def route(
+        self,
+        demands: TrafficMatrix,
+        mode: str = "ecmp",
+        split_ratios: SplitRatios | None = None,
+    ) -> FlowAssignment:
+        """Route one traffic matrix, returning the per-destination decomposition.
+
+        ``mode`` is ``"ecmp"``, ``"all_or_nothing"`` (both raise
+        :class:`UnreachableError` for a source outside its DAG) or
+        ``"split"`` (``split_ratios``, even where absent; unreachable
+        sources are dropped).
+        """
+        stack = self.stacked(demands.destinations())
+        ratios, degenerate = self._ratios(stack, mode, split_ratios)
+        return stack.flows(demands, ratios, _missing(mode), degenerate)
+
+    def link_loads_many(
+        self,
+        matrices: Sequence[TrafficMatrix],
+        mode: str = "ecmp",
+        split_ratios: SplitRatios | None = None,
+    ) -> np.ndarray:
+        """``(len(matrices), num_links)`` aggregate loads, one stacked propagation."""
+        return self._loads_many(matrices, _destinations(matrices), mode, split_ratios)
+
+    def _loads_many(
+        self,
+        matrices: Sequence[TrafficMatrix],
+        destinations: Iterable[Node],
+        mode: str,
+        split_ratios: SplitRatios | None,
+    ) -> np.ndarray:
+        stack = self.stacked(destinations)
+        ratios, degenerate = self._ratios(stack, mode, split_ratios)
+        return stack.ensemble_loads(matrices, ratios, _missing(mode), degenerate)
+
     def traffic_distribution(
         self, demands: TrafficMatrix, second_weights: np.ndarray
     ) -> FlowAssignment:
         """Algorithm 3 (exponential splitting) against the compiled DAGs.
 
-        Equivalent to :func:`repro.core.traffic_distribution.traffic_distribution`
-        but with the DAG compilation amortised across calls -- the shape of
-        Algorithm 2's inner loop, which re-evaluates this for a new ``v``
-        every gradient iteration.
+        Algorithm 2 re-evaluates this for a new ``v`` every gradient
+        iteration; only the ratios and the propagation are recomputed.
         """
         second = np.asarray(second_weights, dtype=float)
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self.compiled(destination)
-            ratios = compiled.exponential_ratios(second)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            compiled.scatter_link_loads(compiled.propagate(demand, ratios), ratios, out=vector)
-        return flows
-
-    def split_ratio_flows(
-        self,
-        demands: TrafficMatrix,
-        split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]],
-    ) -> FlowAssignment:
-        """Explicit-split routing against the compiled DAGs (SPEF's Eq. 22 use)."""
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self.compiled(destination)
-            degenerate: list[tuple[int, float]] = []
-            ratios = compiled.bind_ratios(split_ratios.get(destination), degenerate)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing="drop")
-            throughflow = compiled.propagate(demand, ratios)
-            compiled.warn_loaded_degenerates(degenerate, throughflow)
-            compiled.scatter_link_loads(throughflow, ratios, out=vector)
-        return flows
+        if second.shape != (self.network.num_links,):
+            raise ValueError(
+                f"second weights must have length {self.network.num_links}, got {second.shape}"
+            )
+        stack = self.stacked(demands.destinations())
+        return stack.flows(demands, stack.exponential_ratios(second), "drop")
 
 
 class SparseRouter:
@@ -194,20 +230,20 @@ class SparseRouter:
         self.tolerance = tolerance
         self._weights = as_weight_vector(network, weights) if weights is not None else None
         self._set = CompiledDagSet(network, dags)
-        self._ratios: dict[Node, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def _compiled(self, destination: Node) -> CompiledDag:
-        if destination not in self._set:
+    def _ensure_dags(self, destinations: Iterable[Node]) -> None:
+        for destination in destinations:
+            if destination in self._set:
+                continue
             if self._weights is None:
                 raise UnreachableError(
                     f"no shortest-path DAG for destination {destination!r}"
                 )
-            self._set.add(
+            self._set.update(
                 destination,
                 shortest_path_dag(self.network, destination, self._weights, self.tolerance),
             )
-        return self._set.compiled(destination)
 
     def refresh_destination(
         self, destination: Node, dag: ShortestPathDag | None = None
@@ -217,60 +253,24 @@ class SparseRouter:
         After a network event touched ``destination``, pass the updated DAG
         (e.g. from :class:`repro.online.DynamicSPT`) to have just that
         destination recompiled lazily; pass ``None`` to forget it (it is
-        rebuilt from ``weights`` on next use, when available).  Cached mode
-        ratios for the destination are dropped either way; all other
+        rebuilt from ``weights`` on next use, when available).  All other
         destinations keep their compiled state.
         """
         if dag is None:
             self._set.discard(destination)
         else:
             self._set.update(destination, dag)
-        self._ratios.pop(destination, None)
-
-    def _mode_ratios(self, destination: Node, compiled: CompiledDag) -> np.ndarray:
-        ratios = self._ratios.get(destination)
-        if ratios is None:
-            if self.mode == "all_or_nothing":
-                ratios = compiled.first_hop_ratios()
-            else:
-                ratios = compiled.uniform_ratios()
-            self._ratios[destination] = ratios
-        return ratios
-
-    def _check_reachable(self, compiled: CompiledDag, entering: Mapping[Node, float]) -> None:
-        for source in entering:
-            if source not in compiled.positions:
-                raise UnreachableError(
-                    f"demand source {source!r} cannot reach {compiled.destination!r}"
-                )
 
     # ------------------------------------------------------------------
     def route(
         self,
         demands: TrafficMatrix,
-        split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]] | None = None,
+        split_ratios: SplitRatios | None = None,
     ) -> FlowAssignment:
         """Route one traffic matrix, returning the per-destination decomposition."""
         demands.validate(self.network)
-        flows = FlowAssignment(network=self.network)
-        for destination, entering in demands.by_destination().items():
-            compiled = self._compiled(destination)
-            degenerate: list[tuple[int, float]] = []
-            if self.mode == "split":
-                ratios = compiled.bind_ratios(
-                    split_ratios.get(destination) if split_ratios else None, degenerate
-                )
-                missing = "drop"
-            else:
-                ratios = self._mode_ratios(destination, compiled)
-                missing = "raise"
-                self._check_reachable(compiled, entering)
-            vector = flows.ensure_destination(destination)
-            demand = compiled.entering_vector(entering, missing=missing)
-            throughflow = compiled.propagate(demand, ratios)
-            compiled.warn_loaded_degenerates(degenerate, throughflow)
-            compiled.scatter_link_loads(throughflow, ratios, out=vector)
-        return flows
+        self._ensure_dags(demands.destinations())
+        return self._set.route(demands, self.mode, split_ratios)
 
     def link_loads(self, demands: TrafficMatrix) -> np.ndarray:
         """Aggregate per-link loads of one traffic matrix."""
@@ -279,110 +279,21 @@ class SparseRouter:
     def link_loads_many(
         self,
         matrices: Sequence[TrafficMatrix],
-        split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]] | None = None,
+        split_ratios: SplitRatios | None = None,
     ) -> np.ndarray:
         """Aggregate link loads of a whole demand ensemble, batched.
 
-        The stacked entry point: for each destination appearing anywhere in
-        the ensemble the entering volumes of *all* matrices form one
-        ``(num_dag_nodes, m)`` right-hand side, propagated in a single
-        forward-substitution sweep.  Returns an ``(m, num_links)`` array whose
-        row ``i`` equals ``route(matrices[i]).aggregate()`` to float
-        round-off.
+        The entering volumes of all ``m`` matrices form one ``(positions,
+        m)`` right-hand side, propagated in a single stacked pass.  Returns
+        an ``(m, num_links)`` array whose row ``i`` equals
+        ``route(matrices[i]).aggregate()`` to float round-off.
         """
         matrices = list(matrices)
-        m = len(matrices)
-        loads = np.zeros((self.network.num_links, m))
-        if m == 0:
-            return loads.T
-        by_destination = []
-        destinations: dict[Node, None] = {}
         for tm in matrices:
             tm.validate(self.network)
-            per = tm.by_destination()
-            by_destination.append(per)
-            for destination in per:
-                destinations.setdefault(destination, None)
-        for destination in destinations:
-            compiled = self._compiled(destination)
-            degenerate: list[tuple[int, float]] = []
-            if self.mode == "split":
-                ratios = compiled.bind_ratios(
-                    split_ratios.get(destination) if split_ratios else None, degenerate
-                )
-                missing = "drop"
-            else:
-                ratios = self._mode_ratios(destination, compiled)
-                missing = "raise"
-            entering = np.zeros((compiled.num_nodes, m))
-            for column, per in enumerate(by_destination):
-                volumes = per.get(destination)
-                if not volumes:
-                    continue
-                if missing == "raise":
-                    self._check_reachable(compiled, volumes)
-                compiled.entering_vector(volumes, column=column, out=entering, missing=missing)
-            throughflow = compiled.propagate(entering, ratios)
-            compiled.warn_loaded_degenerates(degenerate, throughflow)
-            compiled.scatter_link_loads(throughflow, ratios, out=loads)
-        return loads.T
-
-
-# ----------------------------------------------------------------------
-# functional drop-ins for the oracle routines
-# ----------------------------------------------------------------------
-def sparse_ecmp_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    weights: WeightsLike,
-    tolerance: float = DEFAULT_TOLERANCE,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.ecmp_assignment`."""
-    router = SparseRouter(
-        network, weights=weights, dags=dags, mode="ecmp", tolerance=tolerance
-    )
-    return router.route(demands)
-
-
-def sparse_all_or_nothing_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    weights: WeightsLike,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.all_or_nothing_assignment`."""
-    router = SparseRouter(network, weights=weights, mode="all_or_nothing", tolerance=tolerance)
-    return router.route(demands)
-
-
-def sparse_split_ratio_assignment(
-    network: Network,
-    demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
-    split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]],
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.solvers.assignment.split_ratio_assignment`."""
-    demands.validate(network)
-    dag_set = CompiledDagSet(network, dags)
-    return dag_set.split_ratio_flows(demands, split_ratios)
-
-
-def sparse_traffic_distribution(
-    network: Network,
-    demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
-    second_weights: np.ndarray,
-) -> FlowAssignment:
-    """Vectorized twin of :func:`repro.core.traffic_distribution.traffic_distribution`."""
-    demands.validate(network)
-    second = np.asarray(second_weights, dtype=float)
-    if second.shape != (network.num_links,):
-        raise ValueError(
-            f"second weights must have length {network.num_links}, got {second.shape}"
-        )
-    dag_set = CompiledDagSet(network, dags)
-    return dag_set.traffic_distribution(demands, second)
+        destinations = _destinations(matrices)
+        self._ensure_dags(destinations)
+        return self._set._loads_many(matrices, destinations, self.mode, split_ratios)
 
 
 def batched_link_loads(
@@ -393,7 +304,7 @@ def batched_link_loads(
     mode: str = "ecmp",
     tolerance: float = DEFAULT_TOLERANCE,
     dags: Mapping[Node, ShortestPathDag] | None = None,
-    split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]] | None = None,
+    split_ratios: SplitRatios | None = None,
 ) -> np.ndarray:
     """One-shot batched evaluation: ``(m, num_links)`` loads for an ensemble.
 

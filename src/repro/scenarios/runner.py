@@ -669,7 +669,9 @@ def _telemetry_summary_record(
 #: 4: the incremental sweep covers capacity-degradation and mixed scenarios
 #:    (route flags now depend on the protocol's capacity independence), and
 #:    factor-0 capacities are explicit link failures on both paths.
-CACHE_VERSION = 4
+#: 5: one-shot routing left the dict-loop oracle for the stacked kernel
+#:    (cold-cell loads shift at float round-off).
+CACHE_VERSION = 5
 
 
 def default_cache_dir() -> Path:

@@ -1,6 +1,6 @@
-"""Shortest-path traffic assignment (all-or-nothing and even ECMP splitting).
+"""Shortest-path traffic assignment (all-or-nothing, even ECMP, explicit splits).
 
-Two routines that every protocol and solver in the library builds on:
+The routines every protocol and solver in the library builds on:
 
 * :func:`all_or_nothing_assignment` sends every demand along one shortest
   path.  This is the ``Route_t(w; d^t)`` subproblem of Algorithm 1 (an
@@ -11,17 +11,15 @@ Two routines that every protocol and solver in the library builds on:
   hops at every router, which is exactly how OSPF's ECMP behaves and how the
   Fortz-Thorup evaluation routes traffic for a given weight setting.
 
-Both propagate flow per destination over the shortest-path DAG in decreasing
-distance order, so a node's whole incoming flow (local demand plus transit) is
-known before it is split -- the same bookkeeping Algorithm 3 of the paper uses.
+* :func:`split_ratio_assignment` routes over given DAGs with explicit
+  per-node split ratios (SPEF's forwarding tables).
 
-Each routine dispatches between two interchangeable backends (see
-:mod:`repro.routing`): ``"sparse"`` compiles the DAGs into CSR split-ratio
-matrices and propagates with vectorised forward substitution, ``"python"``
-(the default for these one-shot calls) runs the dict-loop implementation
-kept here as the reference oracle.  ``tests/test_routing_equivalence.py``
-pins their agreement; for many matrices against one weight setting use the
-always-sparse batched entry points in :mod:`repro.routing` instead.
+All three route every destination in one stacked propagation on the
+routing kernel (:mod:`repro.routing`), so a node's whole incoming flow (local
+demand plus transit) is split at once -- the bookkeeping Algorithm 3 of the
+paper uses.
+For many matrices against one weight setting use
+:class:`repro.routing.SparseRouter` instead.
 """
 
 from __future__ import annotations
@@ -34,70 +32,39 @@ from ..network.graph import Network, Node
 from ..network.spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
-    UnreachableError,
     WeightsLike,
+    as_weight_vector,
     shortest_path_dag,
 )
-from ..routing import resolve_backend
-from ..routing.compiled import warn_degenerate_split
-from ..routing.sparse import (
-    sparse_all_or_nothing_assignment,
-    sparse_ecmp_assignment,
-    sparse_split_ratio_assignment,
-)
+from ..routing import CompiledDagSet
+from ..routing.compiled import CompiledDag, DagPart, SplitRatios
 
 
-def _propagate_over_dag(
+def _compile_shortest_paths(
     network: Network,
-    dag: ShortestPathDag,
-    entering: Mapping[Node, float],
-    split_ratios: Mapping[Node, Mapping[Node, float]] | None,
-    flows: FlowAssignment,
-) -> None:
-    """Push per-destination demand over ``dag`` using ``split_ratios``.
+    demands: TrafficMatrix,
+    weights: WeightsLike,
+    tolerance: float,
+    dags: Mapping[Node, ShortestPathDag] | None = None,
+) -> CompiledDag:
+    """Every destination of ``demands`` compiled into one stack.
 
-    ``entering[s]`` is the demand entering at node ``s`` destined to the DAG's
-    destination.  ``split_ratios[s][v]`` is the fraction of that node's total
-    traffic forwarded to next hop ``v``; when ``split_ratios`` is ``None``
-    the traffic is split evenly across all next hops.
+    Each DAG (given, or built here) is walked as soon as it exists and then
+    dropped, so only the flat edge lists stay alive until the stack is built.
     """
-    destination = dag.destination
-    vector = flows.ensure_destination(destination)
-    transit: dict[Node, float] = {}
-    # A topological order guarantees a node's whole incoming flow (local
-    # demand plus transit) is known before the node splits it, even on
-    # zero-weight plateaus where distances tie.
-    for node in dag.topological_order():
-        if node == destination:
-            continue
-        load = entering.get(node, 0.0) + transit.get(node, 0.0)
-        if load <= 0:
-            continue
-        hops = dag.next_hops_of(node)
-        if not hops:
-            raise UnreachableError(
-                f"node {node!r} has traffic for {destination!r} but no next hop"
-            )
-        if split_ratios is None:
-            ratios = {hop: 1.0 / len(hops) for hop in hops}
-        else:
-            ratios = dict(split_ratios.get(node, {}))
-            total = sum(ratios.get(hop, 0.0) for hop in hops)
-            if total <= 0:
-                if ratios:
-                    # Stored ratios exist but are degenerate over the actual
-                    # next hops -- deliver the traffic anyway (even split) but
-                    # say so instead of silently ignoring the configuration.
-                    warn_degenerate_split(node, destination, total, len(hops))
-                ratios = {hop: 1.0 / len(hops) for hop in hops}
-            else:
-                ratios = {hop: ratios.get(hop, 0.0) / total for hop in hops}
-        for hop in hops:
-            share = load * ratios.get(hop, 0.0)
-            if share <= 0:
-                continue
-            vector[network.link_index(node, hop)] += share
-            transit[hop] = transit.get(hop, 0.0) + share
+    demands.validate(network)
+    vector = as_weight_vector(network, weights)
+    given = dags or {}
+    parts = [
+        DagPart.from_dag(
+            network,
+            given[destination]
+            if destination in given
+            else shortest_path_dag(network, destination, vector, tolerance),
+        )
+        for destination in demands.destinations()
+    ]
+    return CompiledDag.from_parts(network, parts)
 
 
 def ecmp_assignment(
@@ -105,34 +72,16 @@ def ecmp_assignment(
     demands: TrafficMatrix,
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
-    dags: dict[Node, ShortestPathDag] | None = None,
-    backend: str | None = None,
+    dags: Mapping[Node, ShortestPathDag] | None = None,
 ) -> FlowAssignment:
     """Route ``demands`` with even splitting over equal-cost shortest paths.
 
     This reproduces OSPF's ECMP behaviour for a given weight setting.  The
     precomputed ``dags`` argument lets callers reuse shortest-path DAGs across
-    repeated evaluations (the Fortz-Thorup local search does this heavily).
-    ``backend`` selects the vectorised (``"sparse"``) or reference
-    (``"python"``) implementation; ``None`` uses the library default.
+    repeated evaluations.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_ecmp_assignment(network, demands, weights, tolerance, dags)
-    demands.validate(network)
-    flows = FlowAssignment(network=network)
-    for destination, entering in demands.by_destination().items():
-        dag = (
-            dags[destination]
-            if dags is not None and destination in dags
-            else shortest_path_dag(network, destination, weights, tolerance)
-        )
-        for source in entering:
-            if not dag.reachable(source):
-                raise UnreachableError(
-                    f"demand source {source!r} cannot reach {destination!r}"
-                )
-        _propagate_over_dag(network, dag, entering, None, flows)
-    return flows
+    stack = _compile_shortest_paths(network, demands, weights, tolerance, dags)
+    return stack.flows(demands, stack.uniform_ratios())
 
 
 def all_or_nothing_assignment(
@@ -140,7 +89,6 @@ def all_or_nothing_assignment(
     demands: TrafficMatrix,
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
-    backend: str | None = None,
 ) -> FlowAssignment:
     """Route every demand along a single shortest path (no splitting).
 
@@ -149,48 +97,23 @@ def all_or_nothing_assignment(
     property the sub-gradient iterations of Algorithm 1 rely on for
     reproducibility.
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_all_or_nothing_assignment(network, demands, weights, tolerance)
-    demands.validate(network)
-    flows = FlowAssignment(network=network)
-    for destination, entering in demands.by_destination().items():
-        dag = shortest_path_dag(network, destination, weights, tolerance)
-        single_hop: dict[Node, dict[Node, float]] = {}
-        for node in dag.next_hops:
-            hops = dag.next_hops_of(node)
-            if hops:
-                single_hop[node] = {hops[0]: 1.0}
-        for source in entering:
-            if not dag.reachable(source):
-                raise UnreachableError(
-                    f"demand source {source!r} cannot reach {destination!r}"
-                )
-        _propagate_over_dag(network, dag, entering, single_hop, flows)
-    return flows
+    stack = _compile_shortest_paths(network, demands, weights, tolerance)
+    return stack.flows(demands, stack.first_hop_ratios())
 
 
 def split_ratio_assignment(
     network: Network,
     demands: TrafficMatrix,
-    dags: dict[Node, ShortestPathDag],
-    split_ratios: dict[Node, dict[Node, dict[Node, float]]],
-    backend: str | None = None,
+    dags: Mapping[Node, ShortestPathDag],
+    split_ratios: SplitRatios,
 ) -> FlowAssignment:
     """Route demands over precomputed DAGs with explicit split ratios.
 
     ``split_ratios[destination][node][hop]`` gives the fraction of the
-    traffic for ``destination`` that ``node`` forwards to ``hop``.  This is the
-    building block SPEF uses once the second link weights have produced the
-    exponential split ratios of Eq. (22).
+    traffic for ``destination`` that ``node`` forwards to ``hop``; nodes
+    without ratios split evenly and sources outside their DAG are dropped.
+    This is the building block SPEF uses once the second link weights have
+    produced the exponential split ratios of Eq. (22).
     """
-    if resolve_backend(backend) == "sparse":
-        return sparse_split_ratio_assignment(network, demands, dags, split_ratios)
     demands.validate(network)
-    flows = FlowAssignment(network=network)
-    for destination, entering in demands.by_destination().items():
-        if destination not in dags:
-            raise UnreachableError(f"no shortest-path DAG for destination {destination!r}")
-        dag = dags[destination]
-        ratios = split_ratios.get(destination)
-        _propagate_over_dag(network, dag, entering, ratios, flows)
-    return flows
+    return CompiledDagSet(network, dags).route(demands, "split", split_ratios)

@@ -1,0 +1,244 @@
+"""Dict-loop reference implementations of the routing kernel's entry points.
+
+These are the original per-destination Python loops the library's routing
+used before everything moved onto the stacked kernel in
+:mod:`repro.routing`.  They stay here, outside ``src/``, as the oracle the
+equivalence suite (``tests/test_routing_equivalence.py``) and the routing
+speed benchmark (``benchmarks/test_routing_speed.py``) compare the kernel
+against.  Flow is pushed over each destination DAG in topological order, so
+a node's whole incoming flow (local demand plus transit) is known before it
+is split.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+
+import numpy as np
+
+from repro.core.traffic_distribution import exponential_split_ratios
+from repro.network.demands import TrafficMatrix
+from repro.network.flows import FlowAssignment
+from repro.network.graph import Network, Node
+from repro.network.spt import (
+    DEFAULT_TOLERANCE,
+    ShortestPathDag,
+    UnreachableError,
+    WeightsLike,
+    distances_to,
+    shortest_path_dag,
+)
+from repro.routing.compiled import warn_degenerate_split
+
+
+def _propagate_over_dag(
+    network: Network,
+    dag: ShortestPathDag,
+    entering: Mapping[Node, float],
+    split_ratios: Mapping[Node, Mapping[Node, float]] | None,
+    flows: FlowAssignment,
+) -> None:
+    """Push per-destination demand over ``dag`` using ``split_ratios``.
+
+    ``entering[s]`` is the demand entering at node ``s`` destined to the DAG's
+    destination.  ``split_ratios[s][v]`` is the fraction of that node's total
+    traffic forwarded to next hop ``v``; when ``split_ratios`` is ``None``
+    the traffic is split evenly across all next hops.
+    """
+    destination = dag.destination
+    vector = flows.ensure_destination(destination)
+    transit: dict[Node, float] = {}
+    for node in dag.topological_order():
+        if node == destination:
+            continue
+        load = entering.get(node, 0.0) + transit.get(node, 0.0)
+        if load <= 0:
+            continue
+        hops = dag.next_hops_of(node)
+        if not hops:
+            raise UnreachableError(
+                f"node {node!r} has traffic for {destination!r} but no next hop"
+            )
+        if split_ratios is None:
+            ratios = {hop: 1.0 / len(hops) for hop in hops}
+        else:
+            ratios = dict(split_ratios.get(node, {}))
+            total = sum(ratios.get(hop, 0.0) for hop in hops)
+            if total <= 0:
+                if ratios:
+                    warn_degenerate_split(node, destination, total, len(hops))
+                ratios = {hop: 1.0 / len(hops) for hop in hops}
+            else:
+                ratios = {hop: ratios.get(hop, 0.0) / total for hop in hops}
+        for hop in hops:
+            share = load * ratios.get(hop, 0.0)
+            if share <= 0:
+                continue
+            vector[network.link_index(node, hop)] += share
+            transit[hop] = transit.get(hop, 0.0) + share
+
+
+def ecmp_assignment(
+    network: Network,
+    demands: TrafficMatrix,
+    weights: WeightsLike,
+    tolerance: float = DEFAULT_TOLERANCE,
+    dags: dict[Node, ShortestPathDag] | None = None,
+) -> FlowAssignment:
+    """Even splitting over equal-cost shortest paths."""
+    demands.validate(network)
+    flows = FlowAssignment(network=network)
+    for destination, entering in demands.by_destination().items():
+        dag = (
+            dags[destination]
+            if dags is not None and destination in dags
+            else shortest_path_dag(network, destination, weights, tolerance)
+        )
+        for source in entering:
+            if not dag.reachable(source):
+                raise UnreachableError(
+                    f"demand source {source!r} cannot reach {destination!r}"
+                )
+        _propagate_over_dag(network, dag, entering, None, flows)
+    return flows
+
+
+def all_or_nothing_assignment(
+    network: Network,
+    demands: TrafficMatrix,
+    weights: WeightsLike,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> FlowAssignment:
+    """Every demand along the DAG's first next hop at each node."""
+    demands.validate(network)
+    flows = FlowAssignment(network=network)
+    for destination, entering in demands.by_destination().items():
+        dag = shortest_path_dag(network, destination, weights, tolerance)
+        single_hop: dict[Node, dict[Node, float]] = {}
+        for node in dag.next_hops:
+            hops = dag.next_hops_of(node)
+            if hops:
+                single_hop[node] = {hops[0]: 1.0}
+        for source in entering:
+            if not dag.reachable(source):
+                raise UnreachableError(
+                    f"demand source {source!r} cannot reach {destination!r}"
+                )
+        _propagate_over_dag(network, dag, entering, single_hop, flows)
+    return flows
+
+
+def split_ratio_assignment(
+    network: Network,
+    demands: TrafficMatrix,
+    dags: Mapping[Node, ShortestPathDag],
+    split_ratios: Mapping[Node, Mapping[Node, Mapping[Node, float]]],
+) -> FlowAssignment:
+    """Explicit per-node split ratios over precomputed DAGs."""
+    demands.validate(network)
+    flows = FlowAssignment(network=network)
+    for destination, entering in demands.by_destination().items():
+        if destination not in dags:
+            raise UnreachableError(f"no shortest-path DAG for destination {destination!r}")
+        _propagate_over_dag(
+            network, dags[destination], entering, split_ratios.get(destination), flows
+        )
+    return flows
+
+
+def traffic_distribution(
+    network: Network,
+    demands: TrafficMatrix,
+    dags: Mapping[Node, ShortestPathDag],
+    second_weights: np.ndarray,
+) -> FlowAssignment:
+    """Algorithm 3: exponential split ratios (Eq. 22), then dict propagation."""
+    second = np.asarray(second_weights, dtype=float)
+    if second.shape != (network.num_links,):
+        raise ValueError(
+            f"second weights must have length {network.num_links}, got {second.shape}"
+        )
+    split_ratios = {
+        destination: exponential_split_ratios(network, dag, second)
+        for destination, dag in dags.items()
+    }
+    return split_ratio_assignment(network, demands, dags, split_ratios)
+
+
+# ----------------------------------------------------------------------
+# PEFT
+# ----------------------------------------------------------------------
+def _peft_downward_split(
+    network: Network, destination: Node, weights: np.ndarray, temperature: float
+) -> dict[Node, dict[Node, float]]:
+    """Per-node split ratios over downward neighbours for one destination."""
+    distances = distances_to(network, destination, weights)
+    z_values: dict[Node, float] = {destination: 1.0}
+    order = sorted(distances, key=lambda n: distances[n])
+    for node in order:
+        if node == destination:
+            continue
+        total = 0.0
+        for link in network.out_links(node):
+            neighbour = link.target
+            if neighbour not in distances or distances[neighbour] >= distances[node]:
+                continue
+            extra = weights[link.index] + distances[neighbour] - distances[node]
+            total += float(np.exp(-extra / temperature)) * z_values.get(neighbour, 0.0)
+        z_values[node] = total
+    ratios: dict[Node, dict[Node, float]] = {}
+    for node in order:
+        if node == destination:
+            continue
+        shares: dict[Node, float] = {}
+        for link in network.out_links(node):
+            neighbour = link.target
+            if neighbour not in distances or distances[neighbour] >= distances[node]:
+                continue
+            extra = weights[link.index] + distances[neighbour] - distances[node]
+            share = float(np.exp(-extra / temperature)) * z_values.get(neighbour, 0.0)
+            if share > 0:
+                shares[neighbour] = share
+        total = sum(shares.values())
+        if total > 0:
+            ratios[node] = {hop: share / total for hop, share in shares.items()}
+    return ratios
+
+
+def peft_route(
+    network: Network,
+    demands: TrafficMatrix,
+    weights: np.ndarray,
+    temperature: float = 1.0,
+) -> FlowAssignment:
+    """Downward PEFT with explicit weights, in decreasing-distance order.
+
+    Covers instances where every reachable node has a strictly-downward
+    neighbour with a positive share (strictly positive weights without
+    underflow), which is where the kernel's corner rules do not apply.
+    """
+    demands.validate(network)
+    flows = FlowAssignment(network=network)
+    for destination, entering in demands.by_destination().items():
+        ratios = _peft_downward_split(network, destination, weights, temperature)
+        distances = distances_to(network, destination, weights)
+        vector = flows.ensure_destination(destination)
+        transit: dict[Node, float] = {}
+        for node in sorted(distances, key=lambda n: distances[n], reverse=True):
+            if node == destination:
+                continue
+            load = entering.get(node, 0.0) + transit.get(node, 0.0)
+            if load <= 0:
+                continue
+            node_ratios = ratios.get(node)
+            if not node_ratios:
+                raise RuntimeError(
+                    f"PEFT has no downward next hop at {node!r} for {destination!r}"
+                )
+            for hop, ratio in node_ratios.items():
+                share = load * ratio
+                if share <= 0:
+                    continue
+                vector[network.link_index(node, hop)] += share
+                transit[hop] = transit.get(hop, 0.0) + share
+    return flows

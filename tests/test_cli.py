@@ -99,8 +99,8 @@ def test_parse_protocols_passthrough():
 
 
 def test_parse_protocols_coercion_and_errors():
-    (spec,) = parse_protocols("OSPF:backend=sparse")
-    assert dict(spec.params) == {"backend": "sparse"}
+    (spec,) = parse_protocols("OSPF:name=InvCap")
+    assert dict(spec.params) == {"name": "InvCap"}
     with pytest.raises(CLIError):
         parse_protocols("NotAProtocol")
     with pytest.raises(CLIError):
@@ -118,7 +118,7 @@ def test_sweep_accepts_protocol_parameters_and_parallel(tmp_path, capsys):
     code = run_cli(
         "sweep",
         "--topology", "abilene",
-        "--protocols", "MinHopOSPF,OSPF:backend=sparse",
+        "--protocols", "MinHopOSPF,OSPF:ecmp_tolerance=0.5",
         "--scenarios", "single-link-failures",
         "--limit", "4",
         "--no-cache",
@@ -132,7 +132,7 @@ def test_sweep_accepts_protocol_parameters_and_parallel(tmp_path, capsys):
         assert len(runs) == 1
         assert runs[0].config["parallel"] is True
         protocols = set(runs[0].protocols)
-        assert protocols == {"MinHopOSPF", "OSPF(backend=sparse)"}
+        assert protocols == {"MinHopOSPF", "OSPF(ecmp_tolerance=0.5)"}
         assert len(store.records(runs[0].run_id)) == 8
 
 

@@ -10,7 +10,6 @@ from repro.metrics.load_balance import (
     is_min_max_balanced,
     is_qbeta_balanced,
     minimizes_mlu,
-    perturbed_distributions,
     proportional_balance_score,
 )
 from repro.metrics.paths import (
@@ -111,11 +110,6 @@ class TestLoadBalanceCriteria:
         bad = ecmp_assignment(fig1, fig1_tm, np.ones(4))  # MLU 1.0
         good = MinMaxMLU().route(fig1, fig1_tm)  # MLU 0.9
         assert not minimizes_mlu(bad, [good])
-
-    def test_perturbed_distributions_are_feasible(self, uneven_flows):
-        for alternative in perturbed_distributions(uneven_flows, (0.1, 0.5)):
-            assert alternative.is_capacity_feasible()
-        assert perturbed_distributions(uneven_flows, (1.5,)) == []
 
 
 class TestPathDiversity:

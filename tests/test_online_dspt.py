@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import routing_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.graph import Network, NetworkError
 from repro.network.spt import shortest_path_dag
 from repro.online import DynamicSPT
-from repro.solvers.assignment import ecmp_assignment
 from repro.network.demands import TrafficMatrix
 
 TOLERANCE = 1e-9
@@ -192,7 +192,7 @@ class TestEventSequenceEquivalence:
             link.endpoints: float(weights[net.link_index(*link.endpoints)])
             for link in pruned.links
         }
-        oracle = ecmp_assignment(pruned, routable, weight_map, backend="python")
+        oracle = routing_oracle.ecmp_assignment(pruned, routable, weight_map)
         mapped = np.zeros(net.num_links)
         aggregate = oracle.aggregate()
         for link in pruned.links:

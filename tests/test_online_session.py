@@ -272,7 +272,7 @@ class TestStateDump:
 
 
 # ----------------------------------------------------------------------
-# the thin batch driver and its deprecation shim
+# the thin batch driver
 # ----------------------------------------------------------------------
 class TestReplayShim:
     def test_replay_uses_prebuilt_session(self, workload):
@@ -285,26 +285,6 @@ class TestReplayShim:
         assert result.session is session
         assert result.timeline is session.timeline
         assert result.outages
-
-    def test_legacy_kwargs_warn(self, workload):
-        network, demands = workload
-        scenarios, _ = abilene_trace(network)
-        with pytest.warns(DeprecationWarning, match="ControllerSession"):
-            replay_failure_trace(
-                network, demands, scenarios[:1], max_affected_fraction=0.9
-            )
-
-    def test_legacy_kwargs_alongside_session_rejected(self, workload):
-        network, demands = workload
-        scenarios, _ = abilene_trace(network)
-        with pytest.raises(ValueError, match="ControllerSession"):
-            replay_failure_trace(
-                network,
-                demands,
-                scenarios[:1],
-                session=fresh_session(workload),
-                verify=True,
-            )
 
     def test_foreign_policy_alongside_session_rejected(self, workload):
         network, demands = workload

@@ -1,7 +1,8 @@
-"""Golden equivalence of the sparse routing backend against the Python oracle.
+"""Golden equivalence of the routing kernel against the dict-loop oracle.
 
-The vectorized backend in :mod:`repro.routing` must be a *drop-in* for the
-dict-loop reference implementations: identical link loads (within 1e-9,
+The stacked kernel in :mod:`repro.routing` must be a *drop-in* for the
+dict-loop reference implementations in ``routing_oracle.py``: identical link
+loads (within 1e-9,
 in practice float round-off), identical per-destination decompositions,
 identical error behaviour on unroutable demands, identical fallbacks on
 degenerate split ratios.  These properties are checked on random topologies
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import routing_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,20 +119,20 @@ def assert_flows_equal(python: FlowAssignment, sparse: FlowAssignment) -> None:
         )
 
 
-def run_both(fn, *args, **kwargs):
-    """Run a backend-switchable routine on both backends.
+def run_both(oracle_fn, kernel_fn, *args, **kwargs):
+    """Run a routine's oracle and kernel implementations on the same input.
 
     Returns ``(python_result, sparse_result)``; when the oracle raises, the
-    sparse backend must raise the same exception type and ``(exc, exc)`` is
+    kernel must raise the same exception type and ``(exc, exc)`` is
     returned instead.
     """
     try:
-        python = fn(*args, backend="python", **kwargs)
+        python = oracle_fn(*args, **kwargs)
     except UnreachableError as exc:
         with pytest.raises(type(exc)):
-            fn(*args, backend="sparse", **kwargs)
+            kernel_fn(*args, **kwargs)
         return exc, exc
-    sparse = fn(*args, backend="sparse", **kwargs)
+    sparse = kernel_fn(*args, **kwargs)
     return python, sparse
 
 
@@ -141,14 +143,14 @@ class TestEquivalenceOnRandomInstances:
     @given(instance=routing_instance())
     def test_ecmp(self, instance):
         net, weights, tm = instance
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
+        python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
     @given(instance=routing_instance())
     def test_all_or_nothing(self, instance):
         net, weights, tm = instance
-        python, sparse = run_both(all_or_nothing_assignment, net, tm, weights)
+        python, sparse = run_both(oracle.all_or_nothing_assignment, all_or_nothing_assignment, net, tm, weights)
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
@@ -183,7 +185,7 @@ class TestEquivalenceOnRandomInstances:
                     )
                     per_node[node] = dict(zip(hops, values, strict=True))
             split[destination] = per_node
-        python, sparse = run_both(split_ratio_assignment, net, tm, dags, split)
+        python, sparse = run_both(oracle.split_ratio_assignment, split_ratio_assignment, net, tm, dags, split)
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
@@ -200,7 +202,7 @@ class TestEquivalenceOnRandomInstances:
                 )
             )
         )
-        python, sparse = run_both(traffic_distribution, net, tm, dags, second)
+        python, sparse = run_both(oracle.traffic_distribution, traffic_distribution, net, tm, dags, second)
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
@@ -208,7 +210,7 @@ class TestEquivalenceOnRandomInstances:
     def test_unroutable_demands_raise_on_both_backends(self, instance):
         """On (possibly) disconnected graphs the backends fail identically."""
         net, weights, tm = instance
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
+        python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
@@ -217,7 +219,7 @@ class TestEquivalenceOnRandomInstances:
         """The split-ratio path silently drops unreachable sources -- identically."""
         net, weights, tm = instance
         dags = all_shortest_path_dags(net, tm.destinations(), weights)
-        python, sparse = run_both(split_ratio_assignment, net, tm, dags, {})
+        python, sparse = run_both(oracle.split_ratio_assignment, split_ratio_assignment, net, tm, dags, {})
         if isinstance(python, FlowAssignment):
             assert_flows_equal(python, sparse)
 
@@ -230,8 +232,8 @@ class TestEquivalenceOnRandomInstances:
         loads = batched_link_loads(net, matrices, weights)
         assert loads.shape == (count, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
-            oracle = ecmp_assignment(net, matrix, weights, backend="python")
-            np.testing.assert_allclose(row, oracle.aggregate(), atol=TOLERANCE, rtol=0)
+            reference = oracle.ecmp_assignment(net, matrix, weights)
+            np.testing.assert_allclose(row, reference.aggregate(), atol=TOLERANCE, rtol=0)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +244,7 @@ class TestEquivalenceCorners:
         """The classic two-equal-paths tie splits 50/50 on both backends."""
         weights = np.ones(diamond_network.num_links)
         python, sparse = run_both(
-            ecmp_assignment, diamond_network, diamond_demands, weights
+            oracle.ecmp_assignment, ecmp_assignment, diamond_network, diamond_demands, weights
         )
         assert_flows_equal(python, sparse)
         assert sparse.flow_on(1, 2) == pytest.approx(4.0)
@@ -255,14 +257,18 @@ class TestEquivalenceCorners:
             net.add_duplex_link(u, v, 10.0)
         tm = TrafficMatrix({(1, 4): 6.0, (2, 4): 3.0, (4, 1): 2.0})
         weights = np.zeros(net.num_links)
-        python, sparse = run_both(ecmp_assignment, net, tm, weights)
+        python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
         assert_flows_equal(python, sparse)
 
     def test_zero_demand_matrix(self, diamond_network):
         """An empty matrix yields zero loads (and no destinations) on both."""
         tm = TrafficMatrix()
         python, sparse = run_both(
-            ecmp_assignment, diamond_network, tm, np.ones(diamond_network.num_links)
+            oracle.ecmp_assignment,
+            ecmp_assignment,
+            diamond_network,
+            tm,
+            np.ones(diamond_network.num_links),
         )
         assert python.per_destination == {} and sparse.per_destination == {}
         assert sparse.aggregate().shape == (diamond_network.num_links,)
@@ -273,7 +279,12 @@ class TestEquivalenceCorners:
         dags = all_shortest_path_dags(diamond_network, [4], weights)
         split = {4: {1: {2: 2.0, 3: -1.0}}}
         python, sparse = run_both(
-            split_ratio_assignment, diamond_network, diamond_demands, dags, split
+            oracle.split_ratio_assignment,
+            split_ratio_assignment,
+            diamond_network,
+            diamond_demands,
+            dags,
+            split,
         )
         assert_flows_equal(python, sparse)
         assert np.all(sparse.aggregate() >= 0.0)
@@ -282,11 +293,9 @@ class TestEquivalenceCorners:
         assert sparse.flow_on(1, 3) == pytest.approx(0.0)
 
     def test_missing_dag_raises_on_both_backends(self, diamond_network, diamond_demands):
-        for backend in ("python", "sparse"):
+        for implementation in (oracle.split_ratio_assignment, split_ratio_assignment):
             with pytest.raises(UnreachableError):
-                split_ratio_assignment(
-                    diamond_network, diamond_demands, {}, {}, backend=backend
-                )
+                implementation(diamond_network, diamond_demands, {}, {})
 
     def test_augmented_dag_extra_hops_agree(self, fig4, fig4_tm):
         """DAGs with extra (augmented) downhill edges route identically."""
@@ -302,7 +311,7 @@ class TestEquivalenceCorners:
                 hops = dag.next_hops.setdefault(link.source, [])
                 if link.target not in hops:
                     hops.append(link.target)
-        python, sparse = run_both(split_ratio_assignment, fig4, fig4_tm, dags, {})
+        python, sparse = run_both(oracle.split_ratio_assignment, split_ratio_assignment, fig4, fig4_tm, dags, {})
         assert_flows_equal(python, sparse)
 
     def test_sparse_router_single_matches_batch(self, abilene, abilene_tm):
@@ -320,7 +329,11 @@ class TestEquivalenceCorners:
         """Deterministic first-hop tie break picks the same path on both."""
         weights = np.ones(diamond_network.num_links)
         python, sparse = run_both(
-            all_or_nothing_assignment, diamond_network, diamond_demands, weights
+            oracle.all_or_nothing_assignment,
+            all_or_nothing_assignment,
+            diamond_network,
+            diamond_demands,
+            weights,
         )
         assert_flows_equal(python, sparse)
         used = [edge for edge, value in sparse.aggregate_dict().items() if value > 0]
@@ -334,16 +347,16 @@ class TestProtocolBackendEquivalence:
     def test_ospf_backends_agree_on_abilene(self, abilene, abilene_tm):
         from repro.protocols.ospf import OSPF
 
-        python = OSPF(backend="python").route(abilene, abilene_tm)
-        sparse = OSPF(backend="sparse").route(abilene, abilene_tm)
+        python = oracle.ecmp_assignment(abilene, abilene_tm, OSPF().link_weights(abilene))
+        sparse = OSPF().route(abilene, abilene_tm)
         assert_flows_equal(python, sparse)
 
     def test_peft_backends_agree_on_abilene(self, abilene, abilene_tm):
         from repro.protocols.peft import PEFT
 
         weights = np.ones(abilene.num_links)
-        python = PEFT(weights=weights, backend="python").route(abilene, abilene_tm)
-        sparse = PEFT(weights=weights, backend="sparse").route(abilene, abilene_tm)
+        python = oracle.peft_route(abilene, abilene_tm, weights)
+        sparse = PEFT(weights=weights).route(abilene, abilene_tm)
         assert_flows_equal(python, sparse)
 
     def test_peft_batch_matches_route(self, abilene, abilene_tm):
@@ -374,6 +387,94 @@ class TestProtocolBackendEquivalence:
         # PEFT needs strictly positive weights for a well-defined downward
         # graph; shift the pool so plateaus still occur through duplicates.
         weights = weights + 0.5
-        python = PEFT(weights=weights, backend="python").route(net, tm)
-        sparse = PEFT(weights=weights, backend="sparse").route(net, tm)
+        python = oracle.peft_route(net, tm, weights)
+        sparse = PEFT(weights=weights).route(net, tm)
         assert_flows_equal(python, sparse)
+
+
+# ----------------------------------------------------------------------
+# a deep input: the kernel iterates once per DAG level
+# ----------------------------------------------------------------------
+def _deep_chain() -> tuple[Network, np.ndarray, TrafficMatrix]:
+    """A 160-node duplex chain with an ECMP diamond every 5 hops (192 nodes).
+
+    Each diamond's detour ``c_k -> d_k -> c_{k+1}`` ties the direct link, and
+    the links between ``c80`` and ``c84`` weigh zero (a plateau where the
+    Dijkstra tree orients the ties).  DAG depth is ~160, far beyond what the
+    7-node Hypothesis graphs reach.
+    """
+    net = Network(name="deep-chain")
+    weights: list[float] = []
+
+    def duplex(u: str, v: str, weight: float) -> None:
+        net.add_duplex_link(u, v, 10.0)
+        weights.extend([weight, weight])
+
+    for k in range(159):
+        duplex(f"c{k}", f"c{k + 1}", 0.0 if 80 <= k < 84 else 1.0)
+        if k % 5 == 0:
+            duplex(f"c{k}", f"d{k}", 0.5)
+            duplex(f"d{k}", f"c{k + 1}", 0.5)
+    tm = TrafficMatrix(
+        {
+            ("c159", "c0"): 5.0,
+            ("c100", "c0"): 2.0,
+            ("d50", "c0"): 1.5,
+            ("c82", "c0"): 1.0,
+            ("c0", "c159"): 3.0,
+            ("c81", "c159"): 1.0,
+            ("d120", "c40"): 0.5,
+        }
+    )
+    return net, np.array(weights), tm
+
+
+DEEP_ROUTINES = ("ecmp", "all_or_nothing", "split_ratios", "traffic_distribution")
+
+
+class TestDeepChain:
+    def test_input_is_deep(self):
+        net, weights, _ = _deep_chain()
+        assert net.num_nodes == 192
+        dag = all_shortest_path_dags(net, ["c0"], weights)["c0"]
+        assert len(dag.paths_from("c159", limit=1)[0]) > 150
+
+    @pytest.mark.parametrize("routine", DEEP_ROUTINES)
+    def test_one_shot(self, routine):
+        net, weights, tm = _deep_chain()
+        dags = all_shortest_path_dags(net, tm.destinations(), weights)
+        rng = np.random.default_rng(5)
+        if routine == "ecmp":
+            python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
+        elif routine == "all_or_nothing":
+            python, sparse = run_both(
+                oracle.all_or_nothing_assignment, all_or_nothing_assignment, net, tm, weights
+            )
+        elif routine == "split_ratios":
+            split = {
+                destination: {
+                    node: dict(zip(hops, rng.random(len(hops)), strict=True))
+                    for node, hops in dag.next_hops.items()
+                    if len(hops) > 1
+                }
+                for destination, dag in dags.items()
+            }
+            python, sparse = run_both(
+                oracle.split_ratio_assignment, split_ratio_assignment, net, tm, dags, split
+            )
+        else:
+            second = rng.random(net.num_links)
+            python, sparse = run_both(
+                oracle.traffic_distribution, traffic_distribution, net, tm, dags, second
+            )
+        assert_flows_equal(python, sparse)
+        assert sparse.aggregate().max() > 0
+
+    def test_batched(self):
+        net, weights, tm = _deep_chain()
+        matrices = [tm, tm.scaled(0.5), tm.scaled(2.0)]
+        loads = batched_link_loads(net, matrices, weights)
+        assert loads.shape == (3, net.num_links)
+        for row, matrix in zip(loads, matrices, strict=True):
+            reference = oracle.ecmp_assignment(net, matrix, weights)
+            np.testing.assert_allclose(row, reference.aggregate(), atol=TOLERANCE, rtol=0)

@@ -1,18 +1,19 @@
 """Unit tests for the compiled routing structures themselves.
 
 The golden-equivalence suite (``test_routing_equivalence.py``) checks the
-backends against each other end to end; these tests pin the *internals* of
-:mod:`repro.routing` -- the CSR compilation, the triangular structure of the
-split matrix, the ratio kernels, backend selection -- so a regression points
-at the broken piece directly.
+kernel against the dict-loop oracle end to end; these tests pin the
+*internals* of :mod:`repro.routing` -- the CSR compilation, the structure of
+the split matrix, the ratio kernels, the level-by-level propagation -- so a
+regression points at the broken piece directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import routing_oracle as oracle
 
-import repro.routing as routing
+import repro.core.nem as nem
 from repro.core.nem import compute_second_weights
 from repro.network.demands import TrafficMatrix
 from repro.network.graph import Network
@@ -28,19 +29,29 @@ def diamond_compiled(diamond_network):
 
 
 class TestCompiledDag:
-    def test_topological_structure(self, diamond_compiled):
-        """Every edge goes from a lower to a strictly higher position."""
+    def test_topological_structure(self, diamond_compiled, diamond_network):
+        """Positions are network node indices; edges are CSR-sorted by tail."""
         compiled = diamond_compiled
         assert compiled.num_nodes == 4 and compiled.num_edges == 4
-        assert np.all(compiled.targets > compiled.rows)
-        assert compiled.order[-1] == 4  # destination last in topological order
+        assert np.all(np.diff(compiled.rows) >= 0)
+        assert compiled.destinations == [4]
+        destination = diamond_network.node_index(4)
+        assert compiled.out_degree()[destination] == 0  # the destination forwards nothing
+        # Acyclic: the transitive closure of P reaches no position from itself.
+        reach = compiled.split_matrix().toarray() > 0
+        for _ in range(compiled.num_nodes):
+            reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        assert not np.any(np.diag(reach))
 
-    def test_split_matrix_is_strictly_upper_triangular(self, diamond_compiled):
+    def test_split_matrix_is_nilpotent(self, diamond_compiled):
+        """P^depth == 0: propagating level by level terminates after depth steps."""
         matrix = diamond_compiled.split_matrix().toarray()
-        assert np.allclose(matrix, np.triu(matrix, k=1))
+        assert np.any(matrix @ matrix) and not np.any(matrix @ matrix @ matrix)
         # ECMP rows sum to 1 wherever the node has next hops.
         sums = matrix.sum(axis=1)
-        assert sums[: diamond_compiled.num_nodes - 1] == pytest.approx(1.0)
+        has_hops = diamond_compiled.out_degree() > 0
+        assert sums[has_hops] == pytest.approx(1.0)
+        assert np.all(sums[~has_hops] == 0.0)
 
     def test_uniform_and_first_hop_ratios(self, diamond_compiled):
         uniform = diamond_compiled.uniform_ratios()
@@ -76,17 +87,24 @@ class TestCompiledDag:
         net = Network(name="deadend")
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
-        compiled = CompiledDag.from_next_hops(net, 3, [1, 2, 3], {1: [2], 2: []})
+        compiled = CompiledDag.from_next_hops(net, 3, {1: [2], 2: []})
         with pytest.raises(UnreachableError):
             compiled.propagate(np.array([1.0, 0.0, 0.0]), compiled.uniform_ratios())
         # ... but an *unloaded* dead end is fine (matches the oracle's skip).
         x = compiled.propagate(np.array([0.0, 0.0, 0.0]), compiled.uniform_ratios())
         assert np.all(x == 0.0)
 
-    def test_entering_vector_missing_modes(self, diamond_compiled):
+    def test_entering_vector_missing_modes(self, diamond_network):
+        net = Network(name="oneway-diamond")
+        for u, v in diamond_network.edges:
+            net.add_link(u, v, 10.0)
+        net.add_node(99)  # cannot reach 4
+        compiled = CompiledDag.from_dag(net, shortest_path_dag(net, 4, np.ones(4)))
         with pytest.raises(UnreachableError):
-            diamond_compiled.entering_vector({99: 1.0}, missing="raise")
-        dropped = diamond_compiled.entering_vector({99: 1.0, 1: 2.0}, missing="drop")
+            compiled.entering([TrafficMatrix({(99, 4): 1.0})], missing="raise")
+        dropped = compiled.entering(
+            [TrafficMatrix({(99, 4): 1.0, (1, 4): 2.0})], missing="drop", batched=False
+        )
         assert dropped.sum() == pytest.approx(2.0)
 
     def test_from_next_hops_rejects_edges_leaving_the_dag(self):
@@ -94,52 +112,7 @@ class TestCompiledDag:
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
         with pytest.raises(UnreachableError):
-            CompiledDag.from_next_hops(net, 3, [1, 3], {1: [2]})
-
-
-class TestBackendSelection:
-    def test_default_backend_is_auto(self):
-        """'auto' = oracle for one-shot calls, sparse for batched entry points."""
-        assert routing.get_default_backend() == "auto"
-
-    def test_forcing_python_disables_protocol_batching(self, abilene, abilene_tm):
-        """A global 'python' override makes an all-oracle run really all-oracle."""
-        from repro.protocols.ospf import OSPF
-
-        protocol = OSPF()  # no per-instance backend: follows the global default
-        assert protocol.batch_link_loads(abilene, [abilene_tm]) is not None
-        previous = routing.set_default_backend("python")
-        try:
-            assert protocol.batch_link_loads(abilene, [abilene_tm]) is None
-        finally:
-            routing.set_default_backend(previous)
-
-    def test_set_and_resolve(self):
-        previous = routing.set_default_backend("python")
-        try:
-            assert routing.resolve_backend(None) == "python"
-            assert routing.resolve_backend("sparse") == "sparse"
-        finally:
-            routing.set_default_backend(previous)
-        assert routing.resolve_backend(None) == previous
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            routing.resolve_backend("numba")
-        with pytest.raises(ValueError):
-            routing.set_default_backend("numba")
-
-    def test_switch_changes_dispatch(self, diamond_network, diamond_demands):
-        """The process-wide default actually reroutes the dispatchers."""
-        from repro.solvers.assignment import ecmp_assignment
-
-        python = ecmp_assignment(diamond_network, diamond_demands, np.ones(4))
-        previous = routing.set_default_backend("sparse")
-        try:
-            sparse = ecmp_assignment(diamond_network, diamond_demands, np.ones(4))
-        finally:
-            routing.set_default_backend(previous)
-        np.testing.assert_allclose(sparse.aggregate(), python.aggregate(), atol=1e-9)
+            CompiledDag.from_next_hops(net, 3, {1: [2]})
 
 
 class TestCompiledDagSet:
@@ -159,24 +132,27 @@ class TestCompiledDagSet:
         for _ in range(3):
             second = rng.random(abilene.num_links)
             amortised = dag_set.traffic_distribution(abilene_tm, second)
-            fresh = traffic_distribution(abilene, abilene_tm, dags, second, backend="python")
+            fresh = oracle.traffic_distribution(abilene, abilene_tm, dags, second)
             np.testing.assert_allclose(
                 amortised.aggregate(), fresh.aggregate(), atol=1e-9, rtol=0
             )
 
-    def test_nem_backends_converge_to_same_flows(self, fig4, fig4_tm):
-        """Algorithm 2 run on both backends yields matching flows and weights."""
+    def test_nem_backends_converge_to_same_flows(self, fig4, fig4_tm, monkeypatch):
+        """Algorithm 2 on the kernel and on the oracle yields matching flows and weights."""
         weights = np.ones(fig4.num_links)
         dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
         from repro.solvers.assignment import ecmp_assignment
 
         target = ecmp_assignment(fig4, fig4_tm, weights).aggregate()
-        sparse = compute_second_weights(
-            fig4, fig4_tm, dags, target, max_iterations=40, backend="sparse"
+        sparse = compute_second_weights(fig4, fig4_tm, dags, target, max_iterations=40)
+        monkeypatch.setattr(
+            nem,
+            "traffic_distribution",
+            lambda network, demands, _compiled, second: oracle.traffic_distribution(
+                network, demands, dags, second
+            ),
         )
-        python = compute_second_weights(
-            fig4, fig4_tm, dags, target, max_iterations=40, backend="python"
-        )
+        python = compute_second_weights(fig4, fig4_tm, dags, target, max_iterations=40)
         assert sparse.iterations == python.iterations
         np.testing.assert_allclose(sparse.weights, python.weights, atol=1e-9)
         np.testing.assert_allclose(
@@ -206,12 +182,8 @@ class TestSparseRouter:
         assert router.link_loads_many([]).shape == (0, 4)
 
     def test_all_or_nothing_mode(self, diamond_network, diamond_demands):
-        from repro.solvers.assignment import all_or_nothing_assignment
-
         router = SparseRouter(diamond_network, weights=np.ones(4), mode="all_or_nothing")
-        oracle = all_or_nothing_assignment(
-            diamond_network, diamond_demands, np.ones(4), backend="python"
-        )
+        reference = oracle.all_or_nothing_assignment(diamond_network, diamond_demands, np.ones(4))
         np.testing.assert_allclose(
-            router.link_loads(diamond_demands), oracle.aggregate(), atol=1e-9
+            router.link_loads(diamond_demands), reference.aggregate(), atol=1e-9
         )

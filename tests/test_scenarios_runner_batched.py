@@ -236,12 +236,6 @@ class TestBatchLinkLoadsContract:
                 row, protocol.route(net, matrix).aggregate(), atol=1e-9, rtol=0
             )
 
-    def test_python_backend_ospf_declines_batching(self, abilene_instance):
-        net, tm = abilene_instance
-        from repro.protocols.ospf import OSPF
-
-        assert OSPF(backend="python").batch_link_loads(net, [tm]) is None
-
     def test_base_protocol_declines_batching(self, abilene_instance):
         net, tm = abilene_instance
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import routing_oracle as oracle
 
 from repro.network.demands import TrafficMatrix
 from repro.network.spt import UnreachableError, all_shortest_path_dags
@@ -106,9 +107,11 @@ class TestSplitRatioAssignment:
         flows = split_ratio_assignment(diamond_network, diamond_demands, dags, ratios)
         assert flows.flow_on(1, 2) == pytest.approx(6.0)
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @pytest.mark.parametrize(
+        "route", [oracle.split_ratio_assignment, split_ratio_assignment], ids=["python", "sparse"]
+    )
     def test_degenerate_stored_ratios_warn_and_fall_back_evenly(
-        self, diamond_network, diamond_demands, backend, caplog
+        self, diamond_network, diamond_demands, route, caplog
     ):
         """Stored-but-zero ratios are no longer a *silent* renormalisation.
 
@@ -121,22 +124,22 @@ class TestSplitRatioAssignment:
         dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         ratios = {4: {1: {2: 0.0, 3: 0.0}}}
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, diamond_demands, dags, ratios, backend=backend
-            )
+            flows = route(diamond_network, diamond_demands, dags, ratios)
         assert flows.flow_on(1, 2) == pytest.approx(4.0)
         assert flows.flow_on(1, 3) == pytest.approx(4.0)
         warnings = [r for r in caplog.records if "falling back to an even split" in r.message]
         assert len(warnings) == 1
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @pytest.mark.parametrize(
+        "route", [oracle.split_ratio_assignment, split_ratio_assignment], ids=["python", "sparse"]
+    )
     def test_degenerate_ratios_at_unloaded_node_stay_silent(
-        self, diamond_network, backend, caplog
+        self, diamond_network, route, caplog
     ):
         """No traffic through the degenerate node -> no warning (oracle parity).
 
         The oracle only normalises (and hence only warns) for nodes that
-        actually carry load; the sparse backend defers its warning until
+        actually carry load; the kernel defers its warning until
         after propagation for the same reason.
         """
         import logging
@@ -147,15 +150,15 @@ class TestSplitRatioAssignment:
         demands = TrafficMatrix({(2, 4): 5.0})
         ratios = {4: {1: {2: 0.0, 3: 0.0}}}
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, demands, dags, ratios, backend=backend
-            )
+            flows = route(diamond_network, demands, dags, ratios)
         assert flows.flow_on(2, 4) == pytest.approx(5.0)
         assert not caplog.records
 
-    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @pytest.mark.parametrize(
+        "route", [oracle.split_ratio_assignment, split_ratio_assignment], ids=["python", "sparse"]
+    )
     def test_absent_node_ratios_fall_back_silently(
-        self, diamond_network, diamond_demands, backend, caplog
+        self, diamond_network, diamond_demands, route, caplog
     ):
         """Nodes simply missing from the mapping keep the quiet even split.
 
@@ -166,8 +169,6 @@ class TestSplitRatioAssignment:
 
         dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         with caplog.at_level(logging.WARNING, logger="repro.routing.compiled"):
-            flows = split_ratio_assignment(
-                diamond_network, diamond_demands, dags, {4: {}}, backend=backend
-            )
+            flows = route(diamond_network, diamond_demands, dags, {4: {}})
         assert flows.flow_on(1, 2) == pytest.approx(4.0)
         assert not caplog.records

@@ -526,8 +526,7 @@ class TestRunnerIncrementalPath:
         assert incremental_sweep_weights(
             OSPF(weights=invcap_weights(abilene)), abilene
         ) is None
-        # Forced oracle backend declines, as do re-optimising protocols.
-        assert incremental_sweep_weights(OSPF(backend="python"), abilene) is None
+        # Re-optimising protocols decline.
         assert incremental_sweep_weights(PEFT(), abilene) is None
         assert incremental_sweep_weights(FortzThorup(), abilene) is None
         assert incremental_sweep_weights(None, abilene) is None
@@ -539,7 +538,6 @@ class TestRunnerIncrementalPath:
         assert incremental_sweep_capacity_independent(OSPF(weights=mapping), abilene)
         assert incremental_sweep_capacity_independent(MinHopOSPF(), abilene)
         assert not incremental_sweep_capacity_independent(OSPF(), abilene)
-        assert not incremental_sweep_capacity_independent(OSPF(backend="python"), abilene)
         assert not incremental_sweep_capacity_independent(PEFT(), abilene)
         assert not incremental_sweep_capacity_independent(None, abilene)
 
