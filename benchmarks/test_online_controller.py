@@ -117,7 +117,7 @@ def test_incremental_failure_sweep_speedup():
     for _ in range(2):  # best of two: the incremental path is jitter-prone
         start = time.perf_counter()
         controller = TEController(network, demands, weights=weights)
-        measurements = controller.sweep_pure_failures(scenarios)
+        measurements = controller.sweep_scenarios(scenarios)
         incremental_seconds = min(incremental_seconds, time.perf_counter() - start)
 
     residual = max(
@@ -234,7 +234,7 @@ def test_rand500_incremental_sweep_speedup():
     incremental_seconds = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        measurements = controller.sweep_pure_failures(scenarios)
+        measurements = controller.sweep_scenarios(scenarios)
         incremental_seconds = min(incremental_seconds, time.perf_counter() - start)
 
     residual = max(

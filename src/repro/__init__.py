@@ -84,7 +84,7 @@ from .online import (
 )
 from .protocols import OSPF, PEFT, FortzThorup, MinMaxMLU, SPEFProtocol
 from .results import ResultsStore, RunManifest
-from .routing import CompiledDagSet, SparseRouter, batched_link_loads
+from .routing import CompiledDagSet, SparseRouter
 from .scenarios import BatchRunner, ProtocolSpec, Scenario, ScenarioResult
 from .serve import ServeClient, TEServer
 
@@ -105,7 +105,6 @@ __all__ = [
     "traffic",
     "CompiledDagSet",
     "SparseRouter",
-    "batched_link_loads",
     "SPEF",
     "LoadBalanceObjective",
     "SPEFConfig",

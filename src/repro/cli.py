@@ -54,7 +54,6 @@ from .online.events import EventError
 from .results import (
     AGGREGATIONS,
     FORMATS,
-    PNG_BACKENDS,
     PROFILE_SCENARIO,
     VIEW_FILENAMES,
     PerfError,
@@ -737,8 +736,8 @@ def cmd_results_plot(args: argparse.Namespace) -> int:
     print()
     print(render_terminal(series, args.metric))
     if args.png:
-        backend = write_png(args.png, series, args.metric, backend=args.png_backend)
-        print(f"\nwrote {args.png} ({backend} backend)")
+        write_png(args.png, series)
+        print(f"\nwrote {args.png}")
     return 0
 
 
@@ -1144,12 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="split into one series per value of this field, "
                               "e.g. protocol")
     results_plot.add_argument("--png", default=None, metavar="PATH",
-                              help="also write a PNG (matplotlib when available, "
-                              "builtin raster writer otherwise)")
-    results_plot.add_argument("--png-backend", choices=PNG_BACKENDS, default="auto",
-                              help="PNG renderer: auto picks matplotlib when "
-                              "importable; builtin forces the pure-stdlib "
-                              "raster writer (default: auto)")
+                              help="also write a PNG (pure-stdlib raster writer)")
     results_plot.add_argument("--kind", default=None)
     results_plot.add_argument("--benchmark", default=None)
     results_plot.add_argument("--topology", default=None)

@@ -15,8 +15,8 @@ changed — what now?"* with bounded, incremental work:
   per-destination loads, warm-started reoptimization and a binding onto the
   discrete-event simulator.
 
-The scenario runner's single-link-failure sweeps ride
-:func:`sweep_pure_failures` automatically (see
+The scenario runner's failure and brown-out sweeps ride
+:meth:`TEController.sweep_scenarios` automatically (see
 :mod:`repro.scenarios.runner`); ``benchmarks/test_online_controller.py``
 tracks the resulting speedup as the ``BENCH_online.json`` artifact.
 """
@@ -25,8 +25,6 @@ from .controller import (
     ControllerMeasurement,
     ControllerUpdate,
     TEController,
-    sweep_pure_failures,
-    sweep_scenarios,
 )
 from .dspt import DsptStats, DynamicSPT, publish_dspt_counters, snapshot_stats
 from .policy import ClosedLoopPolicy, OraclePolicy, PolicyDecision
@@ -58,7 +56,6 @@ from .events import (
     recovery_events,
     scenario_events,
     scenario_failed_edges,
-    scenario_revert_events,
     to_dict,
     write_event_trace,
 )
@@ -100,9 +97,6 @@ __all__ = [
     "recovery_events",
     "scenario_events",
     "scenario_failed_edges",
-    "scenario_revert_events",
-    "sweep_pure_failures",
-    "sweep_scenarios",
     "to_dict",
     "write_event_trace",
 ]

@@ -24,10 +24,9 @@ network *changes* instead of being re-posed from scratch:
 The controller is deliberately ECMP (even splitting over the equal-cost
 DAGs, i.e. the OSPF data plane): that is the regime where incremental
 shortest paths pay for the whole routing state.  Scenario sweeps use it
-through :func:`sweep_scenarios` — the scenario runner's incremental fast
-path, covering link/node failures, capacity brown-outs and their mixes
-(:func:`sweep_pure_failures` is the validating pure-failure subset); the
-discrete-event simulator replays timed traces through
+through :meth:`TEController.sweep_scenarios` — the scenario runner's
+incremental fast path, covering link/node failures, capacity brown-outs
+and their mixes; the discrete-event simulator replays timed traces through
 :meth:`TEController.bind`, where :mod:`repro.online.policy` closes the
 loop with thresholded warm-started reoptimization.
 """
@@ -58,14 +57,13 @@ from .events import (
     LinkRecovery,
     LinkWeightChange,
     NetworkEvent,
-    failure_events,
     scenario_events,
 )
 
 
 @dataclass
 class ControllerUpdate:
-    """One entry of the controller's event log."""
+    """What one :meth:`TEController.apply` did (its return value)."""
 
     event: NetworkEvent
     #: Destinations whose DAG changed (and were therefore recompiled).
@@ -206,7 +204,6 @@ class TEController:
         self._by_destination: dict[Node, dict[Node, float]] | None = None
         self._router: SparseRouter | None = None
         self._router_dirty: set[Node] = set()
-        self.log: list[ControllerUpdate] = []
         self._sequence = 0
 
     # ------------------------------------------------------------------
@@ -339,7 +336,6 @@ class TEController:
             sequence=self._sequence,
         )
         self._sequence += 1
-        self.log.append(update)
         if telemetry.enabled():
             telemetry.count("controller.event", 1, kind=event.kind)
             telemetry.count("controller.dirtied_destinations", len(affected))
@@ -737,7 +733,7 @@ class TEController:
         )
 
     def set_weights(self, weights: WeightsLike) -> ControllerUpdate:
-        """Install a new weight vector (logged as one bulk event)."""
+        """Install a new weight vector (one bulk event)."""
         start = _time.perf_counter()
         affected = self.spt.set_weights(weights)
         self._invalidate(affected)
@@ -748,7 +744,6 @@ class TEController:
             sequence=self._sequence,
         )
         self._sequence += 1
-        self.log.append(update)
         return update
 
     # ------------------------------------------------------------------
@@ -830,19 +825,6 @@ class TEController:
             publish_dspt_counters(stats_before, self.spt.stats)
         return measurements
 
-    def sweep_pure_failures(
-        self, scenarios: Sequence[Scenario]
-    ) -> list[ControllerMeasurement]:
-        """Pure link/node-failure subset of :meth:`sweep_scenarios`.
-
-        Kept as the narrow entry point: it validates that every scenario
-        really is a pure failure (capacity/demand perturbations raise
-        :class:`~repro.online.events.EventError`) before sweeping.
-        """
-        for scenario in scenarios:
-            failure_events(self.network, scenario)  # validates, result unused
-        return self.sweep_scenarios(scenarios)
-
     def bind(
         self,
         simulator: Simulator,
@@ -865,35 +847,3 @@ class TEController:
             simulator.schedule(event.time, _fire, label=event.kind)
             count += 1
         return count
-
-
-def sweep_scenarios(
-    network: Network,
-    demands: TrafficMatrix,
-    scenarios: Sequence[Scenario],
-    weights: WeightsLike | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[ControllerMeasurement]:
-    """One-shot incremental scenario sweep (builds a controller, sweeps, done).
-
-    The scenario runner's incremental fast path: equivalent (to float
-    round-off on link loads) to applying each scenario from scratch and
-    routing with even-split ECMP under ``weights``, but paying one
-    incremental update per perturbed trunk — capacity brown-outs included —
-    instead of a full per-scenario recompute.
-    """
-    controller = TEController(network, demands, weights=weights, tolerance=tolerance)
-    return controller.sweep_scenarios(scenarios)
-
-
-def sweep_pure_failures(
-    network: Network,
-    demands: TrafficMatrix,
-    scenarios: Sequence[Scenario],
-    weights: WeightsLike | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[ControllerMeasurement]:
-    """One-shot incremental failure sweep (pure-failure subset; see
-    :func:`sweep_scenarios`)."""
-    controller = TEController(network, demands, weights=weights, tolerance=tolerance)
-    return controller.sweep_pure_failures(scenarios)

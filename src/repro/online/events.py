@@ -69,7 +69,7 @@ class NetworkEvent:
 
     ``time`` is the (simulated or wall-clock) timestamp; the controller does
     not interpret it, but the simulator binding schedules on it and the
-    controller log preserves it.
+    :class:`~repro.online.controller.ControllerUpdate` it returns keeps it.
     """
 
     time: float = 0.0
@@ -367,32 +367,6 @@ def scenario_events(
         else:
             capacities.append(CapacityChange(time=time, link=edge, capacity=scaled))
     return failures + capacities
-
-
-def scenario_revert_events(
-    network: Network, events: Sequence[NetworkEvent], time: float = 0.0
-) -> list[NetworkEvent]:
-    """The events that undo an applied :func:`scenario_events` stream.
-
-    Failures revert to :class:`LinkRecovery`; capacity changes revert to a
-    :class:`CapacityChange` back to the base network's configured capacity.
-    """
-    reverted: list[NetworkEvent] = []
-    for event in events:
-        if isinstance(event, LinkFailure):
-            reverted.append(LinkRecovery(time=time, link=event.link))
-        elif isinstance(event, CapacityChange):
-            index = network.link_index(*event.link)
-            reverted.append(
-                CapacityChange(
-                    time=time,
-                    link=event.link,
-                    capacity=float(network.capacities[index]),
-                )
-            )
-        else:
-            raise EventError(f"cannot revert event kind {event.kind!r}")
-    return reverted
 
 
 def failure_events(

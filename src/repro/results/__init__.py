@@ -16,7 +16,7 @@ across runs and PRs:
 * :mod:`~repro.results.formatting` — the shared ``table|csv|json`` row
   renderer behind every ``repro results`` listing (rich optional);
 * :mod:`~repro.results.plotting` — per-metric trendlines over stored runs
-  (terminal sparklines, matplotlib-or-builtin PNG) for ``repro results
+  (terminal sparklines, stdlib-written PNG) for ``repro results
   plot``;
 * :mod:`~repro.results.perf` — span-timing history over ``__profile__``
   records and the median±MAD regression gate behind ``repro results
@@ -48,7 +48,6 @@ from .perf import (
 )
 from .plotting import (
     AGGREGATIONS,
-    PNG_BACKENDS,
     PlotError,
     TrendPoint,
     TrendSeries,
@@ -75,7 +74,6 @@ __all__ = [
     "FORMATS",
     "format_output",
     "AGGREGATIONS",
-    "PNG_BACKENDS",
     "PlotError",
     "TrendPoint",
     "TrendSeries",

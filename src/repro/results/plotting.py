@@ -7,9 +7,8 @@ views.  Rendering is dependency-light:
 
 * the terminal always works: a Unicode sparkline per series plus a
   per-run table (sha, created, value);
-* ``--png`` writes a real image through matplotlib when it is importable,
-  and otherwise through a small pure-stdlib PNG writer (zlib + struct):
-  640x320 8-bit RGB, recessive light-gray axes/gridlines, 2px series
+* ``--png`` writes an image through a small pure-stdlib PNG writer
+  (zlib + struct): 640x320 8-bit RGB, recessive light-gray axes/gridlines, 2px series
   lines with small square markers in a fixed categorical palette.  The
   builtin writer draws no text — the terminal output carries the legend
   and the numbers; the image carries the shape.
@@ -278,9 +277,14 @@ class _Raster:
         )
 
 
-def _write_png_builtin(
-    path: str, series: Sequence[TrendSeries], metric: str
-) -> None:
+def write_png(path: str, series: Sequence[TrendSeries]) -> None:
+    """Write the trend as a PNG through the pure-stdlib raster writer.
+
+    The image is text-free (the terminal output carries the legend and the
+    numbers); raises :class:`PlotError` when there is nothing to plot.
+    """
+    if not series or not any(s.points for s in series):
+        raise PlotError("nothing to plot")
     width, height = 640, 320
     left, right, top, bottom = 48, 16, 16, 32
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -321,74 +325,3 @@ def _write_png_builtin(
             raster.dot(*to_xy(index, value), rgb, radius=3)
     with open(path, "wb") as handle:
         handle.write(raster.encode())
-
-
-#: Accepted ``write_png`` backends (the CLI's ``--png-backend`` choices).
-PNG_BACKENDS = ("auto", "matplotlib", "builtin")
-
-
-def write_png(
-    path: str,
-    series: Sequence[TrendSeries],
-    metric: str,
-    backend: str = "auto",
-) -> str:
-    """Write the trend as a PNG; returns the backend used.
-
-    ``backend="auto"`` (the default) uses matplotlib (Agg backend, full
-    axes/labels/legend) when it is importable and the text-free builtin
-    raster writer otherwise; ``"matplotlib"`` and ``"builtin"`` force one
-    side — forcing matplotlib on a matplotlib-free interpreter raises
-    :class:`PlotError`, and forcing builtin is how CI exercises the
-    stdlib raster path on images where matplotlib is installed.
-    """
-    if backend not in PNG_BACKENDS:
-        raise PlotError(
-            f"unknown png backend {backend!r}; known: {', '.join(PNG_BACKENDS)}"
-        )
-    if not series or not any(s.points for s in series):
-        raise PlotError("nothing to plot")
-    if backend == "builtin":
-        _write_png_builtin(path, series, metric)
-        return "builtin"
-    try:
-        import matplotlib
-    except ImportError:
-        if backend == "matplotlib":
-            raise PlotError(
-                "matplotlib backend requested but matplotlib is not importable"
-            ) from None
-        _write_png_builtin(path, series, metric)
-        return "builtin"
-    matplotlib.use("Agg", force=False)
-    import matplotlib.pyplot as plt
-
-    figure, axes = plt.subplots(figsize=(8, 4), dpi=100)
-    for position, s in enumerate(series):
-        color = PALETTE[position % len(PALETTE)]
-        axes.plot(
-            range(len(s.values)),
-            s.values,
-            color=color,
-            linewidth=2,
-            marker="o",
-            markersize=4,
-            label=s.label or metric,
-        )
-    axes.set_xticks(range(max(len(s.values) for s in series)))
-    axes.set_xticklabels(
-        [point.git_sha[:7] for point in max(series, key=lambda s: len(s.points)).points],
-        rotation=45,
-        ha="right",
-        fontsize=8,
-    )
-    axes.set_ylabel(metric)
-    axes.grid(True, axis="y", color="#e3e3e3", linewidth=0.8)
-    for side in ("top", "right"):
-        axes.spines[side].set_visible(False)
-    if len(series) > 1:
-        axes.legend(frameon=False, fontsize=9)
-    figure.tight_layout()
-    figure.savefig(path)
-    plt.close(figure)
-    return "matplotlib"

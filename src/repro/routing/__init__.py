@@ -11,8 +11,7 @@ destinations and demand matrices at once.
 * :class:`CompiledDagSet` compiles a ``{destination: dag}`` mapping lazily
   and routes many demand matrices or ratio settings against it;
 * :class:`SparseRouter` owns one weight setting end to end and routes whole
-  demand ensembles in one stacked propagation;
-* :func:`batched_link_loads` is the one-shot form of the latter.
+  demand ensembles in one stacked propagation.
 
 The dict-loop reference implementation lives in ``tests/routing_oracle.py``;
 ``tests/test_routing_equivalence.py`` checks the kernel against it to 1e-9
@@ -22,12 +21,11 @@ The dict-loop reference implementation lives in ``tests/routing_oracle.py``;
 from __future__ import annotations
 
 from .compiled import CompiledDag, warn_degenerate_split
-from .sparse import CompiledDagSet, SparseRouter, batched_link_loads
+from .sparse import CompiledDagSet, SparseRouter
 
 __all__ = [
     "CompiledDag",
     "CompiledDagSet",
     "SparseRouter",
-    "batched_link_loads",
     "warn_degenerate_split",
 ]

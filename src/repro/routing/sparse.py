@@ -294,23 +294,3 @@ class SparseRouter:
         destinations = _destinations(matrices)
         self._ensure_dags(destinations)
         return self._set._loads_many(matrices, destinations, self.mode, split_ratios)
-
-
-def batched_link_loads(
-    network: Network,
-    matrices: Sequence[TrafficMatrix],
-    weights: WeightsLike,
-    *,
-    mode: str = "ecmp",
-    tolerance: float = DEFAULT_TOLERANCE,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
-    split_ratios: SplitRatios | None = None,
-) -> np.ndarray:
-    """One-shot batched evaluation: ``(m, num_links)`` loads for an ensemble.
-
-    Convenience wrapper around :class:`SparseRouter` for callers that do not
-    keep the router around (the DAGs are still compiled only once *within*
-    the call, which is where the ensemble speedup comes from).
-    """
-    router = SparseRouter(network, weights=weights, dags=dags, mode=mode, tolerance=tolerance)
-    return router.link_loads_many(matrices, split_ratios=split_ratios)

@@ -46,7 +46,6 @@ from .runner import (
     default_cache_dir,
     evaluate_scenario,
     evaluate_scenarios,
-    incremental_sweep_weights,
     register_protocol,
 )
 from .scenario import (
@@ -85,7 +84,6 @@ __all__ = [
     "default_cache_dir",
     "evaluate_scenario",
     "evaluate_scenarios",
-    "incremental_sweep_weights",
     "cvar",
     "distribution_summary",
     "group_by_protocol",

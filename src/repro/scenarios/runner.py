@@ -12,12 +12,14 @@ module provides the machinery to run that batch fast and repeatably:
   keyed by ``sha256(topology, demands, scenario, protocol)``; repeated sweeps
   (the common case while exploring) skip straight to cache hits.
 * :class:`BatchRunner` — chunked dispatch over a ``ProcessPoolExecutor``
-  with a serial fast path, cache-aware scheduling (hits never reach a
-  worker) and per-run statistics.
+  (or, serially, the same chunks through the built-in ``map``),
+  cache-aware scheduling (hits never reach a worker) and per-run
+  statistics.
 
-Worker payloads are ``(network, demands, scenarios, spec)`` tuples; the
-scenario is applied *inside* the worker so only the small base instance and
-the declarative scenarios cross the process boundary.
+Worker payloads carry the base instance, a chunk of declarative scenarios,
+one spec and that spec's probed :class:`_SweepPlan`; the scenario is
+applied *inside* the worker so only the small base instance and the
+declarative scenarios cross the process boundary.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
@@ -37,6 +40,7 @@ import numpy as np
 from ..core.objectives import normalized_utility
 from ..network.demands import TrafficMatrix
 from ..network.graph import Network
+from ..network.spt import DEFAULT_TOLERANCE, as_weight_vector, validate_weights
 from ..obs import telemetry
 from ..protocols.base import RoutingProtocol
 from ..protocols.fortz_thorup import FortzThorup
@@ -44,7 +48,14 @@ from ..protocols.minmax_mlu import MinMaxMLU
 from ..protocols.ospf import OSPF, MinHopOSPF
 from ..protocols.peft import PEFT
 from ..protocols.spef_protocol import SPEFProtocol
-from .scenario import Scenario, ScenarioInstance, _sha256, demands_fingerprint, network_fingerprint
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    ScenarioInstance,
+    _sha256,
+    demands_fingerprint,
+    network_fingerprint,
+)
 
 
 class RunnerError(ValueError):
@@ -290,40 +301,54 @@ def _result_from_loads(
     )
 
 
-def incremental_sweep_weights(
-    protocol: RoutingProtocol | None, network: Network
-) -> np.ndarray | None:
-    """The weight vector an incremental failure sweep should use, or ``None``.
+@dataclass
+class _SweepPlan:
+    """What one probe of a spec's protocol hooks found (picklable).
 
-    Wraps :meth:`RoutingProtocol.ecmp_forwarding_weights` defensively: a
-    protocol that cannot (or declines to) expose demand-independent ECMP
-    weights simply keeps the cold per-cell path.
+    ``weights`` are the validated even-ECMP weights the incremental sweep
+    holds fixed (``None``: the spec cannot sweep), ``tolerance`` the ECMP
+    cost tolerance, ``capacity_independent`` whether those weights survive
+    capacity scaling, and ``batchable`` whether demand-only scenarios can
+    share one :meth:`RoutingProtocol.batch_link_loads` call.
     """
-    if protocol is None:
-        return None
-    try:
-        return protocol.ecmp_forwarding_weights(network)
-    except Exception:  # noqa: BLE001 - a broken hook means "cannot sweep"
-        return None
+
+    weights: np.ndarray | None = None
+    tolerance: float = DEFAULT_TOLERANCE
+    capacity_independent: bool = False
+    batchable: bool = False
 
 
-def incremental_sweep_capacity_independent(
-    protocol: RoutingProtocol | None, network: Network
-) -> bool:
-    """True when the protocol's sweep weights ignore link capacities.
+def _probe(spec: ProtocolSpec, network: Network) -> _SweepPlan:
+    """Call each protocol hook the fast paths depend on, once per spec.
 
-    Capacity-degradation scenarios may only ride the incremental sweep for
-    such protocols: capacity-derived defaults (Cisco InvCap) re-derive
-    different weights on the degraded instance, so the cold and incremental
-    paths would legitimately route differently.  Defensive like
-    :func:`incremental_sweep_weights`: a broken hook means "not independent".
+    Protocol code is the one foreign boundary of the sweep: a hook that
+    raises (or hands back weights that do not fit ``network``) only turns
+    its fast path off, and :func:`evaluate_scenario` reports any real
+    error per cell.
     """
-    if protocol is None:
-        return False
+    plan = _SweepPlan()
     try:
-        return bool(protocol.capacity_independent_forwarding(network))
+        protocol = spec.build()
+    except Exception:  # noqa: BLE001 - reported per cell by evaluate_scenario
+        return plan
+    try:
+        weights = protocol.ecmp_forwarding_weights(network)
+        if weights is not None:
+            plan.weights = as_weight_vector(network, weights)
+            validate_weights(plan.weights)
+            plan.tolerance = float(getattr(protocol, "ecmp_tolerance", DEFAULT_TOLERANCE))
     except Exception:  # noqa: BLE001 - a broken hook means "cannot sweep"
-        return False
+        plan.weights = None
+    try:
+        plan.capacity_independent = bool(protocol.capacity_independent_forwarding(network))
+    except Exception:  # noqa: BLE001 - a broken hook means "not independent"
+        plan.capacity_independent = False
+    try:
+        # Batchable protocols return an empty array for an empty ensemble.
+        plan.batchable = protocol.batch_link_loads(network, []) is not None
+    except Exception:  # noqa: BLE001 - a broken probe means "cannot batch"
+        plan.batchable = False
+    return plan
 
 
 def _incremental_eligible(scenario: Scenario, capacity_independent: bool = False) -> bool:
@@ -332,7 +357,7 @@ def _incremental_eligible(scenario: Scenario, capacity_independent: bool = False
     Pure link/node failures are always eligible; scenarios carrying capacity
     factors additionally require the protocol's forwarding weights to be
     capacity-independent (see
-    :func:`incremental_sweep_capacity_independent`).  A pure function of
+    :meth:`RoutingProtocol.capacity_independent_forwarding`).  A pure function of
     ``(spec, scenario)`` — never of cache state or chunking — so the
     route-flagged cache keys stay stable across runs.
     """
@@ -407,11 +432,12 @@ def evaluate_scenarios(
     Everything else -- demand+topology compounds, per-cell errors,
     protocols that re-optimise per matrix -- falls back to
     :func:`evaluate_scenario`, preserving its per-cell error isolation
-    exactly.
+    exactly.  Only protocol code is guarded: a failure inside the
+    controller sweep is a bug and propagates.
 
     ``controller_params`` (``max_affected_fraction``, ``verify``) tune the
     incremental sweep's :class:`~repro.online.TEController`.  They never
-    change the *numbers* — every fallback is cold-identical — only how much
+    change the *numbers* -- every path is cold-equivalent -- only how much
     incremental work is attempted, so they stay out of the cache keys.
 
     ``baseline`` is an optional
@@ -420,52 +446,51 @@ def evaluate_scenarios(
     adopts the compiled per-destination state instead of re-running a cold
     Dijkstra per destination, and even a lone eligible scenario rides the
     incremental path (without a baseline a lone candidate is cheaper cold).
-    Adoption is best-effort — a mismatched or unusable snapshot falls back
-    to a locally built controller.
+    A snapshot whose demands or weights do not match raises
+    :class:`RunnerError`.
     """
+    return _evaluate_planned(
+        network, demands, scenarios, spec, _probe(spec, network), controller_params, baseline
+    )
+
+
+def _evaluate_planned(
+    network: Network,
+    demands: TrafficMatrix,
+    scenarios: Sequence[Scenario],
+    spec: ProtocolSpec,
+    plan: _SweepPlan,
+    controller_params: dict[str, object] | None,
+    baseline: object | None,
+) -> list[ScenarioResult]:
+    """:func:`evaluate_scenarios` with the spec's :func:`_probe` already done."""
     scenarios = list(scenarios)
     results: list[ScenarioResult | None] = [None] * len(scenarios)
 
-    try:
-        probe: RoutingProtocol | None = spec.build()
-    except Exception:  # noqa: BLE001 - reported per cell by evaluate_scenario
-        probe = None
-
     batchable: list[int] = []
     instances: dict[int, ScenarioInstance] = {}
-    batch_protocol = probe
-    if batch_protocol is not None and len(scenarios) > 1:
-        # Probe with an empty ensemble: non-batchable protocols return None
-        # and we skip the (scenario.apply) scan entirely rather than
-        # materialising every demand-only instance twice.
-        try:
-            if batch_protocol.batch_link_loads(network, []) is None:
-                batch_protocol = None
-        except Exception:  # noqa: BLE001 - treat a broken probe as non-batchable
-            batch_protocol = None
-    if batch_protocol is not None and len(scenarios) > 1:
+    if plan.batchable and len(scenarios) > 1:
         for index, scenario in enumerate(scenarios):
             if scenario.perturbs_topology():
                 continue
             try:
                 instance = scenario.apply(network, demands)
-            except Exception:  # noqa: BLE001 - re-applied (and reported) per cell
-                continue
+            except ScenarioError:
+                continue  # re-applied (and reported) per cell
             if len(instance.demands) == 0:
                 continue  # the empty-workload shortcut stays on the per-cell path
             instances[index] = instance
             batchable.append(index)
 
     if len(batchable) > 1:
-        loads: np.ndarray | None = None
-        elapsed = 0.0
         try:
+            protocol = spec.build()
             start = time.perf_counter()
-            loads = batch_protocol.batch_link_loads(
+            loads = protocol.batch_link_loads(
                 network, [instances[index].demands for index in batchable]
             )
             elapsed = time.perf_counter() - start
-        except Exception:  # noqa: BLE001 - batch is best-effort, fall back per cell
+        except Exception:  # noqa: BLE001 - protocol code: batch is best-effort, go per cell
             loads = None
         if loads is not None and np.shape(loads) != (len(batchable), network.num_links):
             # A wrong-shaped return from a user-registered protocol must not
@@ -479,23 +504,21 @@ def evaluate_scenarios(
                     scenarios[index], spec, instances[index], loads[row], capacities, per_cell
                 )
 
-    sweep_weights = incremental_sweep_weights(probe, network)
-    if sweep_weights is not None and len(demands):
+    if plan.weights is not None and len(demands):
         from ..online.controller import TEController
-        from ..online.events import scenario_events
+        from ..online.events import EventError, scenario_events
 
-        capacity_independent = incremental_sweep_capacity_independent(probe, network)
         candidates: list[int] = []
         for index, scenario in enumerate(scenarios):
             if results[index] is not None or not _incremental_eligible(
-                scenario, capacity_independent
+                scenario, plan.capacity_independent
             ):
                 continue
             try:
                 # Scenarios built for another topology fail loudly here and
                 # keep the per-cell path, which reports the error in-result.
                 scenario_events(network, scenario)
-            except Exception:  # noqa: BLE001
+            except EventError:
                 continue
             candidates.append(index)
         # A lone candidate is cheaper cold only when the controller must be
@@ -504,48 +527,37 @@ def evaluate_scenarios(
         # demand-batch path's > 1 guard).  With a shared baseline snapshot
         # adoption is cheap, so even one candidate rides incrementally.
         if len(candidates) > 1 or (candidates and baseline is not None):
-            try:
-                start = time.perf_counter()
-                controller = None
-                if (
-                    baseline is not None
-                    and getattr(baseline, "demands", None) == dict(demands.items())
-                    and np.array_equal(getattr(baseline, "weights", None), sweep_weights)
-                ):
-                    try:
-                        controller = TEController.from_snapshot(
-                            network,
-                            baseline,
-                            verify=bool((controller_params or {}).get("verify", False)),
-                        )
-                    except Exception:  # noqa: BLE001 - bad snapshot: build locally
-                        controller = None
-                if controller is None:
-                    controller = TEController(
-                        network,
-                        demands,
-                        weights=sweep_weights,
-                        tolerance=getattr(probe, "ecmp_tolerance", 1e-9),
-                        **(controller_params or {}),
-                    )
-                construction = time.perf_counter() - start
-                start = time.perf_counter()
-                measurements = controller.sweep_scenarios(
-                    [scenarios[index] for index in candidates]
+            params = controller_params or {}
+            if baseline is not None and (
+                baseline.demands != dict(demands.items())  # type: ignore[attr-defined]
+                or not np.array_equal(baseline.weights, plan.weights)  # type: ignore[attr-defined]
+            ):
+                raise RunnerError(
+                    f"baseline snapshot does not match the demands or the "
+                    f"{spec.display_name} weights of this sweep"
                 )
-                elapsed = time.perf_counter() - start
-            except Exception:  # noqa: BLE001 - best-effort, fall back per cell
-                measurements = None
-            if measurements is not None:
-                # Construction is the sweep's one-off amortised cost; charge
-                # it to `setup_runtime`, not `runtime`, so a cell's runtime
-                # measures the same thing on both evaluation paths.
-                per_cell = elapsed / len(candidates)
-                per_cell_setup = construction / len(candidates)
-                for index, measurement in zip(candidates, measurements, strict=True):
-                    results[index] = _result_from_measurement(
-                        scenarios[index], spec, measurement, per_cell, per_cell_setup
-                    )
+            start = time.perf_counter()
+            if baseline is None:
+                controller = TEController(
+                    network, demands, weights=plan.weights, tolerance=plan.tolerance, **params
+                )
+            else:
+                controller = TEController.from_snapshot(
+                    network, baseline, verify=bool(params.get("verify", False))  # type: ignore[arg-type]
+                )
+            construction = time.perf_counter() - start
+            start = time.perf_counter()
+            measurements = controller.sweep_scenarios([scenarios[index] for index in candidates])
+            elapsed = time.perf_counter() - start
+            # Construction is the sweep's one-off amortised cost; charge it
+            # to `setup_runtime`, not `runtime`, so a cell's runtime
+            # measures the same thing on both evaluation paths.
+            per_cell = elapsed / len(candidates)
+            per_cell_setup = construction / len(candidates)
+            for index, measurement in zip(candidates, measurements, strict=True):
+                results[index] = _result_from_measurement(
+                    scenarios[index], spec, measurement, per_cell, per_cell_setup
+                )
 
     for index, scenario in enumerate(scenarios):
         if results[index] is None:
@@ -559,53 +571,36 @@ def _evaluate_chunk(
         TrafficMatrix,
         list[Scenario],
         ProtocolSpec,
+        _SweepPlan,
         dict[str, object] | None,
         object | None,
+        bool,
     ],
 ) -> tuple[list[ScenarioResult], dict[str, object] | None]:
-    """Worker entry point: evaluate a chunk of scenarios for one protocol.
+    """Evaluate a chunk of scenarios for one protocol (the unit of dispatch).
 
-    Returns ``(results, telemetry_snapshot)``.  When the parent run has
-    telemetry active (``options["telemetry"]``), the worker activates a
-    fresh registry around its chunk and ships the picklable snapshot back
-    for the parent to :meth:`~repro.obs.TelemetryRegistry.merge`; otherwise
-    the snapshot slot is ``None``.  ``baseline`` (the last payload slot) is
-    the parent's shared :class:`~repro.online.controller.ControllerBaseline`
-    for incremental-sweep specs, or ``None``.
+    Returns ``(results, telemetry_snapshot)``.  The last payload slot is set
+    when the chunk runs in a pool worker under a traced parent: the chunk
+    then records into a fresh registry and ships its picklable snapshot back
+    for the parent to :meth:`~repro.obs.TelemetryRegistry.merge`.  Serial
+    chunks run in the parent's process and record straight into its active
+    registry, so their snapshot slot is ``None``.  ``baseline`` is the
+    parent's shared :class:`~repro.online.controller.ControllerBaseline` for
+    incremental-sweep specs, or ``None``.
     """
-    network, demands, scenarios, spec, options, baseline = payload
-    options = options or {}
-    controller_params = options.get("controller")  # type: ignore[assignment]
-    if not options.get("telemetry"):
-        return (
-            evaluate_scenarios(
-                network,
-                demands,
-                scenarios,
-                spec,
-                controller_params=controller_params,
-                baseline=baseline,
-            ),
-            None,
-        )
-    registry = telemetry.activate(
-        telemetry.TelemetryRegistry(label=f"worker-{os.getpid()}")
-    )
-    try:
-        with telemetry.span(
-            "runner.chunk", protocol=spec.display_name, scenarios=len(scenarios)
-        ):
-            results = evaluate_scenarios(
-                network,
-                demands,
-                scenarios,
-                spec,
-                controller_params=controller_params,
-                baseline=baseline,
+    network, demands, scenarios, spec, plan, controller_params, baseline, traced = payload
+
+    def evaluate() -> list[ScenarioResult]:
+        with telemetry.span("runner.chunk", protocol=spec.display_name, scenarios=len(scenarios)):
+            return _evaluate_planned(
+                network, demands, scenarios, spec, plan, controller_params, baseline
             )
-        return results, registry.snapshot()
-    finally:
-        telemetry.deactivate()
+
+    if not traced:
+        return evaluate(), None
+    with telemetry.session(label=f"worker-{os.getpid()}") as registry:
+        results = evaluate()
+    return results, registry.snapshot()
 
 
 def _telemetry_summary_record(
@@ -698,35 +693,21 @@ class ResultCache:
     def key(
         network_fp: str,
         demands_fp: str,
-        scenario: Scenario,
-        spec: ProtocolSpec,
-        flags: dict[str, object] | None = None,
-    ) -> str:
-        return ResultCache.key_from_fingerprints(
-            network_fp, demands_fp, scenario.fingerprint(), spec.fingerprint(), flags
-        )
-
-    @staticmethod
-    def key_from_fingerprints(
-        network_fp: str,
-        demands_fp: str,
         scenario_fp: str,
         protocol_fp: str,
         flags: dict[str, object] | None = None,
     ) -> str:
-        """Cache key from precomputed fingerprints (the batch fast path).
+        """Cache key of one cell from its four fingerprints.
 
         ``flags`` partitions cells by their *designated* evaluation path
         (currently ``{"route": "incremental"}`` for cells eligible for the
         online controller's failure sweep) — a pure function of
         ``(spec, scenario)``, never of cache state or chunking, so keys are
         stable across runs.  Incremental-path and cold-path entries thus
-        never share a key; the residual overlaps — the best-effort fallback
-        (a controller failure mid-sweep re-evaluates the cell cold under
-        its incremental key) and lone-candidate chunks (one eligible
-        scenario is cheaper cold) — are safe because every configuration
-        that flags incremental is result-equivalent on both paths
-        (equivalence-tested to 1e-9).
+        never share a key; the residual overlap — lone-candidate chunks (one
+        eligible scenario without a shared baseline is cheaper cold) — is
+        safe because every configuration that flags incremental is
+        result-equivalent on both paths (equivalence-tested to 1e-9).
         """
         from .. import __version__
 
@@ -828,13 +809,14 @@ class BatchRunner:
         Directory of the on-disk result cache; ``None`` uses
         :func:`default_cache_dir`, ``False`` disables caching entirely.
     max_workers:
-        Process pool size.  ``0`` or ``1`` evaluates serially in-process
-        (no pool overhead — the right choice for small batches and tests);
-        ``None`` uses ``os.cpu_count()``.
+        Process pool size.  ``0`` or ``1`` runs the same chunked pipeline
+        in-process, one chunk per protocol, without a pool (no pool
+        overhead — the right choice for small batches and tests); ``None``
+        uses ``os.cpu_count()``.
     chunk_size:
-        Scenarios per worker task.  ``None`` auto-sizes to about four
-        chunks per worker, which amortises dispatch overhead while keeping
-        the pool load-balanced when scenario costs vary.
+        Scenarios per worker task of a pooled run.  ``None`` auto-sizes to
+        about four chunks per worker, which amortises dispatch overhead
+        while keeping the pool load-balanced when scenario costs vary.
     results_store:
         A :class:`repro.results.ResultsStore` (or a path to one) to record
         every :meth:`run` into: a manifest (git sha, topology, protocols,
@@ -903,46 +885,32 @@ class BatchRunner:
         # Fingerprints are hashed once per scenario/spec, not once per cell.
         scenario_fps = [scenario.fingerprint() for scenario in scenarios]
         spec_fps = [spec.fingerprint() for spec in specs]
-        # Which specs can ride the incremental sweep: their eligible cells
-        # get a route flag in the cache key, so incremental and cold results
-        # never share an entry.  Eligibility is a pure function of
-        # (spec, scenario) — never of which other cells hit the cache — so
-        # keys are stable across runs and chunkings.  Capacity-bearing
-        # scenarios additionally require capacity-independent weights.
-        incremental_spec = []
-        cap_independent_spec = []
-        spec_sweep_weights: list[np.ndarray | None] = []
-        spec_tolerance: list[float] = []
-        for spec in specs:
-            try:
-                probe = spec.build()
-            except Exception:  # noqa: BLE001 - broken specs error per cell
-                probe = None
-            sweep_weights = incremental_sweep_weights(probe, network)
-            spec_sweep_weights.append(sweep_weights)
-            spec_tolerance.append(float(getattr(probe, "ecmp_tolerance", 1e-9)))
-            incremental_spec.append(sweep_weights is not None)
-            cap_independent_spec.append(
-                incremental_sweep_capacity_independent(probe, network)
-            )
+        # One probe per spec decides its fast paths.  Specs that can ride
+        # the incremental sweep give their eligible cells a route flag in
+        # the cache key, so incremental and cold results never share an
+        # entry.  Eligibility is a pure function of (spec, scenario) — never
+        # of which other cells hit the cache — so keys are stable across
+        # runs and chunkings.  Capacity-bearing scenarios additionally
+        # require capacity-independent weights.
+        plans = [_probe(spec, network) for spec in specs]
 
         def cell_incremental(si: int, ci: int) -> bool:
-            return incremental_spec[si] and _incremental_eligible(
-                scenarios[ci], cap_independent_spec[si]
+            return plans[si].weights is not None and _incremental_eligible(
+                scenarios[ci], plans[si].capacity_independent
             )
 
         # Resolve cache hits up front so only misses reach the pool.
         results: dict[tuple[int, int], ScenarioResult] = {}
         misses: list[tuple[int, int]] = []
         keys: dict[tuple[int, int], str] = {}
-        for si, _spec in enumerate(specs):
-            for ci, _scenario in enumerate(scenarios):
+        for si in range(len(specs)):
+            for ci in range(len(scenarios)):
                 cell = (si, ci)
                 if self.cache is not None:
                     flags = (
                         {"route": "incremental"} if cell_incremental(si, ci) else None
                     )
-                    key = ResultCache.key_from_fingerprints(
+                    key = ResultCache.key(
                         network_fp, demands_fp, scenario_fps[ci], spec_fps[si], flags
                     )
                     keys[cell] = key
@@ -968,87 +936,57 @@ class BatchRunner:
             telemetry.count("runner.cells", stats.cache_hits, outcome="cache-hit")
             telemetry.count("runner.cells", len(misses), outcome="evaluated")
         if misses:
-            options: dict[str, object] | None = None
-            if controller_params or telemetry.enabled():
-                options = {
-                    "controller": controller_params,
-                    "telemetry": telemetry.enabled(),
-                }
-            if workers <= 1:
-                # Serial path: group by protocol so demand-only scenarios can
-                # share one compiled weight setting (see evaluate_scenarios).
-                by_spec: dict[int, list[tuple[int, int]]] = {}
-                for cell in misses:
-                    by_spec.setdefault(cell[0], []).append(cell)
-                for si, cells in by_spec.items():
-                    with telemetry.span(
-                        "runner.chunk",
-                        protocol=specs[si].display_name,
-                        scenarios=len(cells),
-                    ):
-                        chunk_results = evaluate_scenarios(
-                            network,
-                            demands,
-                            [scenarios[ci] for _, ci in cells],
-                            specs[si],
-                            controller_params=controller_params,
-                        )
-                    for cell, result in zip(cells, chunk_results, strict=True):
-                        results[cell] = result
-            else:
+            if workers > 1:
                 # Build the compiled baseline once in the parent for every
                 # incremental-sweep spec whose shards would otherwise each
                 # pay a cold all-destination controller build; workers adopt
                 # the pickled snapshot via TEController.from_snapshot.
+                # Serial chunks build their controller in-process: a fresh
+                # build is cheaper than snapshot plus adoption.
                 from ..online.controller import TEController
 
                 for si, cells in designated.items():
                     if len(cells) < 2:
-                        continue  # a lone cell is cheaper cold (serial parity)
+                        continue  # a lone cell is cheaper cold
                     start_setup = time.perf_counter()
-                    try:
-                        with telemetry.span(
-                            "runner.baseline", protocol=specs[si].display_name
-                        ):
-                            controller = TEController(
-                                network,
-                                demands,
-                                weights=spec_sweep_weights[si],
-                                tolerance=spec_tolerance[si],
-                                **(controller_params or {}),
-                            )
-                            baselines[si] = controller.snapshot()
-                    except Exception:  # noqa: BLE001 - workers then build locally
-                        baselines.pop(si, None)
+                    with telemetry.span("runner.baseline", protocol=specs[si].display_name):
+                        baselines[si] = TEController(
+                            network,
+                            demands,
+                            weights=plans[si].weights,
+                            tolerance=plans[si].tolerance,
+                            **(controller_params or {}),
+                        ).snapshot()
                     parent_setup[si] = time.perf_counter() - start_setup
-                chunks = self._chunk(
-                    misses,
-                    workers,
-                    sharded_specs={
-                        si for si in range(len(specs)) if incremental_spec[si]
-                    },
+            sweepable = {si for si, plan in enumerate(plans) if plan.weights is not None}
+            chunks = self._chunk(misses, workers, sweepable)
+            stats.chunks = len(chunks)
+            # Pool workers under a traced parent record into their own
+            # registry (merged back below); serial chunks record directly.
+            traced = workers > 1 and telemetry.enabled()
+            payloads = [
+                (
+                    network,
+                    demands,
+                    [scenarios[ci] for _, ci in chunk],
+                    specs[chunk[0][0]],
+                    plans[chunk[0][0]],
+                    controller_params,
+                    baselines.get(chunk[0][0]),
+                    traced,
                 )
-                stats.chunks = len(chunks)
-                payloads = [
-                    (
-                        network,
-                        demands,
-                        [scenarios[ci] for _, ci in chunk],
-                        specs[chunk[0][0]],
-                        options,
-                        baselines.get(chunk[0][0]),
-                    )
-                    for chunk in chunks
-                ]
-                registry = telemetry.get()
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for chunk, (chunk_results, snapshot) in zip(
-                        chunks, pool.map(_evaluate_chunk, payloads), strict=True
-                    ):
-                        for cell, result in zip(chunk, chunk_results, strict=True):
-                            results[cell] = result
-                        if registry is not None and snapshot is not None:
-                            registry.merge(snapshot)
+                for chunk in chunks
+            ]
+            registry = telemetry.get()
+            with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+                dispatch = map if pool is None else pool.map
+                for chunk, (chunk_results, snapshot) in zip(
+                    chunks, dispatch(_evaluate_chunk, payloads), strict=True
+                ):
+                    for cell, result in zip(chunk, chunk_results, strict=True):
+                        results[cell] = result
+                    if registry is not None and snapshot is not None:
+                        registry.merge(snapshot)
             # Fair setup amortisation: chunk-side controller construction is
             # already charged to the cells it served; the parent's
             # shared-baseline build is spread evenly across the spec's
@@ -1162,26 +1100,29 @@ class BatchRunner:
         self,
         misses: list[tuple[int, int]],
         workers: int,
-        sharded_specs: set | None = None,
+        sharded_specs: set[int],
     ) -> list[list[tuple[int, int]]]:
         """Split misses into per-protocol chunks of roughly equal size.
 
-        Chunks never mix protocols so each worker payload carries exactly
-        one spec; within a protocol, chunk size defaults to ~4 chunks per
+        Chunks never mix protocols so each payload carries exactly one spec.
+        A serial run (``workers <= 1``) gets one chunk per spec: there is no
+        pool to balance.  Otherwise chunk size defaults to ~4 chunks per
         worker for load balancing.  Specs in ``sharded_specs`` (those that
         can ride the incremental controller sweep) instead get exactly one
-        chunk per worker: every chunk builds its own controller — the
-        sweep's amortised one-off cost — so fewer, larger shards beat finer
-        load balancing.
+        chunk per worker: every chunk adopts or builds its own controller —
+        the sweep's amortised one-off cost — so fewer, larger shards beat
+        finer load balancing.
         """
         by_spec: dict[int, list[tuple[int, int]]] = {}
         for cell in misses:
             by_spec.setdefault(cell[0], []).append(cell)
         chunks: list[list[tuple[int, int]]] = []
         for si, cells in by_spec.items():
-            if self.chunk_size:
+            if workers <= 1:
+                size = len(cells)
+            elif self.chunk_size:
                 size = self.chunk_size
-            elif sharded_specs and si in sharded_specs:
+            elif si in sharded_specs:
                 size = max(1, math.ceil(len(cells) / workers))
             else:
                 size = max(1, math.ceil(len(cells) / (workers * 4)))

@@ -551,22 +551,8 @@ def test_results_plot_terminal_and_png(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "max_utilization" in out and "n=2" in out
+    assert f"wrote {png_path}" in out
     assert png_path.read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
-
-    # --png-backend builtin forces the stdlib raster writer regardless of
-    # whether matplotlib is importable.
-    builtin_path = tmp_path / "trend-builtin.png"
-    code = run_cli(
-        "results", "plot",
-        "--metric", "max_utilization",
-        "--agg", "max",
-        "--png", str(builtin_path),
-        "--png-backend", "builtin",
-        "--store", str(store_path),
-    )
-    assert code == 0
-    assert "(builtin backend)" in capsys.readouterr().out
-    assert builtin_path.read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
     code = run_cli(
         "results", "plot", "--metric", "not_a_metric", "--store", str(store_path)
@@ -575,31 +561,20 @@ def test_results_plot_terminal_and_png(tmp_path, capsys):
     assert "no numeric values" in capsys.readouterr().err
 
 
-def test_write_png_backend_validation(tmp_path, monkeypatch):
-    import builtins
-
+def test_write_png_rejects_empty_series(tmp_path):
     from repro.results.plotting import PlotError, TrendPoint, TrendSeries, write_png
 
+    with pytest.raises(PlotError, match="nothing to plot"):
+        write_png(str(tmp_path / "empty.png"), [])
+    with pytest.raises(PlotError, match="nothing to plot"):
+        write_png(str(tmp_path / "empty.png"), [TrendSeries(label="s", points=[])])
+    assert not (tmp_path / "empty.png").exists()
     series = [TrendSeries(label="s", points=[
         TrendPoint(run_id="r1", created_at="t1", git_sha="sha", value=1.0),
         TrendPoint(run_id="r2", created_at="t2", git_sha="sha", value=2.0),
     ])]
-    with pytest.raises(PlotError, match="unknown png backend"):
-        write_png(str(tmp_path / "x.png"), series, "m", backend="gnuplot")
-    # Pretend matplotlib is uninstallable: forcing it is an error, auto
-    # falls back to the stdlib raster path.
-    real_import = builtins.__import__
-
-    def no_matplotlib(name, *args, **kwargs):
-        if name.startswith("matplotlib"):
-            raise ImportError("matplotlib disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_matplotlib)
-    with pytest.raises(PlotError, match="matplotlib is not importable"):
-        write_png(str(tmp_path / "x.png"), series, "m", backend="matplotlib")
-    assert write_png(str(tmp_path / "auto.png"), series, "m") == "builtin"
-    assert (tmp_path / "auto.png").read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
+    write_png(str(tmp_path / "trend.png"), series)
+    assert (tmp_path / "trend.png").read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
 
 def test_results_format_flags(seeded_store, capsys):

@@ -28,7 +28,7 @@ from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
 from repro.network.spt import UnreachableError, all_shortest_path_dags
-from repro.routing import SparseRouter, batched_link_loads
+from repro.routing import SparseRouter
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
@@ -229,7 +229,7 @@ class TestEquivalenceOnRandomInstances:
         """link_loads_many rows equal the oracle's aggregate, matrix by matrix."""
         net, weights, tm = instance
         matrices = [tm.scaled(0.5 * (i + 1)) for i in range(count)]
-        loads = batched_link_loads(net, matrices, weights)
+        loads = SparseRouter(net, weights=weights).link_loads_many(matrices)
         assert loads.shape == (count, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
             reference = oracle.ecmp_assignment(net, matrix, weights)
@@ -473,7 +473,7 @@ class TestDeepChain:
     def test_batched(self):
         net, weights, tm = _deep_chain()
         matrices = [tm, tm.scaled(0.5), tm.scaled(2.0)]
-        loads = batched_link_loads(net, matrices, weights)
+        loads = SparseRouter(net, weights=weights).link_loads_many(matrices)
         assert loads.shape == (3, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
             reference = oracle.ecmp_assignment(net, matrix, weights)

@@ -282,7 +282,10 @@ class TestRunner:
         scenario = single_link_failures(net)[0]
         result = evaluate_scenario(net, abilene_small_tm, scenario, spec)
         key = ResultCache.key(
-            network_fingerprint(net), demands_fingerprint(abilene_small_tm), scenario, spec
+            network_fingerprint(net),
+            demands_fingerprint(abilene_small_tm),
+            scenario.fingerprint(),
+            spec.fingerprint(),
         )
         cache.put(key, result)
         # A fresh cache object must read it back from disk, marked cached.
@@ -311,15 +314,33 @@ class TestRunner:
         assert runner.last_stats.cache_hits == 0  # different matrix, no reuse
 
     def test_parallel_matches_serial(self, abilene_small_tm):
+        """Pooled and serial runs agree on every path: incremental, batched, cold."""
         net = abilene_network()
-        scenarios = single_link_failures(net)[:4]
+        scenarios = (
+            single_link_failures(net)[:2]
+            + capacity_degradations(net, count=2, factor=0.5, seed=3)
+            + uniform_scaling_ensemble([0.8, 1.2])
+        )
+        protocols = ["OSPF", "MinHopOSPF", "SPEF"]
         serial = BatchRunner(cache_dir=False, max_workers=0).run(
-            net, abilene_small_tm, scenarios, ["OSPF"]
+            net, abilene_small_tm, scenarios, protocols
         )
         parallel = BatchRunner(cache_dir=False, max_workers=2, chunk_size=2).run(
-            net, abilene_small_tm, scenarios, ["OSPF"]
+            net, abilene_small_tm, scenarios, protocols
         )
+        assert all(r.error is None for r in serial)
         assert [r.as_row() for r in parallel] == [r.as_row() for r in serial]
+
+    def test_serial_run_dispatches_one_chunk_per_spec(self, tmp_path, abilene_small_tm):
+        net = abilene_network()
+        scenarios = single_link_failures(net)[:3] + uniform_scaling_ensemble([0.5, 1.5])
+        runner = BatchRunner(cache_dir=tmp_path, max_workers=0, chunk_size=1)
+        runner.run(net, abilene_small_tm, scenarios, ["OSPF", "MinHopOSPF"])
+        assert runner.last_stats.chunks == 2
+        # A fully cached spec has no misses and therefore no chunk.
+        runner.run(net, abilene_small_tm, scenarios, ["OSPF", "MinMaxMLU"])
+        assert runner.last_stats.cache_hits == len(scenarios)
+        assert runner.last_stats.chunks == 1
 
     def test_failed_evaluation_is_reported_not_raised(self, abilene_small_tm):
         from repro.scenarios.runner import register_protocol

@@ -193,6 +193,20 @@ class TestErrorPaths:
         assert [r.error is None for r in results] == [True, True, False]
         assert "unknown link" in results[2].error
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_controller_sweep_bug_escapes_the_run(self, abilene_instance, monkeypatch, workers):
+        """Only protocol code is guarded: a controller failure is not re-routed cold."""
+        from repro.online.controller import TEController
+
+        def broken(self, scenarios):
+            raise RuntimeError("sweep bug")
+
+        monkeypatch.setattr(TEController, "sweep_scenarios", broken)
+        net, tm = abilene_instance
+        runner = BatchRunner(cache_dir=False, max_workers=workers)
+        with pytest.raises(RuntimeError, match="sweep bug"):
+            runner.run(net, tm, single_link_failures(net)[:4], ["OSPF"])
+
     def test_cache_never_stores_error_results(self, tmp_path, abilene_instance):
         """After a sweep with failures, only clean cells are on disk."""
         net, tm = abilene_instance

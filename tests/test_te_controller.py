@@ -35,11 +35,9 @@ from repro.online import (
     recovery_events,
     scenario_events,
     scenario_failed_edges,
-    scenario_revert_events,
 )
 from repro.protocols.fortz_thorup import FortzThorup
 from repro.protocols.ospf import OSPF, MinHopOSPF, invcap_weights
-from repro.protocols.peft import PEFT
 from repro.routing import SparseRouter
 from repro.scenarios import Scenario, single_link_failures, node_failures
 from repro.scenarios import capacity_degradations, combine
@@ -47,11 +45,11 @@ from repro.scenarios.runner import (
     BatchRunner,
     ProtocolSpec,
     ResultCache,
+    RunnerError,
     _incremental_eligible,
+    _probe,
     evaluate_scenario,
     evaluate_scenarios,
-    incremental_sweep_capacity_independent,
-    incremental_sweep_weights,
 )
 from repro.simulator.events import Simulator
 
@@ -165,15 +163,6 @@ class TestScenarioEvents:
         with pytest.raises(EventError):
             scenario_events(diamond_network, Scenario("baseline"))
 
-    def test_revert_events_round_trip(self, diamond_network):
-        scenario = Scenario(
-            "mix", failed_links=((1, 2),), capacity_factors=(((1, 3), 0.25),)
-        )
-        events = scenario_events(diamond_network, scenario)
-        reverted = scenario_revert_events(diamond_network, events)
-        assert reverted[0] == LinkRecovery(link=(1, 2))
-        assert reverted[1] == CapacityChange(link=(1, 3), capacity=10.0)
-
 
 # ----------------------------------------------------------------------
 # controller behaviour
@@ -188,10 +177,12 @@ class TestController:
         degraded = controller.measure()
         assert not np.allclose(degraded.loads, baseline.loads, atol=TOLERANCE)
         assert degraded.loads[0] == 0.0  # the failed link carries nothing
-        controller.apply(LinkRecovery(link=edge))
+        recovery = controller.apply(LinkRecovery(link=edge))
         restored = controller.measure()
         np.testing.assert_allclose(restored.loads, baseline.loads, atol=TOLERANCE, rtol=0)
-        assert len(controller.log) == 2
+        assert recovery.event == LinkRecovery(link=edge)
+        assert (update.sequence, recovery.sequence) == (0, 1)
+        assert recovery.affected_destinations > 0
 
     def test_loads_match_ospf_route(self, abilene, abilene_tm):
         weights = invcap_weights(abilene)
@@ -204,7 +195,7 @@ class TestController:
     def test_sweep_matches_cold_scenario_evaluation(self, abilene, abilene_tm):
         controller = TEController(abilene, abilene_tm)
         scenarios = single_link_failures(abilene)
-        measurements = controller.sweep_pure_failures(scenarios)
+        measurements = controller.sweep_scenarios(scenarios)
         spec = ProtocolSpec.of("OSPF")
         for scenario, measurement in zip(scenarios, measurements, strict=True):
             cold = evaluate_scenario(abilene, abilene_tm, scenario, spec)
@@ -277,13 +268,6 @@ class TestController:
             for link in instance.network.links:
                 mapped[abilene.link_index(link.source, link.target)] = cold[link.index]
             np.testing.assert_allclose(measurement.loads, mapped, atol=1e-12, rtol=0)
-
-    def test_sweep_pure_failures_rejects_capacity_scenarios(self, abilene, abilene_tm):
-        controller = TEController(abilene, abilene_tm)
-        with pytest.raises(EventError):
-            controller.sweep_pure_failures(
-                [Scenario("cap", capacity_factors=((abilene.links[0].endpoints, 0.5),))]
-            )
 
     def test_drop_accounting_on_disconnection(self):
         net = Network(name="line")
@@ -461,10 +445,13 @@ class TestWarmStarts:
         assert result.evaluations <= 60
         installed = controller.weights
         assert np.all(installed >= 1.0) and np.all(installed <= 20.0)
-        # The controller still routes (and can sweep) after installation.
+        np.testing.assert_array_equal(installed, result.weights)
+        # The controller still routes (and updates incrementally) after
+        # installation.
         after = controller.measure()
         assert np.isfinite(after.mlu)
-        assert controller.log[-1].affected_destinations > 0
+        update = controller.apply(LinkFailure(link=abilene.links[0].endpoints))
+        assert update.affected_destinations > 0
         assert before_mlu > 0
 
     def test_spef_warm_start_reduces_iterations(self, abilene, abilene_tm):
@@ -516,30 +503,35 @@ class TestWarmStarts:
 # ----------------------------------------------------------------------
 class TestRunnerIncrementalPath:
     def test_hook_support_matrix(self, abilene, abilene_tm):
-        assert incremental_sweep_weights(OSPF(), abilene) is not None
-        assert incremental_sweep_weights(MinHopOSPF(), abilene) is not None
+        def weights(protocol, **params):
+            return _probe(ProtocolSpec.of(protocol, **params), abilene).weights
+
+        assert weights("OSPF") is not None
+        assert weights("MinHopOSPF") is not None
         mapping = abilene.weight_dict(invcap_weights(abilene))
-        assert incremental_sweep_weights(OSPF(weights=mapping), abilene) is not None
+        assert weights("OSPF", weights=mapping) is not None
         # Raw link-indexed vectors decline: the cold per-cell path cannot
         # apply them to a pruned failure instance, and the two paths must
         # stay result-equivalent.
-        assert incremental_sweep_weights(
-            OSPF(weights=invcap_weights(abilene)), abilene
-        ) is None
-        # Re-optimising protocols decline.
-        assert incremental_sweep_weights(PEFT(), abilene) is None
-        assert incremental_sweep_weights(FortzThorup(), abilene) is None
-        assert incremental_sweep_weights(None, abilene) is None
+        assert weights("OSPF", weights=invcap_weights(abilene)) is None
+        # Re-optimising protocols decline, and so does a spec that cannot
+        # even be built.
+        assert weights("PEFT") is None
+        assert weights("FortzThorup") is None
+        assert weights("FortzThorup", max_weight=0) is None
 
     def test_capacity_independence_matrix(self, abilene):
+        def independent(protocol, **params):
+            return _probe(ProtocolSpec.of(protocol, **params), abilene).capacity_independent
+
         mapping = abilene.weight_dict(invcap_weights(abilene))
         # Explicit mapping weights and unit weights survive capacity scaling;
         # the InvCap default re-derives and must decline capacity sweeps.
-        assert incremental_sweep_capacity_independent(OSPF(weights=mapping), abilene)
-        assert incremental_sweep_capacity_independent(MinHopOSPF(), abilene)
-        assert not incremental_sweep_capacity_independent(OSPF(), abilene)
-        assert not incremental_sweep_capacity_independent(PEFT(), abilene)
-        assert not incremental_sweep_capacity_independent(None, abilene)
+        assert independent("OSPF", weights=mapping)
+        assert independent("MinHopOSPF")
+        assert not independent("OSPF")
+        assert not independent("PEFT")
+        assert not independent("FortzThorup", max_weight=0)
 
     def test_incremental_eligibility_by_scenario_and_protocol(self):
         failure = Scenario("f", failed_links=((1, 2),))
@@ -613,16 +605,11 @@ class TestRunnerIncrementalPath:
 
     def test_cache_keys_distinguish_incremental_from_cold(self):
         args = ("net-fp", "demands-fp", "scenario-fp", "protocol-fp")
-        cold_key = ResultCache.key_from_fingerprints(*args)
-        incremental_key = ResultCache.key_from_fingerprints(
-            *args, {"route": "incremental"}
-        )
+        cold_key = ResultCache.key(*args)
+        incremental_key = ResultCache.key(*args, {"route": "incremental"})
         assert cold_key != incremental_key
-        assert ResultCache.key_from_fingerprints(*args, None) == cold_key
-        assert (
-            ResultCache.key_from_fingerprints(*args, {"route": "incremental"})
-            == incremental_key
-        )
+        assert ResultCache.key(*args, None) == cold_key
+        assert ResultCache.key(*args, {"route": "incremental"}) == incremental_key
 
     def test_batch_runner_caches_incremental_sweeps(self, tmp_path, abilene, abilene_tm):
         runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
@@ -665,7 +652,7 @@ class TestSnapshotBaseline:
         )
         scenarios = single_link_failures(abilene)[:6]
         for mine, theirs in zip(
-            warm.sweep_pure_failures(scenarios), parent.sweep_pure_failures(scenarios),
+            warm.sweep_scenarios(scenarios), parent.sweep_scenarios(scenarios),
             strict=True,
         ):
             assert mine.mlu == pytest.approx(theirs.mlu, abs=TOLERANCE)
@@ -732,7 +719,7 @@ class TestSetupAmortisation:
         spec = ProtocolSpec.of("OSPF")
         scenario = single_link_failures(abilene)[0]
         controller = TEController(
-            abilene, abilene_tm, weights=incremental_sweep_weights(spec.build(), abilene)
+            abilene, abilene_tm, weights=spec.build().ecmp_forwarding_weights(abilene)
         )
         baseline = controller.snapshot()
 
@@ -749,3 +736,16 @@ class TestSetupAmortisation:
         assert warm.mlu == pytest.approx(cold.mlu, abs=TOLERANCE)
         assert warm.utility == pytest.approx(cold.utility, abs=1e-6)
         assert warm.dropped_volume == pytest.approx(cold.dropped_volume, abs=TOLERANCE)
+
+    def test_mismatched_baseline_is_an_error(self, abilene, abilene_tm):
+        """A snapshot of other demands is refused, not silently rebuilt."""
+        spec = ProtocolSpec.of("OSPF")
+        baseline = TEController(
+            abilene,
+            abilene_tm.scaled(2.0),
+            weights=spec.build().ecmp_forwarding_weights(abilene),
+        ).snapshot()
+        with pytest.raises(RunnerError, match="does not match"):
+            evaluate_scenarios(
+                abilene, abilene_tm, single_link_failures(abilene)[:2], spec, baseline=baseline
+            )
