@@ -3,14 +3,15 @@
 Four workloads pin the online controller's acceptance bars:
 
 * **single-link-failure sweep** (rand100, all-pairs gravity demands,
-  even-ECMP OSPF InvCap weights) — the incremental sweep must be >= 3x
-  faster than both cold paths (``evaluate_scenario`` and a from-scratch
-  sparse rebuild) with link loads identical to 1e-9, and at most a
-  quarter of the events may fall back to full rebuilds;
-* **rand500 single-link-failure sweep** — the Rocketfuel-scale bar:
-  >= 10x steady-state vs cold ``evaluate_scenario`` (one-time setup
-  recorded apart, since shared baselines amortize it across workers)
-  with loads matching to 1e-12;
+  even-ECMP OSPF InvCap weights) — the incremental sweep must cost at
+  most 35 ms per cell and be >= 1.3x faster than both cold paths
+  (``evaluate_scenario`` and a from-scratch sparse rebuild) with link
+  loads identical to 1e-9, and at most a quarter of the events may fall
+  back to full rebuilds;
+* **rand500 single-link-failure sweep** — the Rocketfuel-scale bar: at
+  most 275 ms per cell and >= 3x steady-state vs cold
+  ``evaluate_scenario`` (one-time setup recorded apart, since shared
+  baselines amortize it across workers) with loads matching to 1e-12;
 * **capacity-degradation sweep** (rand100, MinHop weights — capacity
   brown-outs only ride the incremental path under capacity-independent
   weights) — >= 2x faster than cold ``evaluate_scenario`` with loads
@@ -67,6 +68,16 @@ def _bar(local: float, ci: float) -> float:
     return ci if ON_CI else local
 
 
+#: Incremental ms-per-cell ceilings.  The cold cell got ~3x faster once every
+#: DAG came from one vectorised builder, so the speedup ratios shrank; these
+#: absolute bars keep the incremental path itself from regressing.  Each is
+#: the cold ``evaluate_scenario`` cell cost before that change divided by
+#: its former ratio bar (3x on rand100, 10x on rand500): medians of six runs
+#: of this module on one 2-CPU host, 106 ms / 3 and 2758 ms / 10.
+RAND100_CELL_MS = 35.0
+RAND500_CELL_MS = 275.0
+
+
 def _workload():
     network = rand100()
     demands = gravity_traffic_matrix(network, total_volume=0.1 * network.total_capacity())
@@ -87,7 +98,7 @@ def _map_to_base(network, instance, loads: np.ndarray) -> np.ndarray:
 
 
 def test_incremental_failure_sweep_speedup():
-    """The headline bar: incremental sweep >= 3x vs cold recompute on rand100."""
+    """The headline bar: incremental sweep <= 35 ms/cell, >= 1.3x vs cold on rand100."""
     network, demands, scenarios = _workload()
     weights = invcap_weights(network)
     weight_map = network.weight_dict(weights)
@@ -181,25 +192,30 @@ def test_incremental_failure_sweep_speedup():
     )
     if smoke_bench():
         return
-    assert entry["speedup_vs_evaluate_scenario"] >= _bar(3.0, 1.2), (
-        f"incremental sweep regressed to {entry['speedup_vs_evaluate_scenario']}x "
-        "vs the cold evaluate_scenario path (< 3x acceptance bar)"
+    cell_ms = 1e3 * incremental_seconds / len(scenarios)
+    assert cell_ms <= _bar(RAND100_CELL_MS, 3 * RAND100_CELL_MS), (
+        f"incremental sweep regressed to {cell_ms:.1f} ms/cell "
+        f"(> {RAND100_CELL_MS} ms acceptance bar)"
     )
-    assert entry["speedup_vs_sparse_rebuild"] >= _bar(3.0, 1.2), (
+    assert entry["speedup_vs_evaluate_scenario"] >= _bar(1.3, 1.0), (
+        f"incremental sweep regressed to {entry['speedup_vs_evaluate_scenario']}x "
+        "vs the cold evaluate_scenario path (< 1.3x acceptance bar)"
+    )
+    assert entry["speedup_vs_sparse_rebuild"] >= _bar(1.3, 1.0), (
         f"incremental sweep regressed to {entry['speedup_vs_sparse_rebuild']}x "
-        "vs the cold sparse rebuild (< 3x acceptance bar)"
+        "vs the cold sparse rebuild (< 1.3x acceptance bar)"
     )
 
 
 def test_rand500_incremental_sweep_speedup():
-    """Rocketfuel-scale bar: incremental sweep >= 10x vs cold on rand500.
+    """Rocketfuel-scale bar: incremental sweep <= 275 ms/cell, >= 3x vs cold on rand500.
 
     500 nodes / 2000 directed links is the size class of the reduced
     router-level Rocketfuel maps (AS1239 is 315/1944); the auto-tuned
     ``max_affected_fraction`` (dense class: 0.9), the scoped plateau check
-    and the delta-load kernel together must keep the sweep an order of
-    magnitude ahead of per-scenario cold evaluation, with loads matching
-    to 1e-12.  Smoke mode runs 3 scenarios, correctness-only.
+    and the delta-load kernel together must keep the sweep well ahead of
+    per-scenario cold evaluation, with loads matching to 1e-12.  Smoke mode
+    runs 3 scenarios, correctness-only.
     """
     network = rand500()
     demands = gravity_traffic_matrix(network, total_volume=0.1 * network.total_capacity())
@@ -290,9 +306,14 @@ def test_rand500_incremental_sweep_speedup():
         assert abs(cold.dropped_volume - measurement.dropped_volume) <= 1e-9
     if smoke_bench():
         return
-    assert entry["speedup_vs_evaluate_scenario"] >= _bar(10.0, 4.0), (
+    cell_ms = 1e3 * incremental_seconds / len(scenarios)
+    assert cell_ms <= _bar(RAND500_CELL_MS, 3 * RAND500_CELL_MS), (
+        f"rand500 incremental sweep regressed to {cell_ms:.0f} ms/cell "
+        f"(> {RAND500_CELL_MS} ms acceptance bar)"
+    )
+    assert entry["speedup_vs_evaluate_scenario"] >= _bar(3.0, 1.5), (
         f"rand500 incremental sweep regressed to "
-        f"{entry['speedup_vs_evaluate_scenario']}x vs cold (< 10x acceptance bar)"
+        f"{entry['speedup_vs_evaluate_scenario']}x vs cold (< 3x acceptance bar)"
     )
 
 

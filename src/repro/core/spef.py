@@ -15,7 +15,8 @@ by configuring *two* weights per link:
   weights (either centrally via Frank-Wolfe or distributedly via
   Algorithm 1);
 * optionally round the first weights to integers (Section V-G);
-* build the per-destination equal-cost shortest-path DAGs with Dijkstra;
+* build the per-destination equal-cost shortest-path DAGs (one builder call,
+  with the optimal flow's downhill links OR-ed in);
 * run Algorithm 2 to obtain the second weights;
 * install the Table II forwarding tables and compute the realised flows.
 """
@@ -29,7 +30,16 @@ import numpy as np
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import ShortestPathDag, all_shortest_path_dags
+from ..network.spt import (
+    ShortestPathDag,
+    as_weight_vector,
+    dags_from_mask,
+    shortest_path_mask,
+    validate_weights,
+)
+
+# Re-exported by name: perfbench/layers.py wraps it here.
+from ..network.spt import all_shortest_path_dags as all_shortest_path_dags
 from ..obs import telemetry
 from .first_weights import FirstWeightsResult, compute_first_weights, round_weights
 from .forwarding import ForwardingTable, build_forwarding_tables
@@ -61,7 +71,7 @@ class SPEFConfig:
         (Section V-G / Fig. 13).
     augment_dags_with_optimum:
         Add optimal-flow-carrying downhill links to the equal-cost DAGs (see
-        :meth:`SPEF._augment_dags`).  With exact optimal weights this is a
+        :meth:`SPEF.fit`).  With exact optimal weights this is a
         no-op; with approximate weights it keeps the NEM target attainable.
     dag_flow_threshold:
         Per-destination optimal flow (as a fraction of the total demand
@@ -232,42 +242,6 @@ class SPEF:
             None,
         )
 
-    def _augment_dags(
-        self,
-        network: Network,
-        dags: dict[Node, ShortestPathDag],
-        optimal_flows: FlowAssignment,
-        flow_threshold: float,
-    ) -> None:
-        """Add optimal-flow-carrying downhill links to the shortest-path DAGs.
-
-        At the exact TE optimum every link carrying flow towards a destination
-        lies on a shortest path under the first weights (complementary
-        slackness, conditions (6d)-(6e)).  With numerically approximate
-        weights, Dijkstra's cost tolerance can still miss some of those links,
-        which would make the NEM target unattainable and let the realised
-        flows exceed ``f*``.  This step restores the theoretically-correct
-        path set: any link with per-destination optimal flow above
-        ``flow_threshold`` whose head is strictly closer to the destination is
-        added as an extra next hop (strict downhill keeps the DAG acyclic).
-        """
-        for destination, dag in dags.items():
-            vector = optimal_flows.per_destination.get(destination)
-            if vector is None:
-                continue
-            for link in network.links:
-                if vector[link.index] <= flow_threshold:
-                    continue
-                dist_u = dag.distances.get(link.source)
-                dist_v = dag.distances.get(link.target)
-                if dist_u is None or dist_v is None:
-                    continue
-                if dist_v >= dist_u:
-                    continue
-                hops = dag.next_hops.setdefault(link.source, [])
-                if link.target not in hops:
-                    hops.append(link.target)
-
     def _ecmp_tolerance(self, weights: np.ndarray) -> float:
         cfg = self.config
         if cfg.ecmp_tolerance is not None:
@@ -372,11 +346,22 @@ class SPEF:
 
         tolerance = self._ecmp_tolerance(installed)
         destinations = demands.destinations()
-        dags = all_shortest_path_dags(network, destinations, installed, tolerance)
+        vector = as_weight_vector(network, installed)
+        validate_weights(vector)
+        distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
         if cfg.augment_dags_with_optimum:
-            total_volume = demands.total_volume()
-            flow_threshold = cfg.dag_flow_threshold * max(total_volume, 1e-12)
-            self._augment_dags(network, dags, optimal_flows, flow_threshold)
+            # At the exact TE optimum every link carrying flow towards a
+            # destination is on a shortest path (complementary slackness,
+            # (6d)-(6e)); approximate weights can miss some, which would make
+            # the NEM target unattainable.  OR in every downhill link whose
+            # optimal flow exceeds the threshold (downhill keeps it acyclic).
+            threshold = cfg.dag_flow_threshold * max(demands.total_volume(), 1e-12)
+            zeros = np.zeros(network.num_links)
+            flows = [optimal_flows.per_destination.get(d, zeros) for d in destinations]
+            sources, targets = network.link_node_indices()
+            tail, head = distances[:, sources], distances[:, targets]
+            mask |= (np.reshape(flows, mask.shape) > threshold) & (head < tail) & np.isfinite(tail)
+        dags = dags_from_mask(network, destinations, distances, mask, tolerance)
 
         with telemetry.span("optimizer.spef_second_weights"):
             second = compute_second_weights(

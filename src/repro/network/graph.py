@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -296,24 +297,33 @@ class Network:
     # ------------------------------------------------------------------
     # structure checks and conversions
     # ------------------------------------------------------------------
+    def adjacency_matrix(self) -> csr_matrix:
+        """The link graph as a scipy CSR matrix with one ``1.0`` per link."""
+        sources, targets = self.link_node_indices()
+        shape = (self.num_nodes, self.num_nodes)
+        return csr_matrix((np.ones(sources.size), (sources, targets)), shape=shape)
+
     def is_connected(self) -> bool:
         """True when the underlying undirected graph is connected."""
-        if self.num_nodes <= 1:
-            return True
-        return nx.is_connected(self.to_networkx().to_undirected())
+        graph = self.adjacency_matrix()
+        return connected_components(graph, connection="weak", return_labels=False) <= 1
 
     def is_strongly_connected(self) -> bool:
         """True when every node can reach every other node."""
-        if self.num_nodes <= 1:
-            return True
-        return nx.is_strongly_connected(self.to_networkx())
+        graph = self.adjacency_matrix()
+        return connected_components(graph, connection="strong", return_labels=False) <= 1
 
     def is_symmetric(self) -> bool:
         """True when every link has a reverse link (possibly different capacity)."""
         return all((link.target, link.source) in self._link_index for link in self._links)
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph` with capacity/delay attributes."""
+    def to_networkx(self):
+        """Export to a :class:`networkx.DiGraph` with capacity/delay attributes.
+
+        Needs the optional ``networkx`` package.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         graph.add_nodes_from(self._nodes)
         for link in self._links:
@@ -327,7 +337,7 @@ class Network:
         return graph
 
     @classmethod
-    def from_networkx(cls, graph: nx.DiGraph, name: str | None = None) -> Network:
+    def from_networkx(cls, graph, name: str | None = None) -> Network:
         """Build a :class:`Network` from a networkx digraph.
 
         Edge attribute ``capacity`` is required; ``delay`` defaults to 1.

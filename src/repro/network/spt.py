@@ -1,4 +1,4 @@
-"""Shortest-path machinery: Dijkstra with tolerance and ECMP DAGs.
+"""Shortest-path machinery: one builder for every ECMP DAG in the library.
 
 OSPF (and SPEF) forwards traffic hop-by-hop along shortest paths towards each
 destination.  Two details from the paper matter here:
@@ -9,18 +9,23 @@ destination.  Two details from the paper matter here:
 * the set of shortest paths towards a destination forms a DAG, and routers
   only need the *next hops* on that DAG (the set ``ON_t`` of the paper).
 
-All functions take link weights as an ``{(u, v): w}`` mapping or a
-link-indexed vector and work on the :class:`~repro.network.graph.Network`
-model.
+Every DAG comes from :func:`shortest_path_mask`: one C Dijkstra for all
+destinations and one (destination x link) mask.  The routing kernel
+compiles the mask directly; :class:`ShortestPathDag` is the dict view the
+public functions below return.  They take link weights as an
+``{(u, v): w}`` mapping or a link-indexed vector.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+import threading
+import weakref
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .graph import Edge, Network, NetworkError, Node
 
@@ -60,8 +65,119 @@ def validate_weights(vector: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
-# Dijkstra towards a destination (reverse shortest path tree)
+# the builder: one C Dijkstra, one (destination x link) mask
 # ----------------------------------------------------------------------
+#: A tight link whose head is more than this much closer than its tail is *downhill*.
+DOWNHILL_MARGIN = 1e-15
+
+
+#: Per network: its reversed link graph as a CSR matrix (row ``v`` lists the
+#: links entering ``v``; entry ``k`` is link ``order[k]``), whose shared
+#: ``data`` each build refreshes under the lock.
+_REVERSED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _distance_matrix(network: Network, indices: list[int], vector: np.ndarray) -> np.ndarray:
+    """``(len(indices), num_nodes)`` distances to the nodes at ``indices``."""
+    shape = (network.num_nodes, network.num_links)
+    cached = _REVERSED.get(network)
+    if cached is None or cached[0] != shape:
+        sources, targets = network.link_node_indices()
+        order = np.lexsort((sources, targets))
+        indptr = np.searchsorted(targets[order], np.arange(shape[0] + 1))
+        matrix = csr_matrix((vector[order], sources[order], indptr), shape=(shape[0],) * 2)
+        cached = _REVERSED[network] = (shape, order, matrix, threading.Lock())
+    _, order, matrix, lock = cached
+    with lock:
+        matrix.data = vector[order]
+        return dijkstra(matrix, indices=indices)
+
+
+def _distance_dict(nodes: list[Node], row: np.ndarray) -> dict[Node, float]:
+    """``{node: distance}`` for the finite entries of a distance row."""
+    reachable = np.flatnonzero(np.isfinite(row)).tolist()
+    return dict(zip([nodes[i] for i in reachable], row[reachable].tolist(), strict=True))
+
+
+def tails_with(mask: np.ndarray, sources: np.ndarray, num_nodes: int) -> np.ndarray:
+    """``(rows, num_nodes)``: whether each node is the tail of a masked link."""
+    rows, links = np.nonzero(mask)
+    tails = np.zeros((mask.shape[0], num_nodes), dtype=bool)
+    tails[rows, sources[links]] = True
+    return tails
+
+
+def shortest_path_mask(
+    network: Network,
+    destinations: Sequence[Node],
+    vector: np.ndarray,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one DAG builder: ``(distances, mask)`` towards every destination.
+
+    ``vector`` holds validated link weights (``inf`` removes a link).
+    ``distances[k, i]`` is node ``i``'s distance to ``destinations[k]``
+    (``inf`` if unreachable); ``mask[k, l]`` puts link ``l`` in that DAG.
+    A link ``u -> v`` is *tight* when ``w + d(v) <= d(u) + tolerance``; tight
+    links with ``d(v) < d(u) - 1e-15`` (*downhill*) are DAG links.  On
+    zero-weight plateaus, the other tight links with ``d(v) <= d(u)`` are
+    *flat*, and join iff ``h(v) < h(u)``, ``h`` counting flat hops to the
+    nearest node with a downhill link or the destination.  Links never
+    climb and flat ones lower ``h``, so the DAG is acyclic, and every node
+    that reaches the destination has a next hop.
+    """
+    index = [network.node_index(destination) for destination in destinations]
+    distances = _distance_matrix(network, index, vector)
+    sources, targets = network.link_node_indices()
+    tail, head = distances[:, sources], distances[:, targets]
+    tight = (vector + head <= tail + tolerance) & np.isfinite(tail)
+    mask = tight & (head < tail - DOWNHILL_MARGIN)
+    flat = tight & ~mask & (head <= tail)
+    if not flat.any():
+        return distances, mask
+    # h = 0 at the destination and at nodes with a downhill link; grow it
+    # one flat hop at a time over the flat links out of the other nodes.
+    level = np.where(tails_with(mask, sources, network.num_nodes), 0, -1)
+    level[np.arange(len(index)), index] = 0
+    rows, links = np.nonzero(flat & (level[:, sources] < 0))
+    tails, heads = sources[links], targets[links]
+    depth = 0
+    while True:
+        grow = (level[rows, heads] == depth) & (level[rows, tails] < 0)
+        if not grow.any():
+            break
+        depth += 1
+        level[rows[grow], tails[grow]] = depth
+    head_level = level[rows, heads]
+    joins = (head_level >= 0) & (head_level < level[rows, tails])
+    mask[rows[joins], links[joins]] = True
+    return distances, mask
+
+
+def dags_from_mask(
+    network: Network,
+    destinations: Sequence[Node],
+    distances: np.ndarray,
+    mask: np.ndarray,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> dict[Node, ShortestPathDag]:
+    """:class:`ShortestPathDag` dict views of :func:`shortest_path_mask` rows.
+
+    Next hops follow link-index order, so a node's first hop is its DAG
+    link with the lowest index.
+    """
+    nodes = network.nodes
+    sources, targets = (array.tolist() for array in network.link_node_indices())
+    dags: dict[Node, ShortestPathDag] = {}
+    for destination, row, links in zip(destinations, distances, mask, strict=True):
+        dist = _distance_dict(nodes, row)
+        next_hops: dict[Node, list[Node]] = {node: [] for node in dist if node != destination}
+        for link in np.flatnonzero(links).tolist():
+            next_hops[nodes[sources[link]]].append(nodes[targets[link]])
+        dags[destination] = ShortestPathDag(destination, dist, next_hops, tolerance)
+    return dags
+
+
 def distances_to(
     network: Network,
     destination: Node,
@@ -69,46 +185,14 @@ def distances_to(
 ) -> dict[Node, float]:
     """Shortest distance from every node *to* ``destination``.
 
-    This is Dijkstra run on the reverse graph, which is the natural
-    orientation for destination-based hop-by-hop forwarding.
-    Unreachable nodes are absent from the returned mapping.
+    Dijkstra on the reverse graph, which is the natural orientation for
+    destination-based hop-by-hop forwarding.  Unreachable nodes are absent
+    from the returned mapping.
     """
-    distances, _ = _dijkstra_to(network, destination, as_weight_vector(network, weights))
-    return distances
-
-
-def _dijkstra_to(
-    network: Network,
-    destination: Node,
-    vector: np.ndarray,
-) -> tuple[dict[Node, float], dict[Node, Node]]:
-    """Dijkstra towards ``destination`` returning distances and tree next hops.
-
-    The returned ``parents`` map gives, for every reachable node except the
-    destination, the next hop on one shortest path (the Dijkstra tree edge).
-    The tree is what keeps equal-cost DAGs acyclic on zero-weight plateaus,
-    where cost comparisons alone cannot orient the ties.
-    """
+    vector = as_weight_vector(network, weights)
     validate_weights(vector)
-    dist: dict[Node, float] = {destination: 0.0}
-    parents: dict[Node, Node] = {}
-    heap: list[tuple[float, int, Node]] = [(0.0, 0, destination)]
-    counter = 1
-    visited: dict[Node, bool] = {}
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if visited.get(node):
-            continue
-        visited[node] = True
-        for link in network.in_links(node):
-            candidate = d + vector[link.index]
-            previous = dist.get(link.source)
-            if previous is None or candidate < previous - 1e-15:
-                dist[link.source] = candidate
-                parents[link.source] = node
-                heapq.heappush(heap, (candidate, counter, link.source))
-                counter += 1
-    return dist, parents
+    row = _distance_matrix(network, [network.node_index(destination)], vector)[0]
+    return _distance_dict(network.nodes, row)
 
 
 @dataclass
@@ -126,20 +210,12 @@ class ShortestPathDag:
         shortest path towards the destination (within the tolerance).
     tolerance:
         The cost tolerance used to declare two paths equal.
-    hop_links:
-        Link index of every next hop, flattened in ``next_hops`` order
-        (filled by :func:`shortest_path_dag`, so compiling the DAG needs no
-        link lookups).  It is only used while its length matches the total
-        next-hop count, so hops appended later (SPEF's DAG augmentation)
-        make the compiler look every link up; code that *replaces* next
-        hops in place must clear it.
     """
 
     destination: Node
     distances: dict[Node, float]
     next_hops: dict[Node, list[Node]]
     tolerance: float = DEFAULT_TOLERANCE
-    hop_links: list[int] = field(default_factory=list)
 
     def reachable(self, node: Node) -> bool:
         return node in self.distances
@@ -254,50 +330,12 @@ def shortest_path_dag(
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ShortestPathDag:
-    """Build the equal-cost shortest-path DAG towards ``destination``.
+    """The equal-cost shortest-path DAG towards ``destination``.
 
-    A link ``(u, v)`` is part of the DAG when
-    ``w_uv + dist(v) <= dist(u) + tolerance`` (going through ``v`` is a
-    shortest path from ``u`` within the tolerance) *and* ``v`` is strictly
-    closer to the destination.  On zero-weight plateaus -- where several nodes
-    share the same distance and cost comparisons cannot orient the tie -- the
-    Dijkstra tree edge of each node is added instead, which keeps the
-    structure acyclic while guaranteeing every reachable node has a next hop.
+    A view of one :func:`shortest_path_mask` row; see there for which links
+    join the DAG.
     """
-    vector = as_weight_vector(network, weights)
-    distances, parents = _dijkstra_to(network, destination, vector)  # validates
-    next_hops: dict[Node, list[Node]] = {}
-    hop_links: list[int] = []
-    for node, dist_node in distances.items():
-        if node == destination:
-            continue
-        hops: list[Node] = []
-        for link in network.out_links(node):
-            dist_hop = distances.get(link.target)
-            if dist_hop is None:
-                continue
-            on_shortest = vector[link.index] + dist_hop <= dist_node + tolerance
-            if on_shortest and dist_hop < dist_node - 1e-15:
-                hops.append(link.target)
-                hop_links.append(link.index)
-        parent = parents.get(node)
-        # The tree edge is always on a shortest path; it is only missing
-        # from `hops` when it lies on an equal-distance plateau.
-        if (
-            parent is not None
-            and parent not in hops
-            and distances.get(parent, float("inf")) >= dist_node - 1e-15
-        ):
-            hops.append(parent)
-            hop_links.append(network.link_index(node, parent))
-        next_hops[node] = hops
-    return ShortestPathDag(
-        destination=destination,
-        distances=distances,
-        next_hops=next_hops,
-        tolerance=tolerance,
-        hop_links=hop_links,
-    )
+    return all_shortest_path_dags(network, [destination], weights, tolerance)[destination]
 
 
 def all_shortest_path_dags(
@@ -306,12 +344,12 @@ def all_shortest_path_dags(
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[Node, ShortestPathDag]:
-    """Shortest-path DAGs for every destination in ``destinations``."""
+    """Shortest-path DAGs for every destination in ``destinations`` (one build)."""
     vector = as_weight_vector(network, weights)
-    return {
-        destination: shortest_path_dag(network, destination, vector, tolerance)
-        for destination in destinations
-    }
+    validate_weights(vector)
+    destinations = list(destinations)
+    distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
+    return dags_from_mask(network, destinations, distances, mask, tolerance)
 
 
 def shortest_path_length(

@@ -1,11 +1,12 @@
 """Dynamic shortest-path trees/DAGs under single-link events.
 
-Every protocol evaluation so far rebuilds its per-destination shortest-path
-DAGs from scratch with Dijkstra (:func:`repro.network.spt.shortest_path_dag`),
-even when only one link changed.  :class:`DynamicSPT` maintains the same
-state — distances and equal-cost next hops towards each destination —
-under a stream of single-edge events with bounded, incremental work, in the
-style of Ramalingam–Reps delta propagation:
+Every cold protocol evaluation builds its per-destination shortest-path DAGs
+from scratch with the library's one DAG builder
+(:func:`repro.network.spt.shortest_path_mask`), even when only one link
+changed.  :class:`DynamicSPT` maintains the same state — distances and
+equal-cost next hops towards each destination — under a stream of
+single-edge events with bounded, incremental work, in the style of
+Ramalingam–Reps delta propagation:
 
 * **weight decrease / link recovery**: if the changed edge improves its
   tail's distance, the improvement is pushed through the reverse graph with
@@ -18,29 +19,30 @@ style of Ramalingam–Reps delta propagation:
   from its (still valid) boundary.  Edges that were only tolerance-equal
   ECMP members (not tight) need no distance work at all.
 * next-hop sets are then refreshed *only* for nodes whose distance changed,
-  their in-neighbours, and the changed edge's tail — with exactly the cost
-  test :func:`~repro.network.spt.shortest_path_dag` uses, so the maintained
-  DAG matches a cold rebuild.
+  their in-neighbours, and the changed edge's tail — with exactly the
+  downhill test the builder uses, so the maintained DAG matches a cold
+  build.
 
 **Equivalence guarantees and the fallback.**  Distances are accumulated
-destination-outward exactly as Dijkstra accumulates them, so incremental
-distances are bit-identical to a cold run.  Next-hop sets are recomputed
-with the same tolerance test and the same link iteration order, so they too
-match a cold :func:`shortest_path_dag` — *except* on zero-weight plateaus,
-where the cold path orients ties with its Dijkstra tree and incremental
-maintenance cannot reproduce that tree cheaply.  :class:`DynamicSPT`
-therefore falls back to a full (cold-identical) per-destination rebuild
+destination-outward with strict relaxations exactly as the cold Dijkstra
+accumulates them, so incremental distances are bit-identical to a cold
+build.  Next-hop sets are recomputed with the same downhill test, so they
+too match the cold DAG — *except* on zero-weight plateaus, where the cold
+builder orients flat links by their hop count to the plateau's exit, which
+depends on the whole plateau and which a local hop refresh does not see.
+Every full rebuild below is that cold build itself, run for one destination
+with failed links weighted ``inf``.  :class:`DynamicSPT` falls back to it
 whenever
 
 1. a plateau link (active weight at or below ``max(tolerance, 1e-12)``)
    is *near the update*: an endpoint sits in the hop-refresh region, or
-   the plateau sits at a distance where the cold Dijkstra's tie order
-   could have shifted (at or above the update's minimum touched distance
-   minus the tolerance).  Plateaus strictly below that bound are settled
-   by an identical Dijkstra prefix in both cold builds, so their
-   orientation cannot change and the update stays incremental,
+   the plateau sits at a distance the update could have moved (at or above
+   the update's minimum touched distance minus the tolerance).  Plateaus
+   strictly below that bound keep their distances, links and exits in
+   both cold builds, so their orientation cannot change and the update
+   stays incremental,
 2. the affected cone of an increase exceeds ``max_affected_fraction`` of
-   the reachable nodes (a full Dijkstra is as cheap and simpler;
+   the reachable nodes (a full rebuild is as cheap and simpler;
    ``None`` picks a per-topology-class default — see
    :func:`tuned_max_affected_fraction`), or
 3. ``verify=True`` and the incremental result disagrees with a shadow cold
@@ -64,22 +66,20 @@ import numpy as np
 from ..network.graph import Edge, Network, NetworkError, Node
 from ..network.spt import (
     DEFAULT_TOLERANCE,
+    DOWNHILL_MARGIN,
     ShortestPathDag,
     WeightsLike,
     as_weight_vector,
+    dags_from_mask,
+    shortest_path_mask,
     validate_weights,
 )
 from ..obs import telemetry
 
 logger = logging.getLogger(__name__)
 
-#: Strict-improvement margin used by the cold Dijkstra (`spt._dijkstra_to`);
-#: the incremental relaxations use the same margin so both paths settle the
-#: same distances.
-_MARGIN = 1e-15
-
 #: Active weights at or below this floor can create zero-weight plateaus,
-#: where the cold DAG is oriented by its Dijkstra tree; incremental
+#: where the cold DAG orients flat links by plateau hop count; incremental
 #: maintenance then falls back to full rebuilds for updates near the
 #: plateau (far-away updates stay incremental — see ``_plateau_safe``).
 _PLATEAU_FLOOR = 1e-12
@@ -90,7 +90,7 @@ _NO_REFRESH: frozenset = frozenset()
 #: ``max_affected_fraction`` defaults per topology class (see
 #: :func:`tuned_max_affected_fraction`).
 DENSE_CONE_FRACTION = 0.9
-SPARSE_CONE_FRACTION = 0.5
+SPARSE_CONE_FRACTION = 1.0
 
 
 def tuned_max_affected_fraction(network: Network) -> float:
@@ -102,9 +102,10 @@ def tuned_max_affected_fraction(network: Network) -> float:
     faster than a cold Dijkstra because the restricted heap skips the
     untouched prefix — so the threshold only costs exactness-preserving
     work.  0.9 eliminates the cone fallbacks on rand100 with bit-identical
-    loads.  Small or sparse backbones (Abilene, hier50) keep the
-    conservative 0.5: their cones are the whole graph and the cold rebuild
-    really is as cheap.
+    loads.  Small or sparse backbones (Abilene, hier50) never fall back on
+    cone size (1.0): their cones are often the whole graph, and re-settling
+    a few dozen nodes costs less than the fixed overhead of one cold build's
+    C Dijkstra call.
     """
     nodes = max(network.num_nodes, 1)
     mean_degree = network.num_links / nodes
@@ -593,15 +594,16 @@ class DynamicSPT:
     ) -> bool:
         """Is this incremental update provably cold-exact despite plateaus?
 
-        Plateau links orient the cold DAG through the Dijkstra parent tree,
-        which incremental hop refresh cannot reproduce.  The update is still
-        exact when every plateau stays *out of reach* of the change:
+        The cold builder orients flat plateau links by hop count to the
+        plateau's exit, which incremental hop refresh does not reproduce.
+        The update is still exact when every plateau stays *out of reach* of
+        the change:
 
         * no plateau endpoint is in the hop-refresh region (refreshing a
-          plateau-incident node would drop its cold tree augmentation), and
+          plateau-incident node would drop its flat links), and
         * every usable plateau sits strictly below ``moved_min`` minus the
-          tolerance — the cold Dijkstra settles that prefix identically
-          before and after the event, so tie orientation there is stable.
+          tolerance — distances, links and downhill exits there are the same
+          before and after the event, so the orientation is stable.
 
         ``plateau`` is the union of the pre- and post-event plateau-link
         sets, so links entering or leaving plateau status are checked too.
@@ -706,7 +708,7 @@ class DynamicSPT:
         candidate = new_eff + head
         tail_dist = dist.get(link.source, np.inf)
         changed: list[Node] = []
-        if candidate < tail_dist - _MARGIN:
+        if candidate < tail_dist:
             # Push the improvement through the reverse graph, Dijkstra-ordered.
             dist[link.source] = candidate
             active, weights = self._active_list, self._weights_list
@@ -725,7 +727,7 @@ class DynamicSPT:
                     if tail == state.destination:
                         continue
                     relaxed = d + weights[in_link.index]
-                    if relaxed < dist.get(tail, np.inf) - _MARGIN:
+                    if relaxed < dist.get(tail, np.inf):
                         dist[tail] = relaxed
                         counter += 1
                         heapq.heappush(heap, (relaxed, counter, tail))
@@ -754,7 +756,8 @@ class DynamicSPT:
         head = dist.get(link.target)
         if tail is None or head is None:
             return set()  # edge was not usable towards this destination
-        if old_eff + head > tail + _MARGIN:
+        # The margin errs towards tight, i.e. towards re-settling the cone.
+        if old_eff + head > tail + DOWNHILL_MARGIN:
             # Not tight: distances cannot change; only the tail's ECMP set can
             # (the edge may have been a tolerance-equal member).
             # Not even a tolerance-equal member before the increase:
@@ -789,7 +792,7 @@ class DynamicSPT:
                 d_up = dist.get(upstream)
                 if d_up is None:
                     continue
-                if weights[in_link.index] + dist[node] <= d_up + _MARGIN:
+                if weights[in_link.index] + dist[node] <= d_up + DOWNHILL_MARGIN:
                     cone.add(upstream)
                     queue.append(upstream)
 
@@ -815,7 +818,7 @@ class DynamicSPT:
                 if boundary is None:
                     continue
                 candidate = weights[out_link.index] + boundary
-                if candidate < best - _MARGIN:
+                if candidate < best:
                     best = candidate
             if np.isfinite(best):
                 estimates[node] = best
@@ -833,7 +836,7 @@ class DynamicSPT:
                 if upstream not in cone or upstream in dist:
                     continue
                 relaxed = d + weights[in_link.index]
-                if relaxed < estimates.get(upstream, np.inf) - _MARGIN:
+                if relaxed < estimates.get(upstream, np.inf):
                     estimates[upstream] = relaxed
                     counter += 1
                     heapq.heappush(heap, (relaxed, counter, upstream))
@@ -904,7 +907,7 @@ class DynamicSPT:
         d_node = dist[node]
         active, weights = self._active_list, self._weights_list
         bound = d_node + self.tolerance
-        floor = d_node - _MARGIN
+        floor = d_node - DOWNHILL_MARGIN
         hops: list[Node] = []
         for out_link in self.network.out_links(node):
             index = out_link.index
@@ -924,68 +927,23 @@ class DynamicSPT:
     # full rebuild (the cold-identical fallback)
     # ------------------------------------------------------------------
     def _rebuild(self, state: _DestinationState, count: bool = True) -> None:
-        """Full Dijkstra + DAG construction on the active subgraph.
+        """A cold build of one destination on the active subgraph.
 
-        Mirrors :func:`repro.network.spt.shortest_path_dag` (including the
-        Dijkstra-tree plateau augmentation) with failed links masked out, so
-        the result is identical to a cold build on the pruned network.
+        Runs the library's one DAG builder
+        (:func:`~repro.network.spt.shortest_path_mask`) with failed links
+        weighted ``inf``, so the result is the cold DAG of the pruned network.
         """
         destination = state.destination
-        active, weights = self._active_list, self._weights_list
-        in_links, out_links = self.network.in_links, self.network.out_links
-        dist: dict[Node, float] = {destination: 0.0}
-        parents: dict[Node, Node] = {}
-        heap: list[tuple[float, int, Node]] = [(0.0, 0, destination)]
-        counter = 1
-        visited: dict[Node, bool] = {}
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if visited.get(node):
-                continue
-            visited[node] = True
-            for in_link in in_links(node):
-                if not active[in_link.index]:
-                    continue
-                candidate = d + weights[in_link.index]
-                previous = dist.get(in_link.source)
-                if previous is None or candidate < previous - _MARGIN:
-                    dist[in_link.source] = candidate
-                    parents[in_link.source] = node
-                    heapq.heappush(heap, (candidate, counter, in_link.source))
-                    counter += 1
-
-        next_hops: dict[Node, list[Node]] = {}
-        for node, d_node in dist.items():
-            if node == destination:
-                continue
-            hops: list[Node] = []
-            for out_link in out_links(node):
-                if not active[out_link.index]:
-                    continue
-                d_hop = dist.get(out_link.target)
-                if d_hop is None:
-                    continue
-                on_shortest = (
-                    weights[out_link.index] + d_hop <= d_node + self.tolerance
-                )
-                if on_shortest and d_hop < d_node - _MARGIN:
-                    hops.append(out_link.target)
-            parent = parents.get(node)
-            if (
-                parent is not None
-                and parent not in hops
-                and dist.get(parent, np.inf) >= d_node - _MARGIN
-            ):
-                hops.append(parent)
-            next_hops[node] = hops
-
+        vector = np.where(self._active, self._weights, np.inf)
+        distances, mask = shortest_path_mask(self.network, [destination], vector, self.tolerance)
+        dag = dags_from_mask(self.network, [destination], distances, mask, self.tolerance)
         state.dist.clear()
-        state.dist.update(dist)
+        state.dist.update(dag[destination].distances)
         state.next_hops.clear()
-        state.next_hops.update(next_hops)
+        state.next_hops.update(dag[destination].next_hops)
         if count:
             self.stats.full_rebuilds += 1
-            self.stats.nodes_recomputed += len(dist)
+            self.stats.nodes_recomputed += len(state.dist)
 
 
 def _states_equal(a: _DestinationState, b: _DestinationState) -> bool:

@@ -19,7 +19,8 @@ where ``Z_t`` ("effective number of downward paths") satisfies the recursion
 
 Two corners keep the forwarding graph acyclic so every routable demand is
 delivered: a node with no strictly-downward neighbour (only possible on
-zero-weight plateaus) forwards along its Dijkstra tree edge, and a node whose
+zero-weight plateaus) forwards along its shortest-path DAG's plateau links
+(:func:`~repro.network.spt.shortest_path_mask`), and a node whose
 exponential shares all underflow to zero splits evenly over its downward
 neighbours.
 
@@ -40,8 +41,14 @@ from ..core.te_problem import TEProblem, solve_optimal_te
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import WeightsLike, as_weight_vector, shortest_path_dag
-from ..routing.compiled import CompiledDag, DagPart
+from ..network.spt import (
+    WeightsLike,
+    as_weight_vector,
+    shortest_path_mask,
+    tails_with,
+    validate_weights,
+)
+from ..routing.compiled import CompiledDag
 from .base import RoutingProtocol
 
 
@@ -91,29 +98,21 @@ class PEFT(RoutingProtocol):
         Edge ``(u, v)`` gets the factor ``exp(-(w_uv + d_v - d_u) / T)``; the
         ratios are the factor times ``Z_t(v)``, normalised per node.
         """
-        parts: list[DagPart] = []
-        distances: list[np.ndarray] = []
-        for destination in destinations:
-            dag = shortest_path_dag(network, destination, weights)
-            dist = dag.distances
-            next_hops = {
-                node: [
-                    link.target
-                    for link in network.out_links(node)
-                    if dist.get(link.target, np.inf) < dist[node]
-                ]
-                or hops
-                for node, hops in dag.next_hops.items()
-            }
-            parts.append(DagPart.from_next_hops(network, destination, next_hops, dist))
-            vector = np.full(network.num_nodes, np.inf)
-            vector[[network.node_index(node) for node in dist]] = list(dist.values())
-            distances.append(vector)
-        stack = CompiledDag.from_parts(network, parts)
-        dist = np.concatenate([np.empty(0), *distances])
+        destinations = list(destinations)
+        validate_weights(weights)
+        distances, dag_mask = shortest_path_mask(network, destinations, weights)
+        sources, targets = network.link_node_indices()
+        tail, head = distances[:, sources], distances[:, targets]
+        # Every strictly downward link; a node with none keeps its DAG hops
+        # (plateau links).
+        downward = (head < tail) & np.isfinite(tail)
+        lone = ~tails_with(downward, sources, network.num_nodes)[:, sources]
+        mask = downward | (dag_mask & lone)
+        stack = CompiledDag.from_mask(network, destinations, np.isfinite(distances), mask)
+        dist = distances.ravel()
         head, tail = dist[stack.targets], dist[stack.rows]
         extra = weights[stack.links] + head - tail
-        # Plateau tree edges carry no downward path weight (Z counts downward paths only).
+        # Plateau links carry no downward path weight (Z counts downward paths only).
         factors = np.where(head < tail, np.exp(-extra / self.temperature), 0.0)
         return stack, stack.boltzmann_ratios(factors)
 

@@ -8,7 +8,7 @@ block-diagonal edge list over (destination, node) positions and flow is
 propagated level by level, one ``bincount`` per DAG depth for all
 destinations and demand matrices at once.
 
-* :class:`CompiledDagSet` compiles a ``{destination: dag}`` mapping lazily
+* :class:`CompiledDagSet` compiles a ``{destination: dag}`` mapping once
   and routes many demand matrices or ratio settings against it;
 * :class:`SparseRouter` owns one weight setting end to end and routes whole
   demand ensembles in one stacked propagation.

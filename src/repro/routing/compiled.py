@@ -19,17 +19,18 @@ DAGs, and this module is its only implementation:
   as soon as an iterate repeats;
 * link loads follow as ``f[link(u, v)] = P[u, v] * x[u]``.
 
-Compiling is one Python pass over each DAG's next-hop lists (link indices
-come from :attr:`ShortestPathDag.hop_links` where available) and one numpy
-pass over all of them (:meth:`CompiledDag.from_parts`); the result is reused
-across demand matrices, gradient iterations and scenario sweeps.  The dict-loop reference the
+Compiling is one ``nonzero`` over a (destination x link) DAG mask
+(:meth:`CompiledDag.from_mask`): the shortest-path builder's mask
+(:func:`~repro.network.spt.shortest_path_mask`) as is, or explicit next-hop
+maps (live :class:`~repro.online.DynamicSPT` DAGs, SPEF's) walked once per
+destination into a :class:`DagPart`.  The result is reused across demand
+matrices, gradient iterations and scenario sweeps.  The dict-loop reference the
 equivalence suite checks this kernel against lives in
 ``tests/routing_oracle.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -42,7 +43,15 @@ import numpy as np
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, NetworkError, Node
-from ..network.spt import ShortestPathDag, UnreachableError
+from ..network.spt import (
+    DEFAULT_TOLERANCE,
+    ShortestPathDag,
+    UnreachableError,
+    WeightsLike,
+    as_weight_vector,
+    shortest_path_mask,
+    validate_weights,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -95,17 +104,11 @@ def _solve_levels(
 
 
 class DagPart(NamedTuple):
-    """One destination's DAG, walked but not yet stacked.
-
-    ``links`` holds the link index of every edge, grouped by tail node in
-    next-hop order; ``members`` the dense indices of the nodes that can
-    reach ``destination``.  Plain lists, so compiling many destinations
-    costs one numpy pass in :meth:`CompiledDag.from_parts`.
-    """
+    """One destination's DAG as two masks: its links and its member nodes."""
 
     destination: Node
-    links: list[int]
-    members: list[int]
+    mask: np.ndarray
+    member: np.ndarray
 
     @classmethod
     def from_next_hops(
@@ -114,38 +117,20 @@ class DagPart(NamedTuple):
         destination: Node,
         next_hops: Mapping[Node, Sequence[Node]],
         members: Iterable[Node] | None = None,
-        hop_links: Sequence[int] = (),
     ) -> DagPart:
         """Walk an explicit next-hop map.
 
         ``members`` defaults to the keys of ``next_hops`` plus the
-        destination.  ``hop_links`` optionally gives every next hop's link
-        index, flattened in ``next_hops`` order (see
-        :attr:`ShortestPathDag.hop_links`); it is trusted only when its
-        length matches, otherwise every link is looked up.
+        destination.
         """
-        if hop_links and not next_hops.get(destination) and len(hop_links) == sum(
-            map(len, next_hops.values())
-        ):
-            links = list(hop_links)
-        else:
-            links = [
-                network.link_index(node, hop)
-                for node, hops in next_hops.items()
-                if node != destination
-                for hop in hops
-            ]
-        node_index = network.node_index
-        indices = [node_index(node) for node in (next_hops if members is None else members)]
-        indices.append(node_index(destination))
-        return cls(destination, links, indices)
-
-    @classmethod
-    def from_dag(cls, network: Network, dag: ShortestPathDag) -> DagPart:
-        """Walk a shortest-path DAG (including augmented DAGs)."""
-        return cls.from_next_hops(
-            network, dag.destination, dag.next_hops, dag.distances, dag.hop_links
-        )
+        link_index, node_index = network.link_index, network.node_index
+        mask = np.zeros(network.num_links, dtype=bool)
+        hops = [(u, v) for u, vs in next_hops.items() if u != destination for v in vs]
+        mask[[link_index(u, v) for u, v in hops]] = True
+        member = np.zeros(network.num_nodes, dtype=bool)
+        member[[node_index(node) for node in (next_hops if members is None else members)]] = True
+        member[node_index(destination)] = True
+        return cls(destination, mask, member)
 
 
 @dataclass
@@ -161,7 +146,7 @@ class CompiledDag:
         Destination of each block, in block order.
     rows, targets, links:
         Per edge: tail position, head position and dense link index.  Edges
-        are sorted by tail (a CSR layout) and keep each node's next-hop order.
+        are sorted by tail (a CSR layout), each node's in link-index order.
     member:
         Per position: whether the node is part of its block's DAG (can reach
         the destination).  Demand entering elsewhere is unroutable.
@@ -178,8 +163,17 @@ class CompiledDag:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_parts(cls, network: Network, parts: Sequence[DagPart]) -> CompiledDag:
-        """Stack walked DAGs into one block-diagonal structure (one numpy pass).
+    def from_mask(
+        cls,
+        network: Network,
+        destinations: Sequence[Node],
+        member: np.ndarray,
+        mask: np.ndarray,
+    ) -> CompiledDag:
+        """Stack (destination x node) members and (destination x link) DAG links.
+
+        One ``nonzero`` over the mask's columns in tail order yields the edge
+        arrays, so each node's first hop is its lowest-index DAG link.
 
         Raises
         ------
@@ -187,41 +181,58 @@ class CompiledDag:
             If some next hop is not a member of its destination's DAG.
         """
         n = network.num_nodes
-        block_offsets = np.arange(len(parts), dtype=np.int64) * n
-        links = np.fromiter(
-            itertools.chain.from_iterable(part.links for part in parts), dtype=np.int64
-        )
-        edge_offsets = np.repeat(block_offsets, [len(part.links) for part in parts])
-        member_positions = np.fromiter(
-            itertools.chain.from_iterable(part.members for part in parts), dtype=np.int64
-        ) + np.repeat(block_offsets, [len(part.members) for part in parts])
-        member = np.zeros(len(parts) * n, dtype=bool)
-        member[member_positions] = True
         sources, heads = network.link_node_indices()
-        rows = sources[links] + edge_offsets
-        order = np.argsort(rows, kind="stable")
+        by_tail = np.argsort(sources, kind="stable")
+        blocks, columns = np.nonzero(mask[:, by_tail])
+        links = by_tail[columns]
+        offsets = blocks * n
         compiled = cls(
             network=network,
-            destinations=[part.destination for part in parts],
-            rows=rows[order],
-            targets=(heads[links] + edge_offsets)[order],
-            links=links[order],
-            member=member,
+            destinations=list(destinations),
+            rows=sources[links] + offsets,
+            targets=heads[links] + offsets,
+            links=links,
+            member=np.asarray(member, dtype=bool).ravel(),
         )
-        outside = np.flatnonzero(~member[compiled.targets])
+        outside = np.flatnonzero(~compiled.member[compiled.targets])
         if outside.size:
-            link = network.link_by_index(int(compiled.links[outside[0]]))
-            destination = compiled.destinations[int(compiled.rows[outside[0]]) // n]
+            link = network.link_by_index(int(links[outside[0]]))
             raise UnreachableError(
                 f"next hop {link.target!r} of {link.source!r} is not part of the DAG "
-                f"towards {destination!r}"
+                f"towards {compiled.destinations[int(blocks[outside[0]])]!r}"
             )
         return compiled
 
     @classmethod
+    def from_parts(cls, network: Network, parts: Sequence[DagPart]) -> CompiledDag:
+        """Stack walked DAGs into one block-diagonal structure."""
+        k = len(parts)
+        return cls.from_mask(
+            network,
+            [part.destination for part in parts],
+            np.reshape([part.member for part in parts], (k, network.num_nodes)),
+            np.reshape([part.mask for part in parts], (k, network.num_links)),
+        )
+
+    @classmethod
+    def from_weights(
+        cls,
+        network: Network,
+        destinations: Sequence[Node],
+        weights: WeightsLike,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ) -> CompiledDag:
+        """The destinations' shortest-path DAGs under ``weights``, stacked."""
+        vector = as_weight_vector(network, weights)
+        validate_weights(vector)
+        destinations = list(destinations)
+        distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
+        return cls.from_mask(network, destinations, np.isfinite(distances), mask)
+
+    @classmethod
     def from_dag(cls, network: Network, dag: ShortestPathDag) -> CompiledDag:
         """Compile one shortest-path DAG (including augmented DAGs)."""
-        return cls.from_parts(network, [DagPart.from_dag(network, dag)])
+        return cls.from_next_hops(network, dag.destination, dag.next_hops, dag.distances)
 
     @classmethod
     def from_next_hops(

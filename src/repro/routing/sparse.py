@@ -1,13 +1,13 @@
 """Routing entry points built on the stacked kernel (:class:`CompiledDag`).
 
 * :class:`CompiledDagSet` -- compile a ``{destination: dag}`` mapping once
-  (lazily, per destination) and route arbitrarily many demand matrices,
+  (per destination) and route arbitrarily many demand matrices,
   split-ratio settings or second-weight vectors against it.  Every
   destination a call touches rides one stacked propagation.  This is what
   the one-shot assignment routines, Algorithm 2's gradient loop and the
   SPEF pipeline use.
 * :class:`SparseRouter` -- owns the whole pipeline for one weight setting
-  (Dijkstra, compilation, ratio binding) and exposes the batched entry point
+  (one DAG builder call, compilation, ratio binding) and exposes the batched entry point
   :meth:`SparseRouter.link_loads_many` that evaluates a whole demand ensemble
   in one stacked propagation.  This is what the scenario engine's failure
   sweeps amortise their DAG compilation through.
@@ -31,8 +31,11 @@ from ..network.spt import (
     UnreachableError,
     WeightsLike,
     as_weight_vector,
-    shortest_path_dag,
+    shortest_path_mask,
+    validate_weights,
 )
+# Re-exported by name: perfbench/layers.py wraps it here.
+from ..network.spt import shortest_path_dag as shortest_path_dag
 from .compiled import CompiledDag, DagPart, SplitRatios
 
 #: Ratio modes: even ECMP split, single first-hop path, explicit split ratios.
@@ -52,11 +55,10 @@ def _destinations(matrices: Sequence[TrafficMatrix]) -> list[Node]:
 class CompiledDagSet:
     """Per-destination compiled DAGs over one network.
 
-    Compilation is lazy with caching: a DAG handed in (or installed later)
-    is walked on first use, so routing a traffic matrix only pays for the
-    destinations it actually touches.  The stack of the last destination set
-    routed is cached too, which is what makes repeated calls with the same
-    demands (Algorithm 2) cheap.
+    Each DAG handed in (or installed later) is walked once into a
+    :class:`DagPart`.  The stack of the last destination set routed is
+    cached, which is what makes repeated calls with the same demands
+    (Algorithm 2) cheap.
     """
 
     def __init__(
@@ -65,48 +67,38 @@ class CompiledDagSet:
         dags: Mapping[Node, ShortestPathDag] | None = None,
     ) -> None:
         self.network = network
-        self._dags: dict[Node, ShortestPathDag] = dict(dags or {})
         self._parts: dict[Node, DagPart] = {}
         self._stacked: tuple[tuple[Node, ...], CompiledDag] | None = None
+        for destination, dag in (dags or {}).items():
+            self.update(destination, dag)
 
     def __contains__(self, destination: Node) -> bool:
-        return destination in self._dags
+        return destination in self._parts
 
     @property
     def destinations(self) -> list[Node]:
-        return list(self._dags)
+        return list(self._parts)
 
     def update(self, destination: Node, dag: ShortestPathDag) -> None:
         """Install (or replace, after a network event) one destination's DAG.
 
         The delta-compilation entry point: only the touched destination is
-        walked again on next use — every other destination keeps its walked
-        edge list, which is what makes per-event work proportional to the
-        event's footprint rather than to the destination count.
+        walked again — every other destination keeps its walked edge list,
+        which is what makes per-event work proportional to the event's
+        footprint rather than to the destination count.
         """
-        self._dags[destination] = dag
-        self._parts.pop(destination, None)
+        part = DagPart.from_next_hops(self.network, destination, dag.next_hops, dag.distances)
+        self.install(part)
+
+    def install(self, part: DagPart) -> None:
+        """Install one destination's already-walked DAG."""
+        self._parts[part.destination] = part
         self._stacked = None
 
     def discard(self, destination: Node) -> None:
-        """Forget one destination entirely (DAG and compilation)."""
-        self._dags.pop(destination, None)
+        """Forget one destination entirely."""
         self._parts.pop(destination, None)
         self._stacked = None
-
-    def dag(self, destination: Node) -> ShortestPathDag:
-        return self._dags[destination]
-
-    def _part(self, destination: Node) -> DagPart:
-        part = self._parts.get(destination)
-        if part is None:
-            dag = self._dags.get(destination)
-            if dag is None:
-                raise UnreachableError(
-                    f"no shortest-path DAG for destination {destination!r}"
-                )
-            part = self._parts[destination] = DagPart.from_dag(self.network, dag)
-        return part
 
     def compiled(self, destination: Node) -> CompiledDag:
         """One destination's DAG compiled on its own."""
@@ -116,7 +108,10 @@ class CompiledDagSet:
         """The destinations' DAGs compiled as one stack (cached for repeat calls)."""
         key = tuple(destinations)
         if self._stacked is None or self._stacked[0] != key:
-            parts = [self._part(destination) for destination in key]
+            missing = [destination for destination in key if destination not in self._parts]
+            if missing:
+                raise UnreachableError(f"no shortest-path DAG for destination {missing[0]!r}")
+            parts = [self._parts[destination] for destination in key]
             self._stacked = (key, CompiledDag.from_parts(self.network, parts))
         return self._stacked[1]
 
@@ -233,17 +228,15 @@ class SparseRouter:
 
     # ------------------------------------------------------------------
     def _ensure_dags(self, destinations: Iterable[Node]) -> None:
-        for destination in destinations:
-            if destination in self._set:
-                continue
-            if self._weights is None:
-                raise UnreachableError(
-                    f"no shortest-path DAG for destination {destination!r}"
-                )
-            self._set.update(
-                destination,
-                shortest_path_dag(self.network, destination, self._weights, self.tolerance),
-            )
+        missing = [destination for destination in destinations if destination not in self._set]
+        if not missing:
+            return
+        if self._weights is None:
+            raise UnreachableError(f"no shortest-path DAG for destination {missing[0]!r}")
+        validate_weights(self._weights)
+        distances, mask = shortest_path_mask(self.network, missing, self._weights, self.tolerance)
+        for destination, row, links in zip(missing, distances, mask, strict=True):
+            self._set.install(DagPart(destination, links, np.isfinite(row)))
 
     def refresh_destination(
         self, destination: Node, dag: ShortestPathDag | None = None

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
+import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from ..network.demands import Pair, TrafficMatrix
 from ..network.graph import Edge, Network, Node
@@ -206,7 +208,7 @@ class Scenario:
             if scaled <= 0:
                 continue
             source, target = pair
-            if source in dead_nodes or target in dead_nodes or target not in reachable.get(source, ()):
+            if source in dead_nodes or target in dead_nodes or not reachable(source, target):
                 dropped_volume += scaled
                 dropped_pairs.append(pair)
             else:
@@ -298,13 +300,19 @@ def _sha256(payload: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _reachability(network: Network, demands: TrafficMatrix) -> dict[Node, set[Node]]:
-    """Reachable node sets for every demand source on ``network``."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(network.nodes)
-    graph.add_edges_from(network.edges)
-    reachable: dict[Node, set[Node]] = {}
-    for source in demands.sources():
-        if graph.has_node(source):
-            reachable[source] = nx.descendants(graph, source)
-    return reachable
+def _reachability(network: Network, demands: TrafficMatrix) -> Callable[[Node, Node], bool]:
+    """``reachable(source, target)`` on ``network`` for the demand sources.
+
+    One unweighted C Dijkstra from every source, skipped when the network
+    is strongly connected.
+    """
+    known = network.has_node
+    if network.is_strongly_connected():
+        return lambda source, target: known(source) and known(target)
+    sources = [source for source in demands.sources() if known(source)]
+    index = [network.node_index(source) for source in sources]
+    hops = dijkstra(network.adjacency_matrix(), indices=index, unweighted=True)
+    reached = dict(zip(sources, np.isfinite(hops), strict=True))
+    return lambda source, target: (
+        source in reached and known(target) and bool(reached[source][network.node_index(target)])
+    )

@@ -29,42 +29,12 @@ from collections.abc import Mapping
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import (
-    DEFAULT_TOLERANCE,
-    ShortestPathDag,
-    WeightsLike,
-    as_weight_vector,
-    shortest_path_dag,
-)
-from ..routing import CompiledDagSet
-from ..routing.compiled import CompiledDag, DagPart, SplitRatios
+from ..network.spt import DEFAULT_TOLERANCE, ShortestPathDag, WeightsLike
 
-
-def _compile_shortest_paths(
-    network: Network,
-    demands: TrafficMatrix,
-    weights: WeightsLike,
-    tolerance: float,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
-) -> CompiledDag:
-    """Every destination of ``demands`` compiled into one stack.
-
-    Each DAG (given, or built here) is walked as soon as it exists and then
-    dropped, so only the flat edge lists stay alive until the stack is built.
-    """
-    demands.validate(network)
-    vector = as_weight_vector(network, weights)
-    given = dags or {}
-    parts = [
-        DagPart.from_dag(
-            network,
-            given[destination]
-            if destination in given
-            else shortest_path_dag(network, destination, vector, tolerance),
-        )
-        for destination in demands.destinations()
-    ]
-    return CompiledDag.from_parts(network, parts)
+# Re-exported by name: perfbench/layers.py wraps it here.
+from ..network.spt import shortest_path_dag as shortest_path_dag
+from ..routing import CompiledDagSet, SparseRouter
+from ..routing.compiled import CompiledDag, SplitRatios
 
 
 def ecmp_assignment(
@@ -78,9 +48,12 @@ def ecmp_assignment(
 
     This reproduces OSPF's ECMP behaviour for a given weight setting.  The
     precomputed ``dags`` argument lets callers reuse shortest-path DAGs across
-    repeated evaluations.
+    repeated evaluations; destinations it lacks are built from ``weights``.
     """
-    stack = _compile_shortest_paths(network, demands, weights, tolerance, dags)
+    if dags is not None:
+        return SparseRouter(network, weights, dags=dags, tolerance=tolerance).route(demands)
+    demands.validate(network)
+    stack = CompiledDag.from_weights(network, demands.destinations(), weights, tolerance)
     return stack.flows(demands, stack.uniform_ratios())
 
 
@@ -92,12 +65,13 @@ def all_or_nothing_assignment(
 ) -> FlowAssignment:
     """Route every demand along a single shortest path (no splitting).
 
-    Ties are broken deterministically by picking the first next hop of the
-    DAG, so repeated calls with the same inputs give the same flows -- a
-    property the sub-gradient iterations of Algorithm 1 rely on for
-    reproducibility.
+    Ties are broken deterministically: each node forwards on its DAG link
+    with the lowest link index, so repeated calls with the same inputs give
+    the same flows -- a property the sub-gradient iterations of Algorithm 1
+    rely on for reproducibility.
     """
-    stack = _compile_shortest_paths(network, demands, weights, tolerance)
+    demands.validate(network)
+    stack = CompiledDag.from_weights(network, demands.destinations(), weights, tolerance)
     return stack.flows(demands, stack.first_hop_ratios())
 
 

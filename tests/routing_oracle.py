@@ -8,10 +8,16 @@ speed benchmark (``benchmarks/test_routing_speed.py``) compare the kernel
 against.  Flow is pushed over each destination DAG in topological order, so
 a node's whole incoming flow (local demand plus transit) is known before it
 is split.
+
+The DAGs themselves come from :func:`shortest_path_dag` below: a heapq
+Dijkstra and a node-by-node walk of the library's DAG rule, written
+independently of the vectorised builder in ``repro.network.spt``.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections.abc import Mapping
 
 import numpy as np
@@ -25,10 +31,85 @@ from repro.network.spt import (
     ShortestPathDag,
     UnreachableError,
     WeightsLike,
-    distances_to,
-    shortest_path_dag,
+    as_weight_vector,
+    validate_weights,
 )
 from repro.routing.compiled import warn_degenerate_split
+
+
+# ----------------------------------------------------------------------
+# shortest-path DAGs
+# ----------------------------------------------------------------------
+def distances_to(network: Network, destination: Node, weights: WeightsLike) -> dict[Node, float]:
+    """Heapq Dijkstra towards ``destination`` with strict relaxations."""
+    vector = as_weight_vector(network, weights)
+    validate_weights(vector)
+    dist: dict[Node, float] = {destination: 0.0}
+    heap: list[tuple[float, int, Node]] = [(0.0, 0, destination)]
+    pushes = itertools.count(1)
+    settled: set[Node] = set()
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for link in network.in_links(node):
+            candidate = d + float(vector[link.index])
+            if candidate < dist.get(link.source, np.inf):
+                dist[link.source] = candidate
+                heapq.heappush(heap, (candidate, next(pushes), link.source))
+    return dist
+
+
+def shortest_path_dag(
+    network: Network,
+    destination: Node,
+    weights: WeightsLike,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> ShortestPathDag:
+    """The DAG rule, one node at a time.
+
+    A link ``u -> v`` is tight when ``w + d(v) <= d(u) + tolerance``.  Tight
+    links whose head is more than 1e-15 closer (downhill) always join.  A
+    node without one is on a zero-weight plateau: its tight links to heads
+    no farther away (flat links) join when the head is one flat hop closer
+    to an exit -- a node with a downhill link, or the destination.
+    """
+    vector = as_weight_vector(network, weights)
+    dist = distances_to(network, destination, vector)
+    downhill: dict[Node, list[Node]] = {}
+    flat: dict[Node, list[Node]] = {}
+    for node, d_node in dist.items():
+        if node == destination:
+            continue
+        downhill[node], flat[node] = [], []
+        for link in network.out_links(node):
+            d_hop = dist.get(link.target)
+            if d_hop is None or vector[link.index] + d_hop > d_node + tolerance:
+                continue
+            if d_hop < d_node - 1e-15:
+                downhill[node].append(link.target)
+            elif d_hop <= d_node:
+                flat[node].append(link.target)
+    level = {node: 0 for node, hops in downhill.items() if hops}
+    level[destination] = 0
+    depth = 0
+    while True:
+        grown = [
+            node
+            for node, hops in flat.items()
+            if node not in level and any(level.get(hop) == depth for hop in hops)
+        ]
+        if not grown:
+            break
+        depth += 1
+        level.update(dict.fromkeys(grown, depth))
+    next_hops = {
+        node: hops
+        or [hop for hop in flat[node] if node in level and level.get(hop, depth + 1) < level[node]]
+        for node, hops in downhill.items()
+    }
+    return ShortestPathDag(destination, dist, next_hops, tolerance)
 
 
 def _propagate_over_dag(

@@ -1,9 +1,31 @@
 """Unit tests for the directed capacitated network model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.network.graph import Link, Network, NetworkError, NetworkSummary
+
+#: ``import repro``, then a cold scenario cell: apply a failure, route OSPF.
+COLD_CELL = """
+import sys
+import repro
+from repro.scenarios import single_link_failures
+from repro.topology import abilene_network
+from repro.traffic.gravity import gravity_traffic_matrix
+
+net = abilene_network()
+tm = gravity_traffic_matrix(net, total_volume=1.0)
+instance = single_link_failures(net)[0].apply(net, tm)
+repro.OSPF().route(instance.network, instance.demands)
+repro.OSPF().route(net, tm)
+print("networkx" in sys.modules)
+"""
 
 
 class TestConstruction:
@@ -132,6 +154,16 @@ class TestStructure:
         rebuilt = Network.from_networkx(graph)
         assert rebuilt.num_nodes == triangle_network.num_nodes
         assert set(rebuilt.edges) == set(triangle_network.edges)
+
+    def test_networkx_stays_off_the_runtime_path(self):
+        """networkx is optional: only the conversions below import it."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_CELL], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_from_networkx_requires_capacity(self):
         import networkx as nx

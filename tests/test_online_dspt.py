@@ -414,7 +414,7 @@ class TestTunedMaxAffectedFraction:
 
         assert tuned_max_affected_fraction(rand100()) == DENSE_CONE_FRACTION
         assert tuned_max_affected_fraction(rand500()) == DENSE_CONE_FRACTION
-        # Abilene: 11 nodes — small backbones keep the conservative default.
+        # Abilene: 11 nodes — small backbones never fall back on cone size.
         assert tuned_max_affected_fraction(abilene_network()) == SPARSE_CONE_FRACTION
 
     def test_engine_defaults_to_the_tuned_threshold(self):

@@ -27,7 +27,12 @@ from repro.core.traffic_distribution import traffic_distribution
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
-from repro.network.spt import UnreachableError, all_shortest_path_dags
+from repro.network.spt import (
+    DEFAULT_TOLERANCE,
+    UnreachableError,
+    all_shortest_path_dags,
+    shortest_path_dag,
+)
 from repro.routing import SparseRouter
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
@@ -39,6 +44,50 @@ TOLERANCE = 1e-9
 
 #: Weight pool: zeros create zero-cost plateaus, duplicates create ECMP ties.
 WEIGHT_POOL = (0.0, 1.0, 1.0, 2.0, 3.0, 5.0)
+
+#: Zero-weight plateaus: duplex ``(u, v, weight)`` links, a destination, and
+#: the exact DAG edge set the plateau rule gives.
+PLATEAU_CASES = {
+    # All distances tie; flat links lead towards the destination, the exit.
+    "all-zero": (
+        [(1, 2, 0.0), (2, 3, 0.0), (1, 3, 0.0), (3, 4, 0.0)],
+        4,
+        {(3, 4), (1, 3), (2, 3)},
+    ),
+    "all-zero-to-1": (
+        [(1, 2, 0.0), (2, 3, 0.0), (1, 3, 0.0), (3, 4, 0.0)],
+        1,
+        {(2, 1), (3, 1), (4, 3)},
+    ),
+    # b sits between two exits one flat hop away and keeps both.
+    "two-exits": (
+        [("b", "c", 0.0), ("a", "b", 0.0), ("a", "t", 1.0), ("c", "t", 1.0)],
+        "t",
+        {("a", "t"), ("c", "t"), ("b", "a"), ("b", "c")},
+    ),
+    # c is two flat hops from either exit: both of its flat links lead closer.
+    "two-hop": (
+        [
+            ("a", "b", 0.0),
+            ("b", "c", 0.0),
+            ("c", "d", 0.0),
+            ("d", "e", 0.0),
+            ("a", "t", 1.0),
+            ("e", "t", 1.0),
+        ],
+        "t",
+        {("a", "t"), ("e", "t"), ("b", "a"), ("d", "e"), ("c", "b"), ("c", "d")},
+    ),
+}
+
+
+def _plateau_network(links) -> tuple[Network, np.ndarray]:
+    net = Network(name="plateau")
+    weights: list[float] = []
+    for u, v, weight in links:
+        net.add_duplex_link(u, v, 10.0)
+        weights.extend([weight, weight])
+    return net, np.array(weights)
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +189,21 @@ def run_both(oracle_fn, kernel_fn, *args, **kwargs):
 # property-based equivalence
 # ----------------------------------------------------------------------
 class TestEquivalenceOnRandomInstances:
+    @given(
+        instance=routing_instance(connected=False),
+        tolerance=st.sampled_from((DEFAULT_TOLERANCE, 1.0)),
+    )
+    def test_dag_builder_matches_oracle(self, instance, tolerance):
+        """The array builder's distances and link sets equal the dict-loop rule's."""
+        net, weights, _ = instance
+        built = all_shortest_path_dags(net, net.nodes, weights, tolerance)
+        for destination, dag in built.items():
+            reference = oracle.shortest_path_dag(net, destination, weights, tolerance)
+            assert dag.distances == reference.distances
+            assert dag.next_hops == reference.next_hops
+            assert len(dag.topological_order()) == len(dag.distances)
+            assert all(dag.next_hops[node] for node in dag.next_hops)
+
     @given(instance=routing_instance())
     def test_ecmp(self, instance):
         net, weights, tm = instance
@@ -251,14 +315,32 @@ class TestEquivalenceCorners:
         assert sparse.flow_on(1, 3) == pytest.approx(4.0)
 
     def test_zero_weight_plateau(self):
-        """All-zero weights tie every distance; the Dijkstra-tree DAG agrees."""
-        net = Network(name="plateau")
-        for u, v in [(1, 2), (2, 3), (1, 3), (3, 4)]:
-            net.add_duplex_link(u, v, 10.0)
-        tm = TrafficMatrix({(1, 4): 6.0, (2, 4): 3.0, (4, 1): 2.0})
-        weights = np.zeros(net.num_links)
-        python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
-        assert_flows_equal(python, sparse)
+        """Flat links point one plateau hop closer to an exit; kernel and oracle agree."""
+        for links, destination, expected in PLATEAU_CASES.values():
+            net, weights = _plateau_network(links)
+            dag = shortest_path_dag(net, destination, weights)
+            assert set(dag.edges()) == expected
+            assert len(dag.topological_order()) == net.num_nodes  # acyclic, all reachable
+            assert all(dag.next_hops[node] for node in net.nodes if node != destination)
+            assert dag.next_hops == oracle.shortest_path_dag(net, destination, weights).next_hops
+            tm = TrafficMatrix(
+                {(node, destination): 1.0 for node in net.nodes if node != destination}
+            )
+            python, sparse = run_both(oracle.ecmp_assignment, ecmp_assignment, net, tm, weights)
+            assert_flows_equal(python, sparse)
+
+    def test_all_or_nothing_takes_the_lowest_link_index(self):
+        """AON forwards on a node's lowest-index DAG link, plateau links included."""
+        links, destination, _ = PLATEAU_CASES["two-exits"]
+        net, weights = _plateau_network(links)
+        tm = TrafficMatrix({("b", destination): 1.0})
+        flows = all_or_nothing_assignment(net, tm, weights)
+        # b's DAG links are b->a and b->c; the b-c duplex was added first.
+        assert net.link_index("b", "c") < net.link_index("b", "a")
+        assert flows.flow_on("b", "c") == pytest.approx(1.0)
+        assert flows.flow_on("b", "a") == 0.0
+        python = oracle.all_or_nothing_assignment(net, tm, weights)
+        assert_flows_equal(python, flows)
 
     def test_zero_demand_matrix(self, diamond_network):
         """An empty matrix yields zero loads (and no destinations) on both."""
@@ -399,8 +481,8 @@ def _deep_chain() -> tuple[Network, np.ndarray, TrafficMatrix]:
     """A 160-node duplex chain with an ECMP diamond every 5 hops (192 nodes).
 
     Each diamond's detour ``c_k -> d_k -> c_{k+1}`` ties the direct link, and
-    the links between ``c80`` and ``c84`` weigh zero (a plateau where the
-    Dijkstra tree orients the ties).  DAG depth is ~160, far beyond what the
+    the links between ``c80`` and ``c84`` weigh zero (a plateau whose flat
+    links drain towards its exit).  DAG depth is ~160, far beyond what the
     7-node Hypothesis graphs reach.
     """
     net = Network(name="deep-chain")
@@ -438,6 +520,24 @@ class TestDeepChain:
         assert net.num_nodes == 192
         dag = all_shortest_path_dags(net, ["c0"], weights)["c0"]
         assert len(dag.paths_from("c159", limit=1)[0]) > 150
+
+    def test_plateau_orientation(self):
+        """The c80-c84 plateau drains towards its exit on either side."""
+        net, weights, tm = _deep_chain()
+        dags = all_shortest_path_dags(net, tm.destinations(), weights)
+        plateau = [f"c{k}" for k in range(80, 85)]
+        towards_c0 = {node: dags["c0"].next_hops[node] for node in plateau}
+        assert towards_c0 == {
+            "c80": ["c79"], "c81": ["c80"], "c82": ["c81"], "c83": ["c82"], "c84": ["c83"]
+        }
+        towards_c159 = {node: dags["c159"].next_hops[node] for node in plateau}
+        assert towards_c159 == {
+            "c80": ["c81"], "c81": ["c82"], "c82": ["c83"], "c83": ["c84"], "c84": ["c85"]
+        }
+        for destination, dag in dags.items():
+            assert len(dag.topological_order()) == net.num_nodes
+            assert all(dag.next_hops[node] for node in net.nodes if node != destination)
+            assert dag.next_hops == oracle.shortest_path_dag(net, destination, weights).next_hops
 
     @pytest.mark.parametrize("routine", DEEP_ROUTINES)
     def test_one_shot(self, routine):
