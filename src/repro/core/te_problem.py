@@ -70,6 +70,9 @@ class TESolution:
     utility: float
     iterations: int = 0
     converged: bool = True
+    #: Frank-Wolfe's duality gap over ``max(|cost|, 1)`` when it stopped
+    #: (0 for the exact LP and empty cases).
+    relative_gap: float = 0.0
     objective_history: list[float] = field(default_factory=list)
 
     @property
@@ -134,11 +137,15 @@ def solve_optimal_te(
             converged=True,
         )
 
+    # The oracles are Phi(f) = -sum V(c - f) and V'(c - f)
+    # (LoadBalanceObjective.congestion_cost / congestion_gradient) with the
+    # capacity vector read once per solve instead of once per call.
+    capacities = network.capacities
     result = solve_frank_wolfe(
         network,
         demands,
-        cost=lambda f: objective.congestion_cost(network, f),
-        gradient=lambda f: objective.congestion_gradient(network, f),
+        cost=lambda f: -objective.total_utility(capacities - f),
+        gradient=lambda f: objective.derivative(capacities - f),
         barrier=objective.is_barrier(),
         max_iterations=max_iterations,
         tolerance=tolerance,
@@ -152,6 +159,7 @@ def solve_optimal_te(
         utility=objective.total_utility(spare),
         iterations=result.iterations,
         converged=result.converged,
+        relative_gap=result.relative_gap,
         objective_history=[-value for value in result.objective_history],
     )
 

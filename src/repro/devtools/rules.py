@@ -13,9 +13,10 @@ REP002    unseeded ``random`` use — global-RNG calls, ``random.Random()``
 REP003    wall-clock reads (``time.time``, ``datetime.now``,
           ``datetime.today``) outside ``obs/`` (results must not depend
           on when they were produced).
-REP004    ``sum()``/``min()``/``max()`` over a ``set``, and — in the
-          metric/export layer — accumulation over ``dict.values()``
-          (float accumulation order must be pinned).
+REP004    ``sum()``/``min()``/``max()``, ``for`` loops and comprehensions
+          over a ``set`` expression, and — in the metric/export layer —
+          accumulation over ``dict.values()`` (iteration and float
+          accumulation order must be pinned).
 REP005    session-state attribute writes in the serve daemon outside an
           ``async with <lock>`` scope (session state is only touched
           under per-session locks or in executor-dispatched sync code).
@@ -294,8 +295,9 @@ class OrderedAccumulationRule(Rule):
     id = "REP004"
     title = "accumulation over an unordered (or unpinned-order) iterable"
     rationale = (
-        "sum() over a set depends on hash order; in the metric/export "
-        "layer even dict.values() order must be made explicit (sort first)"
+        "iterating a set (a loop, a comprehension, sum()) depends on hash "
+        "order; in the metric/export layer even dict.values() order must "
+        "be made explicit (sort first)"
     )
 
     #: Path parts marking the metric/export layer, where the stricter
@@ -313,7 +315,8 @@ class OrderedAccumulationRule(Rule):
             if isinstance(arg, ast.GeneratorExp) and arg.generators:
                 target = arg.generators[0].iter
             values_attr = _values_call_attr(target)
-            if _is_set_expression(target):
+            # A generator over a set is reported as a comprehension below.
+            if _is_set_expression(arg):
                 self.report(
                     node,
                     f"{func.id}() over a set: iteration order (and float "
@@ -329,8 +332,13 @@ class OrderedAccumulationRule(Rule):
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
-        if self._strict and _is_set_expression(node.iter):
-            self.report(node, "iteration over a set in the metric/export layer")
+        if _is_set_expression(node.iter):
+            self.report(node, "for loop over a set: iteration order is not pinned")
+        self.generic_visit(node)
+
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        if _is_set_expression(node.iter):
+            self.report(node.iter, "comprehension over a set: iteration order is not pinned")
         self.generic_visit(node)
 
 

@@ -666,7 +666,9 @@ def _telemetry_summary_record(
 #:    factor-0 capacities are explicit link failures on both paths.
 #: 5: one-shot routing left the dict-loop oracle for the stacked kernel
 #:    (cold-cell loads shift at float round-off).
-CACHE_VERSION = 5
+#: 6: Frank-Wolfe takes exact slope-root steps over a stacked iterate, so
+#:    FW-based cells (SPEF, PEFT) shift at float round-off.
+CACHE_VERSION = 6
 
 
 def default_cache_dir() -> Path:

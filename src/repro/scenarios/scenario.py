@@ -167,10 +167,12 @@ class Scenario:
         dead_nodes: set[Node] = set(self.failed_nodes)
         factors: dict[Edge, float] = self.merged_capacity_factors()
 
-        for edge in removed | set(factors):
+        # Checked in declaration order, so the first unknown edge or node
+        # reported does not depend on hash order.
+        for edge in [*self.failed_links, *factors]:
             if not network.has_link(*edge):
                 raise ScenarioError(f"scenario {self.scenario_id!r}: unknown link {edge}")
-        for node in dead_nodes:
+        for node in self.failed_nodes:
             if not network.has_node(node):
                 raise ScenarioError(f"scenario {self.scenario_id!r}: unknown node {node!r}")
 

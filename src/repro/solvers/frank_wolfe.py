@@ -13,7 +13,13 @@ flow-deviation method applies directly:
    ``w_ij = V'_ij(c_ij - f_ij)`` -- exactly the paper's first link weights;
 2. solve the linearised subproblem, i.e. route all demands on shortest paths
    under ``w`` (all-or-nothing assignment);
-3. move towards that extreme point with an exact line search.
+3. move towards that extreme point by the exact line-search step: the root
+   on [0, 1] of the line slope ``phi'(alpha) = sum_l d_l * V'_l(c_l - f_l -
+   alpha d_l)``, read from the same gradient oracle and found by safeguarded
+   regula falsi (the full step when the slope at 1 is still non-positive).
+
+The iterate is one ``(destination x link)`` array, rows in demand-destination
+order, so the result does not depend on hash order.
 
 For strictly concave barrier-like utilities (``beta >= 1``) the cost diverges
 as any link saturates, so iterates stay strictly feasible as long as the
@@ -33,7 +39,7 @@ import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network
+from ..network.graph import Network, Node
 from .assignment import all_or_nothing_assignment
 from .mcf import SolverError, solve_min_cost_mcf, solve_min_mlu
 
@@ -57,23 +63,69 @@ class FrankWolfeResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _golden_section(fun: Callable[[float], float], tol: float = 1e-10) -> float:
-    """Minimise a 1-D convex function over [0, 1] by golden-section search."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+def _line_step(
+    gradient: GradientOracle,
+    aggregate: np.ndarray,
+    direction: np.ndarray,
+    tol: float = 1e-10,
+) -> float:
+    """The exact step on [0, 1]: the root of the line slope ``phi'(alpha)``.
+
+    ``phi(alpha) = Phi(f + alpha d)`` is convex, so its slope
+    ``phi'(alpha) = sum_l d_l * grad(f + alpha d)_l`` is non-decreasing.  The
+    sum runs over the links with ``d_l != 0`` only: a saturated link the
+    direction leaves alone (possible when ``beta < 1``) has an infinite
+    marginal cost, and ``inf * 0`` would turn every slope into NaN.
+
+    The full step is taken when ``phi'(1)`` is finite and non-positive.
+    Otherwise the root is bracketed by safeguarded regula falsi (the Illinois
+    variant); a probe past the barrier (a non-finite slope) or a secant point
+    outside the bracket falls back to bisection.  Stops once the bracket is
+    narrower than ``tol``, so the step is never 0.
+    """
+    moving = direction != 0.0
+    d = direction[moving]
+
+    def slope(alpha: float) -> float:
+        with np.errstate(invalid="ignore"):
+            return float(np.dot(d, gradient(aggregate + alpha * direction)[moving]))
+
+    s_hi = slope(1.0)
+    if np.isfinite(s_hi) and s_hi <= 0.0:
+        return 1.0
     lo, hi = 0.0, 1.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
+    s_lo = slope(0.0)
+    side = 0
     while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fun(x2)
-    return (lo + hi) / 2.0
+        alpha = 0.5 * (lo + hi)
+        if np.isfinite(s_lo) and np.isfinite(s_hi):
+            secant = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+            if lo < secant < hi:
+                alpha = secant
+        s = slope(alpha)
+        if s == 0.0:
+            return alpha
+        if s < 0.0:
+            lo, s_lo = alpha, s
+            if side < 0:
+                s_hi *= 0.5
+            side = -1
+        else:  # positive, +inf or NaN: at or past the root (or the barrier)
+            hi, s_hi = alpha, s
+            if side > 0:
+                s_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)
+
+
+def _stacked(flows: FlowAssignment, rows: list[Node], num_links: int) -> np.ndarray:
+    """``flows`` as a ``(len(rows), num_links)`` array; absent rows are zero."""
+    out = np.zeros((len(rows), num_links))
+    for i, destination in enumerate(rows):
+        vector = flows.per_destination.get(destination)
+        if vector is not None:
+            out[i] = vector
+    return out
 
 
 def solve_frank_wolfe(
@@ -131,23 +183,29 @@ def solve_frank_wolfe(
             )
         current = start.flows
     else:
-        current = initial_flows.copy()
+        current = initial_flows
+
+    # The iterate as one (destination x link) array: the demand destinations
+    # in demand order, then any other rows of the starting point.
+    rows = list(dict.fromkeys([*demands.destinations(), *current.per_destination]))
+    flows = _stacked(current, rows, network.num_links)
 
     history: list[float] = []
     relative_gap = np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):  # noqa: B007
-        aggregate = current.aggregate()
+        aggregate = flows.sum(axis=0)
         weights = np.maximum(gradient(aggregate), 0.0)
         if barrier:
             target = all_or_nothing_assignment(network, demands, weights)
         else:
             target = solve_min_cost_mcf(network, demands, weights, capacitated=True).flows
+        target_flows = _stacked(target, rows, network.num_links)
 
         current_cost = float(cost(aggregate))
         history.append(current_cost)
-        direction = target.aggregate() - aggregate
+        direction = target_flows.sum(axis=0) - aggregate
         gap = float(-np.dot(weights, direction))
         denom = max(abs(current_cost), 1.0)
         relative_gap = gap / denom
@@ -155,29 +213,14 @@ def solve_frank_wolfe(
             converged = True
             break
 
-        def line_cost(alpha: float) -> float:
-            return float(cost(aggregate + alpha * direction))
+        alpha = _line_step(gradient, aggregate, direction)
+        flows = (1 - alpha) * flows + alpha * target_flows
 
-        alpha = _golden_section(line_cost)
-        if alpha <= 0:
-            converged = True
-            break
-        blended = FlowAssignment(network=network)
-        for destination in set(current.destinations) | set(target.destinations):
-            a = current.per_destination.get(destination)
-            b = target.per_destination.get(destination)
-            if a is None:
-                a = np.zeros(network.num_links)
-            if b is None:
-                b = np.zeros(network.num_links)
-            blended.per_destination[destination] = (1 - alpha) * a + alpha * b
-        current = blended
-
-    aggregate = current.aggregate()
+    aggregate = flows.sum(axis=0)
     final_cost = float(cost(aggregate))
     history.append(final_cost)
     return FrankWolfeResult(
-        flows=current,
+        flows=FlowAssignment(network=network, per_destination=dict(zip(rows, flows, strict=True))),
         objective=final_cost,
         link_weights=np.maximum(gradient(aggregate), 0.0),
         iterations=iteration,

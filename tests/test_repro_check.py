@@ -193,6 +193,34 @@ def test_rep004_values_accumulation_gates_only_metric_export_layer(tmp_path):
     assert [d.rule for d in result.diagnostics] == ["REP004"]
 
 
+def test_rep004_set_loops_and_comprehensions_gate_every_layer(tmp_path):
+    write(
+        tmp_path,
+        "solvers/mod.py",
+        "def blend(a, b):\n"
+        "    for key in set(a) | set(b):\n"
+        "        print(key)\n"
+        "    keys = [key for key in {*a, *b}]\n"
+        "    total = sum(a[key] for key in set(a))\n"
+        "    return keys, total\n",
+    )
+    result = check_paths([tmp_path])
+    assert [(d.rule, d.line) for d in result.diagnostics] == [
+        ("REP004", 2),
+        ("REP004", 4),
+        ("REP004", 5),
+    ]
+    write(
+        tmp_path,
+        "solvers/mod.py",
+        "def blend(a, b):\n"
+        "    for key in [*a, *b]:\n"
+        "        print(key)\n"
+        "    return [key for key in sorted({*a, *b})]\n",
+    )
+    assert check_paths([tmp_path]).ok
+
+
 def test_rep007_catches_unexported_public_def(tmp_path):
     write(tmp_path, "mod.py", '__all__ = ["f"]\n\n\ndef f():\n    pass\n\n\ndef g():\n    pass\n')
     result = check_paths([tmp_path])

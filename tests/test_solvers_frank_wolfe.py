@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from repro.core.objectives import LoadBalanceObjective
 from repro.network.demands import TrafficMatrix
-from repro.solvers.frank_wolfe import solve_frank_wolfe
+from repro.solvers.frank_wolfe import _line_step, solve_frank_wolfe
 from repro.solvers.mcf import SolverError, solve_min_mlu
 
 
@@ -92,3 +93,79 @@ class TestFrankWolfe:
         result = solve_frank_wolfe(fig4, fig4_tm, cost, gradient)
         assert result.flows.max_link_utilization() < 1.0
         result.flows.validate(fig4_tm, tolerance=1e-6)
+
+
+def _reference_step(cost, flow, direction):
+    """argmin of ``cost(flow + a * direction)`` on [0, 1] by bounded Brent.
+
+    Bounded Brent stops within ``sqrt(eps) * |a|`` of its minimiser, so a
+    second pass searches a 2e-4 window around the first to take the
+    reference well below the 1e-8 the tests assert.
+    """
+    line = lambda a: cost(flow + a * direction)  # noqa: E731
+    options = {"xatol": 1e-12}
+    # Past a barrier the cost is inf, which Brent's parabola step handles
+    # (it falls back to golden section) after an inf - inf.
+    with np.errstate(invalid="ignore"):
+        coarse = minimize_scalar(line, bounds=(0.0, 1.0), method="bounded", options=options).x
+        lo, hi = max(0.0, coarse - 1e-4), min(1.0, coarse + 1e-4)
+        fine = minimize_scalar(
+            lambda u: line(lo + u * (hi - lo)), bounds=(0.0, 1.0), method="bounded", options=options
+        ).x
+    return lo + fine * (hi - lo)
+
+
+class TestLineStep:
+    """The exact step is the root of the line slope on [0, 1].
+
+    Each case is one line ``f + a d`` on a few links with capacities ``c``;
+    the oracles are the objective's own ``-sum V(c - f)`` and ``V'(c - f)``.
+    """
+
+    @staticmethod
+    def _line(objective, capacity, flow, direction):
+        capacity, flow, direction = (np.asarray(x, dtype=float) for x in (capacity, flow, direction))
+        cost = lambda f: -objective.total_utility(capacity - f)  # noqa: E731
+        gradient = lambda f: objective.derivative(capacity - f)  # noqa: E731
+        return cost, gradient, flow, direction
+
+    def test_interior_minimum(self):
+        objective = LoadBalanceObjective(beta=1.0, q=np.array([1.0, 2.0, 0.5]))
+        cost, gradient, flow, direction = self._line(
+            objective, [3.0, 3.0, 3.0], [2.6, 1.5, 2.2], [-2.4, 1.6, 0.8]
+        )
+        alpha = _line_step(gradient, flow, direction)
+        assert 0.0 < alpha < 1.0
+        assert alpha == pytest.approx(_reference_step(cost, flow, direction), abs=1e-8)
+
+    def test_full_step_when_the_slope_at_one_is_still_negative(self):
+        objective = LoadBalanceObjective.proportional()
+        cost, gradient, flow, direction = self._line(objective, [3.0, 3.0], [2.5, 1.5], [-0.4, 0.4])
+        alpha = _line_step(gradient, flow, direction)
+        assert alpha == 1.0
+        assert alpha == pytest.approx(_reference_step(cost, flow, direction), abs=1e-8)
+
+    def test_barrier_line_past_saturation(self):
+        objective = LoadBalanceObjective.proportional()
+        cost, gradient, flow, direction = self._line(objective, [3.0, 3.0], [2.5, 1.0], [-2.0, 4.0])
+        # The second link saturates at a = 0.5: past it the slope is +inf.
+        assert np.isinf(gradient(flow + direction)).any()
+        alpha = _line_step(gradient, flow, direction)
+        assert alpha == pytest.approx(_reference_step(cost, flow, direction), abs=1e-8)
+        assert alpha == pytest.approx(0.125, abs=1e-12)
+
+    def test_saturated_link_outside_the_direction(self):
+        """beta < 1: a saturated link with d = 0 has marginal cost inf.
+
+        ``inf * 0`` must not turn the slope into NaN: a NaN slope reads as
+        "past the root", so the search would shrink to a step of ~0 and
+        Frank-Wolfe would stall at a non-optimal point.
+        """
+        objective = LoadBalanceObjective(beta=0.5)
+        cost, gradient, flow, direction = self._line(
+            objective, [1.0, 1.0, 1.0], [1.0, 0.99, 0.1], [0.0, -0.9, 0.85]
+        )
+        assert np.isinf(gradient(flow)[0])
+        alpha = _line_step(gradient, flow, direction)
+        assert alpha > 0.0
+        assert alpha == pytest.approx(_reference_step(cost, flow, direction), abs=1e-8)

@@ -1,8 +1,14 @@
 """Unit and integration tests for the SPEF protocol (Algorithm 4)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.forwarding import verify_split_consistency
 from repro.core.objectives import LoadBalanceObjective
 from repro.core.spef import SPEF, SPEFConfig
@@ -90,6 +96,51 @@ class TestPipeline:
         # at 100% for SPEF0); allow the NEM tolerance on top of that.
         assert solution.max_link_utilization() <= 1.0 + 5e-3
         assert solution.flows.conservation_violation(fig4_tm) < 1e-6
+
+
+#: One SPEF fit on Abilene with string node names ("r1" ... "r11") at 0.75x
+#: saturation; prints the first and second weights' raw bytes.
+RELABELLED_FIT = """
+from repro.analysis.experiments import Instance
+from repro.core.spef import SPEF
+from repro.network.demands import TrafficMatrix
+from repro.network.graph import Network
+from repro.topology.backbones import abilene_network
+from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
+
+base = abilene_network()
+name = {node: f"r{node}" for node in base.nodes}
+network = Network(name="abilene-r")
+for node in base.nodes:
+    network.add_node(name[node])
+for link in base.links:
+    network.add_link(name[link.source], name[link.target], link.capacity, link.delay)
+tm = abilene_traffic_matrix(base, total_volume=1.0, seed=1)
+demands = TrafficMatrix({(name[s], name[t]): v for (s, t), v in tm.items()})
+instance = Instance(network=network, base_demands=demands, kind="Backbone")
+solution = SPEF().fit(network, instance.at_fraction(0.75))
+print(solution.first_weights.tobytes().hex())
+print(solution.second_weights.tobytes().hex())
+"""
+
+
+def test_fit_is_independent_of_the_hash_seed():
+    """String node names hash differently per process; the fit must not care."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        result = subprocess.run(
+            [sys.executable, "-c", RELABELLED_FIT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(result.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 class TestIntegerWeights:

@@ -45,6 +45,17 @@ class TestSolveBeta1:
         solution.flows.validate(fig4_tm, tolerance=1e-6)
         assert solution.max_link_utilization < 1.0
 
+    def test_capped_solve_reports_its_gap(self, fig4, fig4_tm):
+        capped = solve_optimal_te(TEProblem(fig4, fig4_tm), max_iterations=3, tolerance=1e-7)
+        assert capped.iterations == 3
+        assert capped.converged is False
+        assert capped.relative_gap > 1e-7
+
+    def test_converged_solve_reports_its_gap(self, diamond_network, diamond_demands):
+        solved = solve_optimal_te(TEProblem(diamond_network, diamond_demands), tolerance=1e-7)
+        assert solved.converged is True
+        assert 0.0 <= solved.relative_gap <= 1e-7
+
     def test_infeasible_raises(self, fig1):
         demands = TrafficMatrix({(1, 3): 3.0})
         with pytest.raises(SolverError):
