@@ -47,9 +47,9 @@ def main() -> None:
     stats = controller.spt.stats
     print(
         f"Replayed {replay.processed_events} events in {replay.elapsed * 1e3:.0f} ms wall "
-        f"({stats.incremental_updates} incremental DAG updates, "
+        f"({stats.incremental_updates} dirty DAG rows recomputed, "
         f"{stats.full_rebuilds} full rebuilds, "
-        f"{stats.destinations_changed} destination recompiles)\n"
+        f"{stats.destinations_changed} rows dirtied)\n"
     )
 
     worst = replay.worst

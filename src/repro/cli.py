@@ -263,10 +263,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "parallel": bool(args.parallel),
             },
-            controller_params={
-                "max_affected_fraction": args.max_affected_fraction,
-                "verify": args.verify,
-            },
         )
         stats = runner.last_stats
         print(
@@ -348,7 +344,6 @@ def _record_trace_run(
                 "elapsed": elapsed,
                 "incremental_updates": float(stats.incremental_updates),
                 "full_rebuilds": float(stats.full_rebuilds),
-                "dspt_event_fallback_rate": stats.event_fallback_rate,
             },
         )
         records = _event_trace_records(session, network.name)
@@ -371,13 +366,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise CLIError("--trace-file and --export-trace are mutually exclusive")
     network, demands = build_workload(args.topology, args.utilization, args.seed)
     policy = _build_policy(args)
-    session = ControllerSession(
-        network,
-        demands,
-        policy=policy,
-        max_affected_fraction=args.max_affected_fraction,
-        verify=args.verify,
-    )
+    session = ControllerSession(network, demands, policy=policy)
 
     if args.trace_file:
         # Strict wire-schema parsing: a malformed line is a hard error with
@@ -388,7 +377,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(
             f"replayed {replay.processed_events} events from {args.trace_file} on "
             f"{network.name} in {replay.elapsed * 1e3:.0f} ms wall "
-            f"({stats.incremental_updates} incremental DAG updates, "
+            f"({stats.incremental_updates} dirty DAG rows recomputed, "
             f"{stats.full_rebuilds} full rebuilds); baseline MLU "
             f"{replay.baseline.mlu:.3f}, final MLU {replay.final.mlu:.3f}"
         )
@@ -426,7 +415,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     print(
         f"replayed {replay.processed_events} events on {network.name} in "
         f"{replay.elapsed * 1e3:.0f} ms wall "
-        f"({stats.incremental_updates} incremental DAG updates, "
+        f"({stats.incremental_updates} dirty DAG rows recomputed, "
         f"{stats.full_rebuilds} full rebuilds); baseline MLU "
         f"{replay.baseline.mlu:.3f}, final MLU {replay.final.mlu:.3f}"
     )
@@ -468,8 +457,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 "elapsed": replay.elapsed,
                 "incremental_updates": float(stats.incremental_updates),
                 "full_rebuilds": float(stats.full_rebuilds),
-                "dspt_fallback_rate": stats._per_update_fallback_rate(),
-                "dspt_event_fallback_rate": stats.event_fallback_rate,
             },
         )
         records = [{**row, "topology": network.name} for row in rows]
@@ -506,13 +493,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     sessions = {}
     for name in topologies:
         network, demands = build_workload(name, args.utilization, args.seed)
-        session = ControllerSession(
-            network,
-            demands,
-            policy=_build_policy(args),
-            max_affected_fraction=args.max_affected_fraction,
-            verify=args.verify,
-        )
+        session = ControllerSession(network, demands, policy=_build_policy(args))
         sessions[session.key] = session
     server = TEServer(
         sessions,
@@ -874,24 +855,6 @@ def cmd_results_gc(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def _add_controller_arguments(parser: argparse.ArgumentParser) -> None:
-    """DynamicSPT knobs shared by sweep and replay (and their traced twins)."""
-    parser.add_argument(
-        "--max-affected-fraction",
-        type=float,
-        default=None,
-        help="affected-cone fraction above which an incremental DAG update "
-        "falls back to a full Dijkstra rebuild (default: auto-tuned per "
-        "topology class — 0.9 on dense graphs, 0.5 otherwise)",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="shadow-verify every incremental DAG update against a full "
-        "rebuild (slow; mismatches are counted and repaired)",
-    )
-
-
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="abilene", choices=sorted(TOPOLOGIES))
     parser.add_argument(
@@ -921,7 +884,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="scenario result-cache directory (default: $REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the scenario result cache")
-    _add_controller_arguments(parser)
     parser.set_defaults(handler=cmd_sweep)
 
 
@@ -965,7 +927,6 @@ def _add_replay_arguments(parser: argparse.ArgumentParser) -> None:
                         "wire-schema JSONL (feed it back via --trace-file or "
                         "`repro serve --replay-trace`)")
     _add_policy_arguments(parser)
-    _add_controller_arguments(parser)
     parser.set_defaults(handler=cmd_replay)
 
 
@@ -986,7 +947,6 @@ def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         "a real client socket, record per-event measurements as a "
                         "kind='serve' run, then shut down")
     _add_policy_arguments(parser)
-    _add_controller_arguments(parser)
     parser.set_defaults(handler=cmd_serve)
 
 

@@ -215,6 +215,6 @@ def normalized_utility(utilizations: ArrayLike) -> float:
     matching how Fig. 10 treats overloaded OSPF runs.
     """
     u = np.asarray(utilizations, dtype=float)
-    if np.any(u >= 1.0):
+    if (u >= 1.0).any():
         return float("-inf")
-    return float(np.sum(np.log(1.0 - u)))
+    return float(np.log(1.0 - u).sum())

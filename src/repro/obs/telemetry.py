@@ -15,7 +15,7 @@ Concepts
   and the exception is re-raised.  Spans nest through a per-registry stack,
   so each records its parent id and depth.
 * **Counter** — a named monotonically accumulated number, keyed by name
-  plus a (sorted) tag set: ``count("dspt.fallback", reason="plateau")``.
+  plus a (sorted) tag set: ``count("controller.event", kind="link-failure")``.
 * **Histogram** — fixed-bucket value distribution.  Bucket *i* counts
   values ``value <= edges[i]`` (first matching edge); values above the
   last edge land in an overflow bucket.  Count/sum/min/max ride along so

@@ -7,13 +7,12 @@ changed — what now?"* with bounded, incremental work:
 * :mod:`~repro.online.events` — the event vocabulary (link failure and
   recovery, weight/capacity changes, demand updates) plus converters from
   the scenario engine's failure generators to event streams;
-* :mod:`~repro.online.dspt` — :class:`DynamicSPT`, Ramalingam–Reps-style
-  maintenance of per-destination shortest-path DAGs under single-edge
-  changes, with a verified fallback to full Dijkstra;
+* :mod:`~repro.online.dspt` — :class:`DynamicSPT`, per-destination
+  distances and DAG masks whose rows an event marks dirty and the next read
+  rebuilds with the library's one shortest-path builder;
 * :mod:`~repro.online.controller` — :class:`TEController`, the facade that
-  pairs the dynamic DAGs with delta-recompiled CSR routing state, cached
-  per-destination loads, warm-started reoptimization and a binding onto the
-  discrete-event simulator.
+  re-propagates only the dirty rows' loads, warm-started reoptimization
+  and a binding onto the discrete-event simulator.
 
 The scenario runner's failure and brown-out sweeps ride
 :meth:`TEController.sweep_scenarios` automatically (see

@@ -16,9 +16,8 @@ window, i.e. what the network looked like after the policy (if any) had
 reacted — and :attr:`ReplayResult.worst` compares fairly between the
 no-policy, closed-loop and every-event-oracle replays.
 
-The controller construction knobs (tolerance, fallback threshold, verify
-mode, custom weights) live on :class:`ControllerSession`: build a session
-and pass ``session=``.
+The controller construction knobs (tolerance, custom weights) live on
+:class:`ControllerSession`: build a session and pass ``session=``.
 """
 
 from __future__ import annotations
@@ -184,8 +183,7 @@ def replay_failure_trace(
     the network actually ran in until repair.
 
     Pass a prebuilt :class:`ControllerSession` (``session=``) to control
-    the controller's construction (tolerance, fallback threshold, verify
-    mode, custom weights).
+    the controller's construction (tolerance, custom weights).
     """
     if session is None:
         session = ControllerSession(network, demands, policy=policy)

@@ -119,10 +119,8 @@ class ControllerSession:
         the policy is re-attached with it so hold/cooldown timers run on
         simulated time.  Without a simulator (direct :meth:`feed`, the
         serve daemon) the policy reacts immediately, cooldown still applied.
-    weights, tolerance, max_affected_fraction, verify:
-        Passed to :class:`TEController` — these construction knobs live
-        *here* now; passing them to ``replay_failure_trace`` directly is
-        deprecated.
+    weights, tolerance:
+        Passed to :class:`TEController`.
     key:
         The session's identity for multi-tenant serving and recorded soak
         runs; defaults to ``network.name`` (the way the results store keys
@@ -137,20 +135,11 @@ class ControllerSession:
         *,
         weights: WeightsLike | None = None,
         tolerance: float = DEFAULT_TOLERANCE,
-        max_affected_fraction: float | None = None,
-        verify: bool = False,
         key: str | None = None,
     ) -> None:
         self.network = network
         self.key = key if key is not None else network.name
-        self.controller = TEController(
-            network,
-            demands,
-            weights=weights,
-            tolerance=tolerance,
-            max_affected_fraction=max_affected_fraction,
-            verify=verify,
-        )
+        self.controller = TEController(network, demands, weights=weights, tolerance=tolerance)
         self.policy = policy
         #: The pre-event measurement (taken once, before any feed).
         self.baseline: ControllerMeasurement = self.controller.measure()
@@ -260,11 +249,8 @@ class ControllerSession:
         spt = self.controller.spt
         if destination not in spt.destinations:
             raise EventError(f"unknown destination {destination!r} (no demand toward it)")
-        state = spt.dag(destination)
         nodes: dict[str, object] = {}
-        for node, hops in state.next_hops.items():
-            if node == destination or not hops:
-                continue
+        for node, hops in spt.next_hops(destination).items():
             ordered = sorted(hops, key=str)
             nodes[str(node)] = {
                 "next_hops": [str(hop) for hop in ordered],
@@ -356,8 +342,6 @@ class ControllerSession:
         *,
         policy: SessionPolicy | None = None,
         tolerance: float = DEFAULT_TOLERANCE,
-        max_affected_fraction: float | None = None,
-        verify: bool = False,
     ) -> ControllerSession:
         """Rebuild a session from a :meth:`state_dump` payload.
 
@@ -395,8 +379,6 @@ class ControllerSession:
             policy=policy,
             weights=np.asarray(state["weights"], dtype=float),
             tolerance=tolerance,
-            max_affected_fraction=max_affected_fraction,
-            verify=verify,
             key=str(dump.get("key", network.name)),
         )
         links_by_name = {

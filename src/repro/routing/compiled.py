@@ -21,9 +21,11 @@ DAGs, and this module is its only implementation:
 
 Compiling is one ``nonzero`` over a (destination x link) DAG mask
 (:meth:`CompiledDag.from_mask`): the shortest-path builder's mask
-(:func:`~repro.network.spt.shortest_path_mask`) as is, or explicit next-hop
-maps (live :class:`~repro.online.DynamicSPT` DAGs, SPEF's) walked once per
-destination into a :class:`DagPart`.  The result is reused across demand
+(:func:`~repro.network.spt.shortest_path_mask`) as is -- the online
+controller compiles the dirty rows of its
+:class:`~repro.online.DynamicSPT` mask this way -- or explicit next-hop
+maps (SPEF's augmented DAGs) walked once per destination into a
+:class:`DagPart`.  The result is reused across demand
 matrices, gradient iterations and scenario sweeps.  The dict-loop reference the
 equivalence suite checks this kernel against lives in
 ``tests/routing_oracle.py``.
@@ -97,7 +99,8 @@ def _solve_levels(
     y = rhs
     for _ in range(depth_bound + 1):
         following = rhs + push(y)
-        if np.array_equal(following, y):
+        # Element-wise ``==`` (NaN never repeats), without a ufunc call.
+        if memoryview(following) == memoryview(y):
             return y
         y = following
     raise NetworkError("routing graph contains a cycle")
@@ -182,8 +185,8 @@ class CompiledDag:
         """
         n = network.num_nodes
         sources, heads = network.link_node_indices()
-        by_tail = np.argsort(sources, kind="stable")
-        blocks, columns = np.nonzero(mask[:, by_tail])
+        by_tail = sources.argsort(kind="stable")
+        blocks, columns = mask[:, by_tail].nonzero()
         links = by_tail[columns]
         offsets = blocks * n
         compiled = cls(
@@ -194,7 +197,7 @@ class CompiledDag:
             links=links,
             member=np.asarray(member, dtype=bool).ravel(),
         )
-        outside = np.flatnonzero(~compiled.member[compiled.targets])
+        (outside,) = (~compiled.member[compiled.targets]).nonzero()
         if outside.size:
             link = network.link_by_index(int(links[outside[0]]))
             raise UnreachableError(
@@ -468,8 +471,8 @@ class CompiledDag:
         )
         dead = self.out_degree() == 0
         dead[self.destination_positions] = False
-        loaded = dead & (x > 0 if x.ndim == 1 else np.any(x > 0, axis=1))
-        if np.any(loaded):
+        loaded = dead & (x > 0 if x.ndim == 1 else (x > 0).any(axis=1))
+        if loaded.any():
             node, destination = self._label(int(np.flatnonzero(loaded)[0]))
             raise UnreachableError(
                 f"node {node!r} has traffic for {destination!r} but no next hop"

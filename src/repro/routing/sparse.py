@@ -80,24 +80,13 @@ class CompiledDagSet:
         return list(self._parts)
 
     def update(self, destination: Node, dag: ShortestPathDag) -> None:
-        """Install (or replace, after a network event) one destination's DAG.
-
-        The delta-compilation entry point: only the touched destination is
-        walked again — every other destination keeps its walked edge list,
-        which is what makes per-event work proportional to the event's
-        footprint rather than to the destination count.
-        """
+        """Install (or replace) one destination's DAG, walked into a :class:`DagPart`."""
         part = DagPart.from_next_hops(self.network, destination, dag.next_hops, dag.distances)
         self.install(part)
 
     def install(self, part: DagPart) -> None:
         """Install one destination's already-walked DAG."""
         self._parts[part.destination] = part
-        self._stacked = None
-
-    def discard(self, destination: Node) -> None:
-        """Forget one destination entirely."""
-        self._parts.pop(destination, None)
         self._stacked = None
 
     def compiled(self, destination: Node) -> CompiledDag:
@@ -237,22 +226,6 @@ class SparseRouter:
         distances, mask = shortest_path_mask(self.network, missing, self._weights, self.tolerance)
         for destination, row, links in zip(missing, distances, mask, strict=True):
             self._set.install(DagPart(destination, links, np.isfinite(row)))
-
-    def refresh_destination(
-        self, destination: Node, dag: ShortestPathDag | None = None
-    ) -> None:
-        """Install a new DAG for (or invalidate) one destination.
-
-        After a network event touched ``destination``, pass the updated DAG
-        (e.g. from :class:`repro.online.DynamicSPT`) to have just that
-        destination recompiled lazily; pass ``None`` to forget it (it is
-        rebuilt from ``weights`` on next use, when available).  All other
-        destinations keep their compiled state.
-        """
-        if dag is None:
-            self._set.discard(destination)
-        else:
-            self._set.update(destination, dag)
 
     # ------------------------------------------------------------------
     def route(

@@ -405,7 +405,6 @@ def evaluate_scenarios(
     demands: TrafficMatrix,
     scenarios: Sequence[Scenario],
     spec: ProtocolSpec,
-    controller_params: dict[str, object] | None = None,
     baseline: object | None = None,
 ) -> list[ScenarioResult]:
     """Evaluate one protocol across several scenarios, batching where safe.
@@ -435,11 +434,6 @@ def evaluate_scenarios(
     exactly.  Only protocol code is guarded: a failure inside the
     controller sweep is a bug and propagates.
 
-    ``controller_params`` (``max_affected_fraction``, ``verify``) tune the
-    incremental sweep's :class:`~repro.online.TEController`.  They never
-    change the *numbers* -- every path is cold-equivalent -- only how much
-    incremental work is attempted, so they stay out of the cache keys.
-
     ``baseline`` is an optional
     :class:`~repro.online.controller.ControllerBaseline` snapshot (built
     once by the parent :class:`BatchRunner`): the sweep controller then
@@ -450,7 +444,7 @@ def evaluate_scenarios(
     :class:`RunnerError`.
     """
     return _evaluate_planned(
-        network, demands, scenarios, spec, _probe(spec, network), controller_params, baseline
+        network, demands, scenarios, spec, _probe(spec, network), baseline
     )
 
 
@@ -460,7 +454,6 @@ def _evaluate_planned(
     scenarios: Sequence[Scenario],
     spec: ProtocolSpec,
     plan: _SweepPlan,
-    controller_params: dict[str, object] | None,
     baseline: object | None,
 ) -> list[ScenarioResult]:
     """:func:`evaluate_scenarios` with the spec's :func:`_probe` already done."""
@@ -527,7 +520,6 @@ def _evaluate_planned(
         # demand-batch path's > 1 guard).  With a shared baseline snapshot
         # adoption is cheap, so even one candidate rides incrementally.
         if len(candidates) > 1 or (candidates and baseline is not None):
-            params = controller_params or {}
             if baseline is not None and (
                 baseline.demands != dict(demands.items())  # type: ignore[attr-defined]
                 or not np.array_equal(baseline.weights, plan.weights)  # type: ignore[attr-defined]
@@ -539,12 +531,10 @@ def _evaluate_planned(
             start = time.perf_counter()
             if baseline is None:
                 controller = TEController(
-                    network, demands, weights=plan.weights, tolerance=plan.tolerance, **params
+                    network, demands, weights=plan.weights, tolerance=plan.tolerance
                 )
             else:
-                controller = TEController.from_snapshot(
-                    network, baseline, verify=bool(params.get("verify", False))  # type: ignore[arg-type]
-                )
+                controller = TEController.from_snapshot(network, baseline)  # type: ignore[arg-type]
             construction = time.perf_counter() - start
             start = time.perf_counter()
             measurements = controller.sweep_scenarios([scenarios[index] for index in candidates])
@@ -572,7 +562,6 @@ def _evaluate_chunk(
         list[Scenario],
         ProtocolSpec,
         _SweepPlan,
-        dict[str, object] | None,
         object | None,
         bool,
     ],
@@ -588,12 +577,12 @@ def _evaluate_chunk(
     parent's shared :class:`~repro.online.controller.ControllerBaseline` for
     incremental-sweep specs, or ``None``.
     """
-    network, demands, scenarios, spec, plan, controller_params, baseline, traced = payload
+    network, demands, scenarios, spec, plan, baseline, traced = payload
 
     def evaluate() -> list[ScenarioResult]:
         with telemetry.span("runner.chunk", protocol=spec.display_name, scenarios=len(scenarios)):
             return _evaluate_planned(
-                network, demands, scenarios, spec, plan, controller_params, baseline
+                network, demands, scenarios, spec, plan, baseline
             )
 
     if not traced:
@@ -609,49 +598,31 @@ def _telemetry_summary_record(
     """Distil the active registry into manifest timings + one results record.
 
     The record rides the run under the reserved identity
-    ``scenario="__telemetry__"`` and carries the incremental-vs-fallback
-    counts with their per-reason breakdown; ``fallback_rate`` classifies as
-    a *metric* in :func:`repro.results.diffing.classify_field`, so
-    ``repro results diff`` hard-gates fallback-rate regressions between two
-    traced runs, not just runtime drifts.  Returns ``None`` when telemetry
-    is off or the run did no dynamic-SPT work (fully cached or cold-path
-    runs must not grow a record that untraced runs lack).
+    ``scenario="__telemetry__"`` and carries the dynamic-SPT work: events
+    and ``rows_recomputed`` (dirty destination rows the builder re-ran).
+    Both classify as *metrics* in :func:`repro.results.diffing.classify_field`,
+    so ``repro results diff`` hard-fails when two traced runs of the same
+    sweep (say serial and ``--parallel``) recompute different rows.
+    Returns ``None`` when telemetry is off or the run applied no SPT
+    events (fully cached or cold-path runs must not grow a record that
+    untraced runs lack).
     """
     registry = telemetry.get()
     if registry is None:
         return None
-    incremental = registry.counter_value("dspt.update", path="incremental")
-    fallbacks = registry.counter_breakdown("dspt.fallback")
-    fallback_total = sum(fallbacks.values())
-    attempts = incremental + fallback_total
-    if not attempts:
-        return None
-    rate = fallback_total / attempts
-    # Per-event rate alongside the historical per-update rate: the old
-    # denominator counts per-destination update attempts, which understates
-    # how many *events* abandoned the incremental path (see
-    # :attr:`repro.online.dspt.DsptStats.event_fallback_rate`).
     events = registry.counter_value("dspt.events")
-    fallback_events = registry.counter_value("dspt.fallback_events")
-    event_rate = fallback_events / events if events else 0.0
-    timings["dspt_fallback_rate"] = rate
-    timings["dspt_event_fallback_rate"] = event_rate
-    timings["dspt_incremental_updates"] = float(incremental)
-    record: dict[str, object] = {
+    if not events:
+        return None
+    rows = registry.counter_value("dspt.update", path="incremental")
+    timings["dspt_incremental_updates"] = float(rows)
+    return {
         "scenario": "__telemetry__",
         "kind": "telemetry",
         "protocol": "*",
         "topology": topology,
-        "fallback_rate": round(rate, 6),
-        "event_fallback_rate": round(event_rate, 6),
-        "incremental_updates": int(incremental),
-        "fallback_total": int(fallback_total),
-        "fallback_events": int(fallback_events),
+        "events": int(events),
+        "rows_recomputed": int(rows),
     }
-    for tags, value in sorted(fallbacks.items()):
-        reason = dict(tags).get("reason", "unknown").replace("-", "_")
-        record[f"fallback_{reason}"] = int(value)
-    return record
 
 
 # ----------------------------------------------------------------------
@@ -863,7 +834,6 @@ class BatchRunner:
         scenarios: Sequence[Scenario],
         protocols: Iterable[str | ProtocolSpec],
         record_config: dict[str, object] | None = None,
-        controller_params: dict[str, object] | None = None,
     ) -> list[ScenarioResult]:
         """Evaluate every protocol on every scenario.
 
@@ -871,9 +841,7 @@ class BatchRunner:
         regardless of which worker (or cache entry) produced them.  When
         the runner has a :attr:`results_store`, the run is recorded there
         with a full manifest; ``record_config`` adds caller context (CLI
-        arguments, workload parameters) to that manifest.
-        ``controller_params`` tunes the incremental sweep's controller (see
-        :func:`evaluate_scenarios`); with telemetry active
+        arguments, workload parameters) to that manifest.  With telemetry active
         (:func:`repro.obs.telemetry.session`), worker registries are merged
         back into the active one and a summary lands in the recorded run.
         """
@@ -957,7 +925,6 @@ class BatchRunner:
                             demands,
                             weights=plans[si].weights,
                             tolerance=plans[si].tolerance,
-                            **(controller_params or {}),
                         ).snapshot()
                     parent_setup[si] = time.perf_counter() - start_setup
             sweepable = {si for si, plan in enumerate(plans) if plan.weights is not None}
@@ -973,7 +940,6 @@ class BatchRunner:
                     [scenarios[ci] for _, ci in chunk],
                     specs[chunk[0][0]],
                     plans[chunk[0][0]],
-                    controller_params,
                     baselines.get(chunk[0][0]),
                     traced,
                 )

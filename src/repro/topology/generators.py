@@ -191,9 +191,7 @@ def rand100(seed: int = 23) -> Network:
 def rand500(seed: int = 25) -> Network:
     """Rand500: 500 nodes, 2000 directional links, unit capacities.
 
-    The Rocketfuel-scale stress instance: mean directed degree 4.0 puts it
-    in the dense class of
-    :func:`repro.online.dspt.tuned_max_affected_fraction`, so the online
-    controller's incremental hot path is exercised at 500-node scale.
+    The Rocketfuel-scale stress instance: the online controller's
+    dirty-row sweep is benchmarked on it at 500-node scale.
     """
     return random_network(500, 2000, seed=seed, name="Rand500")

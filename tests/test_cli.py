@@ -17,6 +17,7 @@ from repro.cli import (
     parse_protocols,
 )
 from repro.results import ResultsStore
+from repro.results.diffing import classify_field
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -405,24 +406,24 @@ def test_trace_sweep_writes_jsonl_and_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out and "trace line(s)" in out
     assert "telemetry summary" in out
-    assert "dspt.update" in out  # incremental-vs-fallback counters surfaced
+    assert "dspt.update" in out  # dirty-row recompute counters surfaced
     lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert lines[0]["type"] == "meta"
     assert any(rec["type"] == "span" and rec["name"] == "controller.cell" for rec in lines)
     assert any(
-        rec["type"] == "histogram" and rec["name"] == "dspt.cone_fraction"
+        rec["type"] == "counter" and rec["name"] == "dspt.update"
         for rec in lines
     )
     # The traced sweep persisted its telemetry digest into the manifest.
     with ResultsStore(tmp_path / "r.sqlite") as store:
         (run,) = store.runs(kind="sweep")
-        assert "dspt_fallback_rate" in run.timings
+        assert "dspt_incremental_updates" in run.timings
         telemetry_records = [
             record for record in store.records(run.run_id)
             if record.get("scenario") == "__telemetry__"
         ]
         assert len(telemetry_records) == 1
-        assert telemetry_records[0]["incremental_updates"] > 0
+        assert telemetry_records[0]["rows_recomputed"] > 0
 
 
 def test_trace_replay_writes_jsonl(tmp_path, capsys):
@@ -446,7 +447,7 @@ def test_trace_replay_writes_jsonl(tmp_path, capsys):
     )
     with ResultsStore(tmp_path / "r.sqlite") as store:
         (run,) = store.runs(kind="replay")
-        assert "dspt_fallback_rate" in run.timings
+        assert "incremental_updates" in run.timings
 
 
 def test_trace_sweep_profiling_exports_and_records(tmp_path, capsys):
@@ -492,37 +493,31 @@ def test_trace_sweep_profiling_exports_and_records(tmp_path, capsys):
         assert {record["span"] for record in profile} >= {"controller.cell"}
 
 
-def test_sweep_controller_flags_change_counters_not_results(tmp_path, capsys):
-    """--max-affected-fraction steers fallbacks; the MLUs must not move."""
-    mlus = {}
-    for fraction in ("0.5", "0.05"):
-        trace_path = tmp_path / f"t{fraction}.jsonl"
+def test_traced_sweep_rows_recomputed_match_serial_and_parallel(tmp_path, capsys):
+    """Serial and --parallel sweeps recompute the same rows; the diff gates it."""
+    store = str(tmp_path / "r.sqlite")
+    for mode in ("--workers=0", "--parallel"):
         assert run_cli(
             "trace", "sweep",
             "--topology", "abilene",
             "--protocols", "OSPF",
             "--scenarios", "single-link-failures",
-            "--max-affected-fraction", fraction,
-            "--trace", str(trace_path),
-            "--store", str(tmp_path / f"r{fraction}.sqlite"),
+            mode,
+            "--no-cache",
+            "--trace", str(tmp_path / f"t{mode}.jsonl"),
+            "--store", store,
         ) == 0
-        capsys.readouterr()
-        with ResultsStore(tmp_path / f"r{fraction}.sqlite") as store:
-            (run,) = store.runs(kind="sweep")
-            records = store.records(run.run_id)
-            mlus[fraction] = [
-                (rec["scenario"], rec["mlu"]) for rec in records
-                if not str(rec.get("scenario", "")).startswith("__")
-            ]
-            (digest,) = [
-                rec for rec in records if rec.get("scenario") == "__telemetry__"
-            ]
-            if fraction == "0.05":
-                tighter = digest["fallback_total"]
-            else:
-                looser = digest["fallback_total"]
-    assert mlus["0.5"] == mlus["0.05"]  # fallback is results-identical
-    assert tighter > looser  # but the tighter cone budget falls back more
+    capsys.readouterr()
+    with ResultsStore(store) as results:
+        digests = [
+            [rec for rec in results.records(run.run_id) if rec.get("scenario") == "__telemetry__"]
+            for run in results.runs(kind="sweep")
+        ]
+    assert [len(digest) for digest in digests] == [1, 1]
+    assert digests[0][0]["rows_recomputed"] == digests[1][0]["rows_recomputed"] > 0
+    assert run_cli("results", "diff", "latest~1:sweep", "latest:sweep", "--store", store) == 0
+    # Drift in the count would be a hard mismatch, not informational.
+    assert classify_field("rows_recomputed") == "metric"
 
 
 def test_results_plot_terminal_and_png(tmp_path, capsys):

@@ -99,13 +99,13 @@ def test_session_restores_previous_registry():
 # ----------------------------------------------------------------------
 def test_counter_breakdown_and_tagless_total():
     registry = TelemetryRegistry()
-    registry.count("dspt.fallback", 2, reason="cone-threshold")
-    registry.count("dspt.fallback", 1, reason="plateau")
-    registry.count("dspt.fallback", 3, reason="cone-threshold")
-    assert registry.counter_value("dspt.fallback") == 6
-    assert registry.counter_value("dspt.fallback", reason="plateau") == 1
-    breakdown = registry.counter_breakdown("dspt.fallback")
-    assert breakdown[(("reason", "cone-threshold"),)] == 5
+    registry.count("controller.event", 2, kind="link-failure")
+    registry.count("controller.event", 1, kind="link-recovery")
+    registry.count("controller.event", 3, kind="link-failure")
+    assert registry.counter_value("controller.event") == 6
+    assert registry.counter_value("controller.event", kind="link-recovery") == 1
+    breakdown = registry.counter_breakdown("controller.event")
+    assert breakdown[(("kind", "link-failure"),)] == 5
 
 
 def test_histogram_bucket_edges_are_inclusive_upper_bounds():
@@ -142,10 +142,10 @@ def test_snapshot_pickles_and_merge_remaps_span_ids():
         pass
     worker = TelemetryRegistry(label="worker-1234")
     with worker.span("chunk"), worker.span("cell"):
-        worker.count("dspt.fallback", 2, reason="plateau")
-        worker.observe("dspt.cone_fraction", 0.3)
-    parent.count("dspt.fallback", 1, reason="plateau")
-    parent.observe("dspt.cone_fraction", 0.05)
+        worker.count("controller.event", 2, kind="link-failure")
+        worker.observe("cell.fraction", 0.3)
+    parent.count("controller.event", 1, kind="link-failure")
+    parent.observe("cell.fraction", 0.05)
 
     snapshot = pickle.loads(pickle.dumps(worker.snapshot()))
     parent.merge(snapshot)
@@ -156,8 +156,8 @@ def test_snapshot_pickles_and_merge_remaps_span_ids():
     chunk, cell = parent.spans[1], parent.spans[2]
     assert cell.parent_id == chunk.span_id
     assert chunk.tags["worker"] == "worker-1234"
-    assert parent.counter_value("dspt.fallback", reason="plateau") == 3
-    merged = parent.histograms["dspt.cone_fraction"]
+    assert parent.counter_value("controller.event", kind="link-failure") == 3
+    merged = parent.histograms["cell.fraction"]
     assert merged.count == 2
     assert merged.edges == DEFAULT_FRACTION_EDGES
 
@@ -232,12 +232,12 @@ def test_export_jsonl_is_byte_stable(tmp_path):
 def test_summary_mentions_spans_counters_and_histograms():
     registry = TelemetryRegistry(label="s")
     with registry.span("controller.cell"):
-        registry.count("dspt.fallback", 1, reason="cone-threshold")
-        registry.observe("dspt.cone_fraction", 0.2)
+        registry.count("controller.event", 1, kind="link-failure")
+        registry.observe("cell.fraction", 0.2)
     text = registry.summary()
     assert "controller.cell" in text
-    assert "reason=cone-threshold" in text
-    assert "dspt.cone_fraction" in text
+    assert "kind=link-failure" in text
+    assert "cell.fraction" in text
 
 
 def test_summary_golden_output():
@@ -349,32 +349,7 @@ def test_disabled_telemetry_records_nothing(abilene, abilene_tm):
 
 
 # ----------------------------------------------------------------------
-# DsptStats fallback breakdown
+# DsptStats
 # ----------------------------------------------------------------------
-def test_dspt_stats_distinguishes_fallback_causes():
-    stats = DsptStats(
-        events=10,
-        incremental_updates=40,
-        full_rebuilds=7,
-        fallback_cone=3,
-        fallback_plateau=2,
-        verify_mismatches=1,
-        initial_builds=1,
-        bulk_rebuilds=1,
-    )
-    assert stats.event_fallbacks == 6
-    with pytest.warns(DeprecationWarning):
-        assert stats.fallback_rate == pytest.approx(6 / 46)
-    # Rebuild bookkeeping stays consistent: every full rebuild has a cause.
-    assert stats.full_rebuilds == (
-        stats.fallback_cone + stats.fallback_plateau
-        + stats.initial_builds + stats.bulk_rebuilds
-    )
-    text = repr(stats)
-    assert "cone=3" in text and "plateau=2" in text and "verify=1" in text
-    assert "fallback_rate=0.130" in text
-
-
 def test_dspt_stats_fallback_rate_zero_when_idle():
-    with pytest.warns(DeprecationWarning):
-        assert DsptStats().fallback_rate == 0.0
+    assert DsptStats().event_fallback_rate == 0.0

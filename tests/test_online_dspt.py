@@ -1,18 +1,19 @@
-"""Golden equivalence of the dynamic SPT engine against cold Dijkstra.
+"""Cold exactness of the dirty-row SPT state and the controller built on it.
 
-:class:`~repro.online.DynamicSPT` must maintain, under arbitrary event
-sequences, exactly the state a cold
-:func:`~repro.network.spt.shortest_path_dag` build produces on the pruned
-network: identical distances (bit-for-bit, not just close), identical
-equal-cost next-hop sets, and therefore identical routed link loads.  These
-properties are checked on Hypothesis-generated topologies and event
-sequences — weight changes, failures, recoveries, disconnections — for both
-the incremental regime (strictly positive weights) and the fallback regime
-(zero-weight plateaus), plus hand-built corners.
+:class:`~repro.online.DynamicSPT` holds ``(destinations x nodes)`` distances
+and a ``(destinations x links)`` DAG mask; an event dirties the rows where
+the changed link is tight before or after it, and the next read re-runs the
+one builder on those rows.  Under arbitrary event sequences the state must
+equal, bit-for-bit, an all-rows cold build on the current weights, and
+every row outside the dirty set must be left untouched.  The controller's
+per-destination loads must likewise equal a cold all-rows propagation.
+These properties are checked on Hypothesis-generated topologies and event
+sequences -- failures, recoveries, weight rises and falls (zero weights and
+ties within the tolerance included), capacity-0 events and demand updates
+-- plus hand-built corners.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 import pytest
@@ -20,17 +21,29 @@ import routing_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.graph import Network, NetworkError
-from repro.network.spt import shortest_path_dag
-from repro.online import DynamicSPT
 from repro.network.demands import TrafficMatrix
+from repro.network.graph import Network, NetworkError
+from repro.network.spt import shortest_path_dag, shortest_path_mask
+from repro.online import (
+    CapacityChange,
+    DemandUpdate,
+    DynamicSPT,
+    LinkFailure,
+    LinkRecovery,
+    LinkWeightChange,
+    TEController,
+)
+from repro.online.dspt import DsptStats
+from repro.routing import CompiledDag
 
 TOLERANCE = 1e-9
 
-#: Strictly positive pool (incremental regime); duplicates create ECMP ties.
+#: Strictly positive pool; duplicates create ECMP ties.
 POSITIVE_POOL = (0.5, 1.0, 1.0, 2.0, 3.0)
-#: Pool with zeros: plateau states that force the full-rebuild fallback.
+#: Pool with zeros: zero-weight plateaus.
 PLATEAU_POOL = (0.0, 0.0, 1.0, 2.0)
+#: Zeros, exact ties and near-ties (within a 0.3 tolerance, not within 1e-9).
+TIE_POOL = (0.0, 0.0, 0.1, 1.0, 1.0, 1.15, 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +96,43 @@ def event_sequence(draw, net: Network, pool=POSITIVE_POOL) -> list[tuple[str, in
     return ops
 
 
+@st.composite
+def controller_events(draw, net: Network, pool=TIE_POOL) -> list:
+    """Link, capacity and demand events over ``net``.
+
+    A recovery brings back a link an earlier event took down, so every
+    sequence mixes removals with the additions that undo them.
+    """
+    links = [link.endpoints for link in net.links]
+    nodes = net.nodes
+    events = []
+    down: list = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["fail", "recover", "weight", "capacity", "demand"]))
+        edge = draw(st.sampled_from(down if kind == "recover" and down else links))
+        if kind == "fail":
+            events.append(LinkFailure(link=edge))
+            down.append(edge)
+        elif kind == "recover":
+            events.append(LinkRecovery(link=edge))
+        elif kind == "weight":
+            events.append(LinkWeightChange(link=edge, weight=draw(st.sampled_from(pool))))
+        elif kind == "capacity":
+            capacity = draw(st.sampled_from([0.0, 5.0]))
+            events.append(CapacityChange(link=edge, capacity=capacity))
+            if capacity == 0.0:
+                down.append(edge)
+        else:
+            source, target = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
+                                           unique=True))
+            volume = draw(st.sampled_from([0.0, 1.0, 2.5]))
+            events.append(DemandUpdate(source=source, target=target, volume=volume))
+    return events
+
+
+# ----------------------------------------------------------------------
+# cold references
+# ----------------------------------------------------------------------
 def cold_state(net: Network, weights: np.ndarray, failed: set, destination):
     """Cold DAG on the pruned network (same link insertion order)."""
     pruned = Network(name="pruned")
@@ -120,6 +170,29 @@ def assert_matches_cold(spt: DynamicSPT, net: Network, weights, failed) -> None:
         assert live.next_hops == cold.next_hops
 
 
+def cold_rows(controller: TEController) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distances, mask, per-destination loads)`` of an all-rows cold build."""
+    spt = controller.spt
+    vector = np.where(spt.active_mask, spt.weights, np.inf)
+    destinations = spt.destinations
+    distances, mask = shortest_path_mask(controller.network, destinations, vector, spt.tolerance)
+    member = np.isfinite(distances)
+    dag = CompiledDag.from_mask(controller.network, destinations, member, mask)
+    ratios = dag.uniform_ratios()
+    demand = np.zeros(member.shape)
+    for (source, target), volume in controller.demands.items():
+        demand[spt.row(target), controller.network.node_index(source)] = volume
+    throughflow = dag.propagate(np.where(member, demand, 0.0).ravel(), ratios)
+    return distances, mask, dag.destination_loads(throughflow, ratios)
+
+
+def routed_rows(controller: TEController) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The controller's refreshed ``(distances, mask, per-destination loads)``, copied."""
+    controller.link_loads()
+    distances, mask = controller.spt.arrays()
+    return distances.copy(), mask.copy(), controller._dest_loads.copy()
+
+
 # ----------------------------------------------------------------------
 # property-based equivalence
 # ----------------------------------------------------------------------
@@ -137,7 +210,7 @@ class TestEventSequenceEquivalence:
     @given(data=st.data())
     @settings(max_examples=25)
     def test_plateau_weights_fall_back_and_match_cold(self, data):
-        """Zero-weight plateaus disable incremental updates, not correctness."""
+        """Zero-weight plateaus take the same dirty-row path and match cold."""
         net, weights = data.draw(topology(pool=PLATEAU_POOL))
         spt = DynamicSPT(net, weights, destinations=net.nodes)
         failed: set = set()
@@ -147,46 +220,33 @@ class TestEventSequenceEquivalence:
 
     @given(data=st.data())
     @settings(max_examples=25)
-    def test_verified_mode_never_mismatches(self, data):
-        """The incremental path agrees with its own shadow rebuild."""
-        net, weights = data.draw(topology())
-        spt = DynamicSPT(net, weights, destinations=net.nodes, verify=True)
-        failed: set = set()
-        for ops in data.draw(event_sequence(net)):
-            replay(spt, net, weights, ops, failed)
-        assert spt.stats.verify_mismatches == 0
-        assert_matches_cold(spt, net, weights, failed)
-
-    @given(data=st.data())
-    @settings(max_examples=25)
     def test_ecmp_loads_match_python_oracle_after_events(self, data):
-        """Fused single-pass routing equals the dict-loop oracle to 1e-9."""
+        """Controller loads after link events equal the dict-loop oracle to 1e-9."""
         net, weights = data.draw(topology())
-        spt = DynamicSPT(net, weights, destinations=net.nodes)
-        failed: set = set()
-        for ops in data.draw(event_sequence(net)):
-            replay(spt, net, weights, ops, failed)
-
         tm = TrafficMatrix()
         for source in net.nodes:
             for target in net.nodes:
                 if source != target:
                     tm.add(source, target, 1.0 + 0.25 * net.node_index(source))
+        controller = TEController(net, tm, weights=weights)
+        failed: set = set()
+        for op, index, value in data.draw(event_sequence(net)):
+            edge = net.links[index].endpoints
+            if op == "fail":
+                controller.apply(LinkFailure(link=edge))
+                failed.add(edge)
+            elif op == "recover":
+                controller.apply(LinkRecovery(link=edge))
+                failed.discard(edge)
+            else:
+                controller.apply(LinkWeightChange(link=edge, weight=value))
+                weights[index] = value
+        measurement = controller.measure()
 
-        total = np.zeros(net.num_links)
-        dropped_total = 0.0
         routable = TrafficMatrix()
-        for destination in net.nodes:
-            entering = tm.toward(destination)
-            if not entering:
-                continue
-            loads, dropped = spt.ecmp_link_loads(destination, entering)
-            total += loads
-            dropped_total += sum(dropped.values())
-            for source, volume in entering.items():
-                if source not in dropped:
-                    routable.add(source, destination, volume)
-
+        for (source, target), volume in tm.items():
+            if (source, target) not in measurement.dropped_pairs:
+                routable.add(source, target, volume)
         pruned, _ = cold_state(net, weights, failed, net.nodes[0])
         weight_map = {
             link.endpoints: float(weights[net.link_index(*link.endpoints)])
@@ -197,8 +257,57 @@ class TestEventSequenceEquivalence:
         aggregate = oracle.aggregate()
         for link in pruned.links:
             mapped[net.link_index(link.source, link.target)] = aggregate[link.index]
-        np.testing.assert_allclose(total, mapped, atol=TOLERANCE, rtol=0)
-        assert dropped_total == pytest.approx(tm.total_volume() - routable.total_volume())
+        np.testing.assert_allclose(measurement.loads, mapped, atol=TOLERANCE, rtol=0)
+        assert measurement.dropped_volume == pytest.approx(
+            tm.total_volume() - routable.total_volume()
+        )
+
+
+class TestDirtyRowExactness:
+    @given(data=st.data(), tolerance=st.sampled_from([1e-9, 0.3]))
+    @settings(max_examples=100)
+    def test_every_event_matches_cold_and_spares_clean_rows(self, data, tolerance):
+        """After every event: cold all-rows state bit-for-bit, clean rows untouched."""
+        net, weights = data.draw(topology(pool=TIE_POOL))
+        destinations = data.draw(
+            st.lists(st.sampled_from(net.nodes), min_size=1, max_size=3, unique=True)
+        )
+        tm = TrafficMatrix(
+            {(s, t): 1.0 + net.node_index(s) for t in destinations for s in net.nodes if s != t}
+        )
+        controller = TEController(net, tm, weights=weights, tolerance=tolerance)
+        for event in data.draw(controller_events(net)):
+            before = routed_rows(controller)
+            controller.apply(event)
+            # Rows the event dirtied in the SPT, and rows whose loads it
+            # made stale (those plus a demand update's row).
+            dirty, stale = set(controller.spt._dirty), set(controller._stale)
+            after = routed_rows(controller)
+            for old, new, changed in zip(before, after, (dirty, dirty, stale), strict=True):
+                clean = [row for row in range(len(old)) if row not in changed]
+                assert np.array_equal(old[clean], new[clean])
+            for live, cold in zip(after, cold_rows(controller), strict=True):
+                assert np.array_equal(live, cold)
+
+    def test_failing_a_tight_link_off_the_dag_dirties_its_row(self):
+        """A tight link the DAG leaves out can still carry its tail's distance.
+
+        ``u -> v`` (weight 0) is flat and does not join the DAG: ``u`` already
+        has a downhill link, to ``x``, that is tight within the tolerance.  The
+        distance of ``u`` runs through ``v`` all the same, so failing the link
+        moves it by less than the tolerance and the row must be recomputed.
+        """
+        net = Network(name="off-dag")
+        for u, v in [("u", "v"), ("v", "t"), ("u", "x"), ("x", "t")]:
+            net.add_link(u, v, 10.0)
+        weights = [0.0, 1.0, 0.5 + 1e-10, 0.5]
+        spt = DynamicSPT(net, weights, destinations=["t"])
+        assert spt.dag("t").next_hops["u"] == ["x"]
+        assert spt.distances("t")["u"] == 1.0
+        assert spt.fail_link("u", "v") == {"t"}
+        _, cold = cold_state(net, np.asarray(weights), {("u", "v")}, "t")
+        assert spt.distances("t") == cold.distances
+        assert spt.distances("t")["u"] > 1.0
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +394,6 @@ class TestDynamicSptCorners:
             spt.fail_link(1, 4)  # no such link
         with pytest.raises(NetworkError):
             spt.distances(1)  # not a maintained destination
-        with pytest.raises(ValueError):
-            DynamicSPT(net, np.ones(net.num_links), max_affected_fraction=0.0)
 
     def test_weight_change_on_failed_link_applies_on_recovery(self):
         net = self.make_diamond()
@@ -297,29 +404,28 @@ class TestDynamicSptCorners:
         assert spt.dag(4).next_hops[1] == [3]  # came back at weight 5
 
     def test_stats_accumulate(self):
+        """Events dirty rows; each read recomputes the dirty rows once."""
         net = self.make_diamond()
         spt = DynamicSPT(net, np.ones(net.num_links), destinations=[4])
         spt.fail_link(1, 2)
+        spt.dag(4)
         spt.recover_link(1, 2)
+        spt.dag(4)
+        spt.dag(4)  # clean: nothing to recompute
         assert spt.stats.events == 2
         assert spt.stats.destinations_changed == 2
-        assert spt.stats.incremental_updates >= 2
+        assert spt.stats.incremental_updates == 2
+        assert spt.stats.nodes_recomputed == 2 * net.num_nodes
 
 
 # ----------------------------------------------------------------------
-# scoped plateau fallback + per-event stats (the PR-7 bugfixes)
+# events next to a near-zero weight
 # ----------------------------------------------------------------------
 class TestScopedPlateauFallback:
-    """The plateau-floor fallback only fires near the affected cone.
-
-    Regression cover: a sub-floor weight *anywhere* in the graph used to
-    force a verified full rebuild on every event; the scoped criterion only
-    falls back when the event's refresh set or moved distance range can see
-    a usable plateau endpoint.
-    """
+    """A near-zero weight changes nothing about how events are handled."""
 
     def make_line(self, tiny: float = 1e-13):
-        """Duplex line 0-1-...-9 with one plateau link (8, 9) at ``tiny``."""
+        """Duplex line 0-1-...-9 with one near-plateau link (8, 9) at ``tiny``."""
         net = Network(name="line10")
         for i in range(10):
             net.add_node(i)
@@ -332,30 +438,25 @@ class TestScopedPlateauFallback:
     def test_far_tiny_weight_no_plateau_fallback(self):
         net, weights = self.make_line()
         spt = DynamicSPT(net, weights.copy(), destinations=[9], tolerance=TOLERANCE)
-        assert not spt.plateau_free
         mirror, failed = weights.copy(), set()
         # Fail / recover / retune links next to node 0 — nine hops away from
-        # the plateau link, far outside any affected cone.
+        # the tiny-weight link.
         for ops in [("fail", net.link_index(0, 1), 0.0),
                     ("recover", net.link_index(0, 1), 0.0),
                     ("weight", net.link_index(1, 0), 2.5)]:
             replay(spt, net, mirror, ops, failed)
-        assert spt.stats.fallback_plateau == 0
         assert spt.stats.event_fallbacks == 0
         _, cold = cold_state(net, mirror, failed, 9)
         live = spt.dag(9)
         assert live.distances == cold.distances
         assert live.next_hops == cold.next_hops
 
-    def test_event_near_plateau_still_falls_back(self):
+    def test_event_near_plateau_matches_cold(self):
         net, weights = self.make_line()
         spt = DynamicSPT(net, weights.copy(), destinations=[9], tolerance=TOLERANCE)
         mirror, failed = weights.copy(), set()
-        # Improving (7, 8) moves distances right next to the plateau link:
-        # the scoped check must refuse the incremental shortcut...
+        # Improving (7, 8) moves distances right next to the tiny-weight link.
         replay(spt, net, mirror, ("weight", net.link_index(7, 8), 0.5), failed)
-        assert spt.stats.fallback_plateau >= 1
-        # ...and the verified rebuild still matches the cold DAG exactly.
         _, cold = cold_state(net, mirror, failed, 9)
         live = spt.dag(9)
         assert live.distances == cold.distances
@@ -364,68 +465,8 @@ class TestScopedPlateauFallback:
 
 class TestStatsUnits:
     def test_event_fallback_rate_counts_events_not_updates(self):
-        from repro.online.dspt import DsptStats
-
-        stats = DsptStats(
-            events=4,
-            incremental_updates=396,
-            fallback_cone=4,
-            events_with_fallback=1,
-        )
-        # The deprecated per-update rate drowns one bad event in the other
-        # destinations' incremental updates; the per-event rate does not.
-        with pytest.warns(DeprecationWarning):
-            assert stats.fallback_rate == pytest.approx(4 / 400)
+        stats = DsptStats(events=4, incremental_updates=396, events_with_fallback=1)
         assert stats.event_fallback_rate == pytest.approx(1 / 4)
 
     def test_rates_zero_when_idle(self):
-        from repro.online.dspt import DsptStats
-
-        stats = DsptStats()
-        with pytest.warns(DeprecationWarning):
-            assert stats.fallback_rate == 0.0
-        assert stats.event_fallback_rate == 0.0
-
-    def test_fallback_rate_is_deprecated_but_value_unchanged(self):
-        from repro.online.dspt import DsptStats
-
-        stats = DsptStats(events=4, incremental_updates=396, fallback_cone=4)
-        with pytest.warns(DeprecationWarning, match="fallback_rate is deprecated"):
-            deprecated = stats.fallback_rate
-        # The deprecation changes the access path, never the value.
-        assert deprecated == stats._per_update_fallback_rate()
-        # repr still reports the historical rate without tripping the warning.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert "fallback_rate=" in repr(stats)
-
-
-class TestTunedMaxAffectedFraction:
-    def test_dense_graphs_get_the_high_threshold(self):
-        from repro.online.dspt import (
-            DENSE_CONE_FRACTION,
-            SPARSE_CONE_FRACTION,
-            tuned_max_affected_fraction,
-        )
-        from repro.topology.backbones import abilene_network
-        from repro.topology.generators import rand100, rand500
-
-        assert tuned_max_affected_fraction(rand100()) == DENSE_CONE_FRACTION
-        assert tuned_max_affected_fraction(rand500()) == DENSE_CONE_FRACTION
-        # Abilene: 11 nodes — small backbones never fall back on cone size.
-        assert tuned_max_affected_fraction(abilene_network()) == SPARSE_CONE_FRACTION
-
-    def test_engine_defaults_to_the_tuned_threshold(self):
-        from repro.online.dspt import tuned_max_affected_fraction
-        from repro.topology.generators import rand100
-
-        net = rand100()
-        dest = net.nodes[0]
-        spt = DynamicSPT(net, np.ones(net.num_links), destinations=[dest])
-        assert spt.max_affected_fraction == tuned_max_affected_fraction(net)
-        pinned = DynamicSPT(
-            net, np.ones(net.num_links), destinations=[dest], max_affected_fraction=0.25
-        )
-        assert pinned.max_affected_fraction == 0.25
+        assert DsptStats().event_fallback_rate == 0.0

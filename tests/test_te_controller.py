@@ -5,7 +5,7 @@ Three layers are pinned here:
 * the event model (conversions from scenarios, validation, timed traces);
 * :class:`TEController` behaviour — incremental failure sweeps equivalent
   to cold per-scenario evaluation (1e-9 link loads), drop accounting,
-  demand/capacity events, the delta-recompiled ensemble path, the
+  demand/capacity events, the compiled ensemble path, the
   discrete-event simulator binding;
 * the warm-started reoptimization hooks (Fortz–Thorup ``warm_start=``,
   ``SPEF.fit(warm_start=)``) and the scenario runner's incremental fast
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.spef import SPEF
 from repro.network.demands import TrafficMatrix
-from repro.network.graph import Network
+from repro.network.graph import Network, NetworkError
 from repro.online import (
     CapacityChange,
     DemandUpdate,
@@ -351,7 +351,7 @@ class TestController:
         controller = TEController(abilene, abilene_tm)
         matrices = [abilene_tm.scaled(0.5), abilene_tm.scaled(1.25)]
         edge = abilene.links[0].endpoints
-        controller.ensemble_link_loads(matrices)  # builds the compiled router
+        controller.ensemble_link_loads(matrices)  # before the event
         controller.apply(LinkFailure(link=edge))
         loads = controller.ensemble_link_loads(matrices)
         assert loads.shape == (2, abilene.num_links)
@@ -638,7 +638,7 @@ class TestRunnerIncrementalPath:
 
 
 # ----------------------------------------------------------------------
-# shared compiled baselines (snapshot / from_snapshot) and delta loads
+# shared compiled baselines (snapshot / from_snapshot) and dirty-row loads
 # ----------------------------------------------------------------------
 class TestSnapshotBaseline:
     def test_from_snapshot_matches_parent_without_cold_builds(self, abilene, abilene_tm):
@@ -679,7 +679,7 @@ class TestSnapshotBaseline:
 
 class TestDeltaLoads:
     def test_event_by_event_loads_match_fresh_controller(self, abilene, abilene_tm):
-        """The subtree delta-load path equals a cold rebuild after every event."""
+        """The dirty-row loads equal a fresh controller after every event."""
         controller = TEController(abilene, abilene_tm)
         failed: list = []
         for edge in [abilene.links[3].endpoints, abilene.links[11].endpoints]:
@@ -698,6 +698,47 @@ class TestDeltaLoads:
         np.testing.assert_allclose(
             controller.link_loads(), fresh.link_loads(), atol=TOLERANCE, rtol=0
         )
+
+
+class TestAtomicity:
+    @pytest.mark.parametrize(
+        "event",
+        [
+            LinkFailure(link=(1, 99)),
+            LinkRecovery(link=(99, 1)),
+            LinkWeightChange(link=(1, 2), weight=-1.0),
+            LinkWeightChange(link=(1, 2), weight=float("nan")),
+            CapacityChange(link=(1, 99), capacity=0.0),
+            DemandUpdate(source=1, target=99, volume=1.0),
+            DemandUpdate(source=3, target=3, volume=0.0),
+        ],
+        ids=lambda event: f"{event.kind}-{getattr(event, 'link', None) or event.target}",
+    )
+    def test_rejected_event_leaves_state_untouched(self, abilene, abilene_tm, event):
+        """An event that raises changes no weight, link, dirty row or measurement."""
+        controller = TEController(abilene, abilene_tm)
+        controller.measure()
+        # Leave some rows dirty, so the check covers pending work too.
+        controller.apply(LinkFailure(link=abilene.links[0].endpoints))
+        spt = controller.spt
+        before = (
+            spt.weights, spt.active_mask, set(spt._dirty), set(controller._stale),
+            dict(controller.demands.items()), controller.capacities.copy(),
+        )
+        with pytest.raises((EventError, NetworkError)):
+            controller.apply(event)
+        after = (
+            spt.weights, spt.active_mask, set(spt._dirty), set(controller._stale),
+            dict(controller.demands.items()), controller.capacities.copy(),
+        )
+        for old, new in zip(before, after, strict=True):
+            assert np.array_equal(old, new) if isinstance(old, np.ndarray) else old == new
+        reference = TEController(abilene, abilene_tm)
+        reference.apply(LinkFailure(link=abilene.links[0].endpoints))
+        measured, expected = controller.measure(), reference.measure()
+        np.testing.assert_array_equal(measured.loads, expected.loads)
+        assert measured.dropped_pairs == expected.dropped_pairs
+        assert measured.routed_volume == expected.routed_volume
 
 
 class TestSetupAmortisation:
