@@ -79,15 +79,11 @@ def fig10_instance_names(instances) -> list:
 # scenario-engine fixtures (shared by the robustness benchmarks)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
-def scenario_cache_dir(tmp_path_factory):
-    """A per-session on-disk result cache, warm across benchmark modules."""
-    return tmp_path_factory.mktemp("scenario-cache")
-
-
-@pytest.fixture(scope="session")
-def scenario_runner(scenario_cache_dir) -> BatchRunner:
-    """A cached serial batch runner (serial: benchmark timings stay honest)."""
-    return BatchRunner(cache_dir=scenario_cache_dir, max_workers=0)
+def scenario_runner(tmp_path_factory) -> BatchRunner:
+    """A serial batch runner over a per-session results store whose cells
+    stay warm across benchmark modules (serial: benchmark timings stay honest)."""
+    store = tmp_path_factory.mktemp("scenario-store") / "results.sqlite"
+    return BatchRunner(max_workers=0, results_store=store)
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ def test_abilene_single_link_failure_sweep_spef_vs_ospf(
     )
     cold = time.perf_counter() - start
 
-    # Second pass: identical sweep served from the warm on-disk cache.
+    # Second pass: identical sweep served from the warm stored cells.
     start = time.perf_counter()
     warm_sweep = scenario_robustness_sweep(
         network,

@@ -4,14 +4,14 @@ The paper compares SPEF and OSPF on intact topologies (Fig. 9/10); this
 example asks the operational question instead: *how do they hold up when a
 fibre is cut?*  It enumerates every single-trunk failure of Abilene, routes
 each perturbed instance with OSPF, SPEF and the re-optimised min-max LP
-oracle through the cached parallel batch runner, and prints
+oracle through the parallel batch runner, and prints
 
 * the per-protocol robustness summary (mean / median / worst-case / CVaR
   MLU, regret vs. re-optimising after the failure), and
 * the scenarios where OSPF and SPEF leave the most performance on the table.
 
-The sweep is run twice to demonstrate the on-disk result cache: the second
-pass is served from cache and reports its speedup.
+The sweep is run twice against one results store: the second pass is
+served from the cells the first one stored and reports its speedup.
 
 Run with:  PYTHONPATH=src python examples/failure_sweep.py
 """
@@ -37,8 +37,8 @@ def main() -> None:
         f"Protocols: OSPF, SPEF (+ re-optimised MinMaxMLU as the regret oracle)\n"
     )
 
-    with tempfile.TemporaryDirectory(prefix="repro-scenarios-") as cache_dir:
-        runner = BatchRunner(cache_dir=cache_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-scenarios-") as store_dir:
+        runner = BatchRunner(results_store=f"{store_dir}/results.sqlite")
 
         start = time.perf_counter()
         sweep = scenario_robustness_sweep(
@@ -57,7 +57,7 @@ def main() -> None:
         )
         warm = time.perf_counter() - start
         print(
-            f"Warm run: {runner.last_stats.cache_hits}/{runner.last_stats.total} from cache "
+            f"Warm run: {runner.last_stats.cache_hits}/{runner.last_stats.total} from the store "
             f"in {warm:.2f}s ({cold / warm:.0f}x faster)\n"
         )
 

@@ -533,7 +533,7 @@ def fig12_convergence(
 
 # ----------------------------------------------------------------------
 # Scenario robustness sweeps (beyond the paper: failures and demand
-# uncertainty, evaluated with the cached parallel batch runner)
+# uncertainty, evaluated with the parallel batch runner)
 # ----------------------------------------------------------------------
 def scenario_robustness_sweep(
     network: Network,
@@ -551,7 +551,7 @@ def scenario_robustness_sweep(
     The scenario-engine counterpart of the per-figure experiments above:
     instead of one (topology, matrix) point it sweeps a whole scenario set
     (defaulting to the baseline plus every single-trunk failure) through the
-    cached parallel :class:`~repro.scenarios.runner.BatchRunner` and returns
+    parallel :class:`~repro.scenarios.runner.BatchRunner` and returns
 
     * ``results`` — the flat per-(scenario, protocol) result list,
     * ``summary`` — one robustness row per protocol (mean / median /
@@ -568,10 +568,9 @@ def scenario_robustness_sweep(
     scenarios = list(scenarios)
     if include_baseline and not any(s.is_baseline() for s in scenarios):
         scenarios = [baseline_scenario()] + scenarios
-    # The implicit runner is uncached: persistent caching is an explicit
-    # opt-in (pass a BatchRunner), so casual calls can never be served
-    # stale results from a previous code version.
-    runner = runner or BatchRunner(cache_dir=False, max_workers=0)
+    # The implicit runner has no store: stored cells are an explicit
+    # opt-in (pass a BatchRunner with a results_store).
+    runner = runner or BatchRunner(max_workers=0)
 
     specs = [ProtocolSpec.of(p) for p in protocols]
     oracle_spec = ProtocolSpec.of(oracle) if oracle is not None else None
@@ -617,8 +616,8 @@ def abilene_failure_sweep(
     Demands are scaled to ``load_fraction`` of the saturation load; the 0.5
     default is the highest regime where every single-trunk failure still
     leaves the demands routable (at the Fig. 9 level of 0.85, several
-    failures make even re-optimised TE infeasible).  Pass a cached
-    ``BatchRunner`` to have repeated calls served from its result cache.
+    failures make even re-optimised TE infeasible).  Pass a ``BatchRunner``
+    with a ``results_store`` to have repeated calls served from its cells.
     """
     if instance is None:
         instance = standard_instances()["Abilene"]

@@ -5,8 +5,9 @@ every command that produces numbers writes them into the
 :mod:`repro.results` store so they can be listed, diffed and exported
 later (by a human or by CI):
 
-* ``repro sweep`` — a cached :class:`~repro.scenarios.BatchRunner` sweep
-  of protocols over a scenario set, recorded with a full run manifest;
+* ``repro sweep`` — a :class:`~repro.scenarios.BatchRunner` sweep of
+  protocols over a scenario set, recorded with a full run manifest; cells
+  already in the store are served from it, never re-evaluated;
 * ``repro replay`` — the online TE controller's failure/recovery trace
   replay (:func:`repro.online.replay_failure_trace`), one record per
   outage; ``--policy closed-loop|oracle`` runs it closed-loop (thresholded
@@ -19,7 +20,7 @@ later (by a human or by CI):
   optional compact text summary (``--summary``), a Chrome trace-event
   export (``--chrome-trace``), a collapsed-stack flamegraph
   (``--flamegraph``) and opt-in per-span memory tracking (``--memory``);
-  ``trace sweep`` forces the result cache off so every instrumented path
+  ``trace sweep`` reads no stored cells so every instrumented path
   actually executes; traced runs persist per-span timing aggregates
   (``scenario="__profile__"``) into the store;
 * ``repro results perf`` — span self-time trends over those profile
@@ -246,11 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workers = (os.cpu_count() or 1) if args.parallel else args.workers
 
     with _open_store(args) as store:
-        runner = BatchRunner(
-            cache_dir=False if args.no_cache else args.cache_dir,
-            max_workers=workers,
-            results_store=store,
-        )
+        runner = BatchRunner(max_workers=workers, results_store=store)
         results = runner.run(
             network,
             demands,
@@ -558,12 +555,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     Activates a fresh :class:`~repro.obs.telemetry.TelemetryRegistry` for
     the duration of the wrapped command, then exports everything it
     collected as JSON lines (and, with ``--summary``, a compact text
-    digest).  ``trace sweep`` forces ``--no-cache``: a cache hit skips the
-    instrumented evaluation path entirely, and a trace of cache lookups
-    is not what anyone asked for.
+    digest).  A traced sweep reads no stored cells: a trace of lookups
+    measures nothing.
     """
-    if args.trace_command == "sweep":
-        args.no_cache = True
     wrapped = cmd_sweep if args.trace_command == "sweep" else cmd_replay
     registry = telemetry.TelemetryRegistry(
         label=f"trace-{args.trace_command}", memory=args.memory
@@ -838,7 +832,9 @@ def cmd_results_delete(args: argparse.Namespace) -> int:
 
 def cmd_results_gc(args: argparse.Namespace) -> int:
     with _open_store(args) as store:
+        cells = store.cell_count()
         deleted = store.gc(args.keep_last, kind=args.kind, benchmark=args.benchmark)
+        stale = cells - store.cell_count()
         kept = len(store.runs(kind=args.kind, benchmark=args.benchmark))
         if deleted:
             print(
@@ -847,8 +843,10 @@ def cmd_results_gc(args: argparse.Namespace) -> int:
             )
             for run_id in deleted:
                 print(f"  {run_id}")
-        else:
+        elif not stale:
             print(f"nothing to delete; {kept} run(s) within retention")
+        if stale:
+            print(f"deleted {stale} stale sweep cell(s) (older CACHE_VERSION or release)")
     return 0
 
 
@@ -880,10 +878,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", action="store_true",
                         help="shard scenario chunks across all CPUs, one online "
                         "controller per worker (overrides --workers)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="scenario result-cache directory (default: $REPRO_CACHE_DIR)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the scenario result cache")
     parser.set_defaults(handler=cmd_sweep)
 
 
@@ -1000,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
             trace_command,
             parents=[store_parent],
             help=f"`repro {trace_command}` with spans/counters/histograms recorded"
-            + (" (forces --no-cache)" if trace_command == "sweep" else ""),
+            + (" (reads no stored cells)" if trace_command == "sweep" else ""),
         )
         add_arguments(traced)
         traced.add_argument("--trace", default="trace.jsonl", metavar="PATH",
@@ -1200,7 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
     results_gc = results_sub.add_parser(
         "gc",
         parents=[store_parent],
-        help="retention: delete all but the newest N runs per (kind, benchmark)",
+        help="retention: delete all but the newest N runs per (kind, benchmark), "
+        "and every sweep cell an older CACHE_VERSION or release wrote",
     )
     results_gc.add_argument("--keep-last", type=int, required=True, metavar="N",
                             help="runs to keep in each (kind, benchmark) family")

@@ -4,7 +4,7 @@ A *run* is one recorded invocation of the scenario runner, the benchmark
 harness, the trace replay, or a view import.  The manifest pins down
 everything needed to interpret (and re-execute) the numbers it produced:
 
-* **code identity** — git sha, package version, scenario-cache
+* **code identity** — git sha, package version, the sweep cells'
   ``CACHE_VERSION``;
 * **workload identity** — topology, protocols, a stable hash of the
   scenario set;

@@ -1,9 +1,6 @@
-"""SQLite-backed store of run manifests and per-record metrics.
+"""SQLite-backed store of run manifests, per-record metrics and sweep cells.
 
-The scenario engine's :class:`~repro.scenarios.runner.ResultCache` answers
-"have I computed this exact cell before?" — a content-addressed key-value
-store, deliberately write-only from a human's point of view.  This module
-answers the questions humans (and CI) actually ask across runs:
+This module answers the questions humans (and CI) ask across runs:
 
 * *what runs exist, and what code produced them?* — :meth:`ResultsStore.runs`,
   with git sha / package version / ``CACHE_VERSION`` in every manifest;
@@ -13,7 +10,9 @@ answers the questions humans (and CI) actually ask across runs:
   category-aware comparison CI gates on;
 * *where do the committed artifacts come from?* — ``BENCH_*.json`` are
   **exported views** (:meth:`ResultsStore.export_bench_view`), re-importable
-  byte-for-byte (:meth:`ResultsStore.import_bench_view`), never hand-edited.
+  byte-for-byte (:meth:`ResultsStore.import_bench_view`), never hand-edited;
+* *have I computed this exact sweep cell before?* — :meth:`ResultsStore.cell`
+  by :func:`~repro.scenarios.runner.cell_key`, asked by the scenario runner.
 
 One SQLite file holds everything (``$REPRO_RESULTS_DB`` or
 ``~/.cache/repro/results.sqlite``); records keep their full metric dicts as
@@ -28,7 +27,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .diffing import RunDiff, diff_records
 from .manifest import RunManifest
@@ -70,6 +69,12 @@ CREATE TABLE IF NOT EXISTS records (
 );
 CREATE INDEX IF NOT EXISTS records_identity
     ON records (topology, workload, scenario, protocol);
+CREATE TABLE IF NOT EXISTS cells (
+    key TEXT PRIMARY KEY,
+    cache_version INTEGER NOT NULL,
+    package_version TEXT NOT NULL,
+    result TEXT NOT NULL
+);
 """
 
 
@@ -83,6 +88,14 @@ def default_results_path() -> Path:
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro" / "results.sqlite"
+
+
+def _code_identity() -> tuple[int, str]:
+    """``(CACHE_VERSION, package version)``: what every cell key hashes in."""
+    from .. import __version__
+    from ..scenarios.runner import CACHE_VERSION
+
+    return CACHE_VERSION, __version__
 
 
 def _dump_view(payload: Mapping[str, object]) -> str:
@@ -181,6 +194,21 @@ class ResultsStore:
             self._connection.execute("DELETE FROM runs WHERE run_id = ?", (manifest.run_id,))
         return manifest.run_id
 
+    def put_cells(self, cells: Iterable[tuple[str, Mapping[str, object]]]) -> None:
+        """Store ``(cell key, ScenarioResult.to_dict())`` pairs, stamped with
+        the ``CACHE_VERSION`` and package version the key hashes in (see
+        :meth:`gc`).  Floats round-trip exactly, ``inf`` included."""
+        cache_version, package_version = _code_identity()
+        with self._connection:
+            self._connection.executemany(
+                "INSERT OR REPLACE INTO cells (key, cache_version, package_version,"
+                " result) VALUES (?, ?, ?, ?)",
+                (
+                    (key, cache_version, package_version, json.dumps(result, sort_keys=True))
+                    for key, result in cells
+                ),
+            )
+
     def gc(
         self,
         keep_last: int,
@@ -196,6 +224,9 @@ class ResultsStore:
         run a later ``repro results diff`` needs.  Optional ``kind`` /
         ``benchmark`` filters restrict which families are trimmed.  Returns
         the deleted run ids (newest first within each family).
+
+        Sweep cells of another ``CACHE_VERSION`` or package version go too,
+        whatever the filters: their keys can never be asked for again.
         """
         if keep_last < 0:
             raise ResultsStoreError(f"keep_last must be non-negative, got {keep_last}")
@@ -210,6 +241,10 @@ class ResultsStore:
                         "DELETE FROM runs WHERE run_id = ?", (manifest.run_id,)
                     )
                     deleted.append(manifest.run_id)
+            self._connection.execute(
+                "DELETE FROM cells WHERE cache_version != ? OR package_version != ?",
+                _code_identity(),
+            )
         return deleted
 
     # ------------------------------------------------------------------
@@ -284,6 +319,17 @@ class ResultsStore:
             matches = ", ".join(row["run_id"] for row in rows[:5])
             raise ResultsStoreError(f"ambiguous run reference {ref!r}: matches {matches}")
         return RunManifest.from_row(rows[0])
+
+    def cell(self, key: str) -> dict[str, object] | None:
+        """The stored result dict of the sweep cell at ``key``, or ``None``."""
+        row = self._connection.execute(
+            "SELECT result FROM cells WHERE key = ?", (key,)
+        ).fetchone()
+        return None if row is None else json.loads(row["result"])
+
+    def cell_count(self) -> int:
+        """How many sweep cells the store holds."""
+        return int(self._connection.execute("SELECT COUNT(*) FROM cells").fetchone()[0])
 
     def records(self, ref: str) -> list[dict[str, object]]:
         """A run's records (full metric dicts) in insertion order."""

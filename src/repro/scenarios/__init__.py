@@ -1,16 +1,18 @@
-"""Scenario engine: failure sweeps, demand ensembles and a cached batch runner.
+"""Scenario engine: failure sweeps, demand ensembles and a batch runner.
 
 This subsystem generalises the paper's one-topology / one-matrix evaluation
 (Section V) into *scenario sets* — families of perturbed ``(Network,
 TrafficMatrix)`` instances — and evaluates any registered protocol across
-them in parallel with an on-disk result cache:
+them in parallel, serving cells it has already computed from the
+:class:`~repro.results.ResultsStore`:
 
 * :mod:`~repro.scenarios.scenario` — the declarative :class:`Scenario`
   model and fingerprints;
 * :mod:`~repro.scenarios.generators` — deterministic failure sweeps and
   demand-uncertainty ensembles;
 * :mod:`~repro.scenarios.runner` — :class:`BatchRunner`
-  (``ProcessPoolExecutor`` + chunked dispatch + :class:`ResultCache`);
+  (``ProcessPoolExecutor`` + chunked dispatch + store-resident cells keyed
+  by :func:`~repro.scenarios.runner.cell_key`);
 * :mod:`~repro.scenarios.robustness` — distributional metrics (worst case,
   CVaR, regret vs. a re-optimised oracle).
 """
@@ -39,11 +41,9 @@ from .runner import (
     PROTOCOL_REGISTRY,
     BatchRunner,
     ProtocolSpec,
-    ResultCache,
     RunnerError,
     RunStats,
     ScenarioResult,
-    default_cache_dir,
     evaluate_scenario,
     evaluate_scenarios,
     register_protocol,
@@ -75,13 +75,11 @@ __all__ = [
     "standard_scenario_suite",
     "BatchRunner",
     "ProtocolSpec",
-    "ResultCache",
     "RunnerError",
     "RunStats",
     "ScenarioResult",
     "PROTOCOL_REGISTRY",
     "register_protocol",
-    "default_cache_dir",
     "evaluate_scenario",
     "evaluate_scenarios",
     "cvar",

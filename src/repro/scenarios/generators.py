@@ -3,7 +3,7 @@
 Every generator returns a list of :class:`~repro.scenarios.scenario.Scenario`
 objects and is fully determined by its arguments — a fixed seed always yields
 the identical scenario set (ids included), which is what makes the batch
-runner's on-disk cache and the property-based determinism tests possible.
+runner's stored cells and the property-based determinism tests possible.
 
 Failure families (perturb the network):
 

@@ -1,4 +1,4 @@
-"""Cached parallel batch evaluation of protocols over scenario sets.
+"""Parallel batch evaluation of protocols over scenario sets.
 
 The evaluation loop of the paper — route one matrix on one topology, read off
 MLU and utility — becomes, at scenario scale, an embarrassingly parallel
@@ -7,13 +7,14 @@ module provides the machinery to run that batch fast and repeatably:
 
 * :class:`ProtocolSpec` — a picklable, hashable *description* of a protocol
   (registry name + constructor parameters).  Specs, not protocol instances,
-  travel to worker processes and into cache keys.
-* :class:`ResultCache` — an on-disk store of :class:`ScenarioResult` records
-  keyed by ``sha256(topology, demands, scenario, protocol)``; repeated sweeps
-  (the common case while exploring) skip straight to cache hits.
+  travel to worker processes and into cell keys.
+* :func:`cell_key` — the content address of one cell,
+  ``sha256(topology, demands, scenario, protocol, route flag)``, under which
+  the :class:`~repro.results.ResultsStore` keeps the cell's result; repeated
+  sweeps (the common case while exploring) skip straight to stored cells.
 * :class:`BatchRunner` — chunked dispatch over a ``ProcessPoolExecutor``
   (or, serially, the same chunks through the built-in ``map``),
-  cache-aware scheduling (hits never reach a worker) and per-run
+  store-aware scheduling (stored cells never reach a worker) and per-run
   statistics.
 
 Worker payloads carry the base instance, a chunk of declarative scenarios,
@@ -24,16 +25,15 @@ declarative scenarios cross the process boundary.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,6 +56,9 @@ from .scenario import (
     demands_fingerprint,
     network_fingerprint,
 )
+
+if TYPE_CHECKING:
+    from ..results.store import ResultsStore
 
 
 class RunnerError(ValueError):
@@ -626,9 +629,10 @@ def _telemetry_summary_record(
 
 
 # ----------------------------------------------------------------------
-# on-disk result cache
+# cell keys
 # ----------------------------------------------------------------------
-#: Bump when the semantics of cached metrics change (invalidates old caches).
+#: Bump when the semantics of stored cell metrics change (old cells then
+#: never hit again, and ``ResultsStore.gc`` drops them).
 #: 2: routing moved to the vectorized sparse backend (float-round-off shifts).
 #: 3: cache keys carry route flags (incremental failure sweeps vs cold), so
 #:    results produced by different evaluation paths can never collide.
@@ -642,112 +646,41 @@ def _telemetry_summary_record(
 CACHE_VERSION = 6
 
 
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` or ``~/.cache/repro/scenarios``."""
-    root = os.environ.get("REPRO_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "repro" / "scenarios"
+def cell_key(
+    network_fp: str,
+    demands_fp: str,
+    scenario_fp: str,
+    protocol_fp: str,
+    flags: dict[str, object] | None = None,
+) -> str:
+    """Content address of one sweep cell from its four fingerprints.
 
-
-class ResultCache:
-    """A content-addressed store of scenario results (JSON file per key).
-
-    Writes are atomic (tempfile + rename) so concurrent runners sharing a
-    cache directory at worst duplicate work, never corrupt entries.  An
-    in-memory layer absorbs repeated lookups within one process.
+    ``flags`` partitions cells by their *designated* evaluation path
+    (currently ``{"route": "incremental"}`` for cells eligible for the
+    online controller's failure sweep) — a pure function of
+    ``(spec, scenario)``, never of store state or chunking, so keys are
+    stable across runs.  Incremental-path and cold-path cells thus never
+    share a key; the residual overlap — lone-candidate chunks (one eligible
+    scenario without a shared baseline is cheaper cold) — is safe because
+    every configuration that flags incremental is result-equivalent on both
+    paths (equivalence-tested to 1e-9).
     """
+    from .. import __version__
 
-    def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self._memory: dict[str, ScenarioResult] = {}
-
-    @staticmethod
-    def key(
-        network_fp: str,
-        demands_fp: str,
-        scenario_fp: str,
-        protocol_fp: str,
-        flags: dict[str, object] | None = None,
-    ) -> str:
-        """Cache key of one cell from its four fingerprints.
-
-        ``flags`` partitions cells by their *designated* evaluation path
-        (currently ``{"route": "incremental"}`` for cells eligible for the
-        online controller's failure sweep) — a pure function of
-        ``(spec, scenario)``, never of cache state or chunking, so keys are
-        stable across runs.  Incremental-path and cold-path entries thus
-        never share a key; the residual overlap — lone-candidate chunks (one
-        eligible scenario without a shared baseline is cheaper cold) — is
-        safe because every configuration that flags incremental is
-        result-equivalent on both paths (equivalence-tested to 1e-9).
-        """
-        from .. import __version__
-
-        # The package version is part of the key so cached metrics never
-        # survive a release that may have changed protocol implementations;
-        # CACHE_VERSION covers semantic changes within a release cycle.
-        payload = {
-            "version": CACHE_VERSION,
-            "package": __version__,
-            "network": network_fp,
-            "demands": demands_fp,
-            "scenario": scenario_fp,
-            "protocol": protocol_fp,
-        }
-        if flags:
-            payload["flags"] = sorted((str(k), repr(v)) for k, v in flags.items())
-        return _sha256(payload)
-
-    def _path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small on big sweeps.
-        return self.directory / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> ScenarioResult | None:
-        if key in self._memory:
-            result = self._memory[key]
-        else:
-            path = self._path(key)
-            try:
-                result = ScenarioResult.from_dict(json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError, TypeError):
-                # Unreadable, malformed or wrong-shaped entries (e.g. stray
-                # files in a shared cache dir) are misses, never fatal.
-                return None
-            self._memory[key] = result
-        hit = ScenarioResult.from_dict(result.to_dict())
-        hit.cached = True
-        return hit
-
-    def put(self, key: str, result: ScenarioResult) -> None:
-        self._memory[key] = result
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(result.to_dict(), sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def clear(self) -> int:
-        """Remove every cached entry; returns the number of files deleted."""
-        self._memory.clear()
-        removed = 0
-        if self.directory.exists():
-            for path in self.directory.glob("*/*.json"):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.directory.exists():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))
+    # The package version is part of the key so stored metrics never
+    # survive a release that may have changed protocol implementations;
+    # CACHE_VERSION covers semantic changes within a release cycle.
+    payload = {
+        "version": CACHE_VERSION,
+        "package": __version__,
+        "network": network_fp,
+        "demands": demands_fp,
+        "scenario": scenario_fp,
+        "protocol": protocol_fp,
+    }
+    if flags:
+        payload["flags"] = sorted((str(k), repr(v)) for k, v in flags.items())
+    return _sha256(payload)
 
 
 # ----------------------------------------------------------------------
@@ -774,13 +707,10 @@ class RunStats:
 
 
 class BatchRunner:
-    """Evaluate protocols across scenario sets, in parallel and cached.
+    """Evaluate protocols across scenario sets, in parallel and stored.
 
     Parameters
     ----------
-    cache_dir:
-        Directory of the on-disk result cache; ``None`` uses
-        :func:`default_cache_dir`, ``False`` disables caching entirely.
     max_workers:
         Process pool size.  ``0`` or ``1`` runs the same chunked pipeline
         in-process, one chunk per protocol, without a pool (no pool
@@ -791,11 +721,12 @@ class BatchRunner:
         about four chunks per worker, which amortises dispatch overhead
         while keeping the pool load-balanced when scenario costs vary.
     results_store:
-        A :class:`repro.results.ResultsStore` (or a path to one) to record
-        every :meth:`run` into: a manifest (git sha, topology, protocols,
-        scenario-set hash, ``CACHE_VERSION``, timings) plus one record per
-        cell.  ``None`` (the default) records nothing.  The id of the most
-        recent recorded run is available as :attr:`last_run_id`.
+        A :class:`repro.results.ResultsStore` (or a path to one).  Cells
+        stored there under :func:`cell_key` never reach a worker; evaluated
+        cells without an error are stored.  Every :meth:`run` is recorded
+        there too: a manifest (git sha, topology, protocols, scenario-set
+        hash, ``CACHE_VERSION``, timings) plus one record per cell, its id
+        in :attr:`last_run_id`.  ``None`` (the default) does none of this.
 
     Examples
     --------
@@ -804,7 +735,7 @@ class BatchRunner:
     >>> from repro.scenarios import single_link_failures
     >>> net = abilene_network()
     >>> tm = abilene_traffic_matrix(net, total_volume=50.0, seed=1)
-    >>> runner = BatchRunner(cache_dir=False, max_workers=0)
+    >>> runner = BatchRunner(max_workers=0)
     >>> results = runner.run(net, tm, single_link_failures(net), ["OSPF"])
     >>> len(results)
     14
@@ -812,15 +743,10 @@ class BatchRunner:
 
     def __init__(
         self,
-        cache_dir: str | Path | None | bool = None,
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        results_store: str | Path | object | None = None,
+        results_store: str | Path | ResultsStore | None = None,
     ) -> None:
-        if cache_dir is False:
-            self.cache: ResultCache | None = None
-        else:
-            self.cache = ResultCache(None if cache_dir in (None, True) else cache_dir)
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         self.last_stats = RunStats()
@@ -838,28 +764,48 @@ class BatchRunner:
         """Evaluate every protocol on every scenario.
 
         Results are returned in ``(protocol, scenario)`` input order
-        regardless of which worker (or cache entry) produced them.  When
+        regardless of which worker (or stored cell) produced them.  When
         the runner has a :attr:`results_store`, the run is recorded there
         with a full manifest; ``record_config`` adds caller context (CLI
         arguments, workload parameters) to that manifest.  With telemetry active
         (:func:`repro.obs.telemetry.session`), worker registries are merged
-        back into the active one and a summary lands in the recorded run.
+        back into the active one and a summary lands in the recorded run;
+        a traced run reads no stored cells but still stores what it
+        evaluates.
         """
+        from ..results import ResultsStore  # lazily: it imports CACHE_VERSION
+
+        store = self.results_store
+        if store is not None and not isinstance(store, ResultsStore):
+            with ResultsStore(store) as opened:
+                return self._run(opened, network, demands, scenarios, protocols, record_config)
+        return self._run(store, network, demands, scenarios, protocols, record_config)
+
+    def _run(
+        self,
+        store: ResultsStore | None,
+        network: Network,
+        demands: TrafficMatrix,
+        scenarios: Sequence[Scenario],
+        protocols: Iterable[str | ProtocolSpec],
+        record_config: dict[str, object] | None,
+    ) -> list[ScenarioResult]:
         specs = [ProtocolSpec.of(p) for p in protocols]
         scenarios = list(scenarios)
         start = time.perf_counter()
         stats = RunStats(total=len(specs) * len(scenarios))
 
-        network_fp = network_fingerprint(network)
-        demands_fp = demands_fingerprint(demands)
-        # Fingerprints are hashed once per scenario/spec, not once per cell.
-        scenario_fps = [scenario.fingerprint() for scenario in scenarios]
-        spec_fps = [spec.fingerprint() for spec in specs]
+        if store is not None:
+            # Cell keys need fingerprints, hashed once per scenario/spec.
+            network_fp = network_fingerprint(network)
+            demands_fp = demands_fingerprint(demands)
+            scenario_fps = [scenario.fingerprint() for scenario in scenarios]
+            spec_fps = [spec.fingerprint() for spec in specs]
         # One probe per spec decides its fast paths.  Specs that can ride
         # the incremental sweep give their eligible cells a route flag in
-        # the cache key, so incremental and cold results never share an
-        # entry.  Eligibility is a pure function of (spec, scenario) — never
-        # of which other cells hit the cache — so keys are stable across
+        # the cell key, so incremental and cold results never share a
+        # cell.  Eligibility is a pure function of (spec, scenario) — never
+        # of which other cells are stored — so keys are stable across
         # runs and chunkings.  Capacity-bearing scenarios additionally
         # require capacity-independent weights.
         plans = [_probe(spec, network) for spec in specs]
@@ -869,24 +815,26 @@ class BatchRunner:
                 scenarios[ci], plans[si].capacity_independent
             )
 
-        # Resolve cache hits up front so only misses reach the pool.
+        # Resolve stored cells up front so only misses reach the pool.
+        read = store is not None and not telemetry.enabled()
         results: dict[tuple[int, int], ScenarioResult] = {}
         misses: list[tuple[int, int]] = []
         keys: dict[tuple[int, int], str] = {}
         for si in range(len(specs)):
             for ci in range(len(scenarios)):
                 cell = (si, ci)
-                if self.cache is not None:
+                if store is not None:
                     flags = (
                         {"route": "incremental"} if cell_incremental(si, ci) else None
                     )
-                    key = ResultCache.key(
+                    key = cell_key(
                         network_fp, demands_fp, scenario_fps[ci], spec_fps[si], flags
                     )
                     keys[cell] = key
-                    hit = self.cache.get(key)
-                    if hit is not None:
-                        results[cell] = hit
+                    stored = store.cell(key) if read else None
+                    if stored is not None:
+                        results[cell] = ScenarioResult.from_dict(stored)
+                        results[cell].cached = True
                         stats.cache_hits += 1
                         continue
                 misses.append(cell)
@@ -969,13 +917,15 @@ class BatchRunner:
                     for cell in cells:
                         results[cell].setup_runtime += share
                 stats.setup_seconds += setup
-            if self.cache is not None:
-                for cell in misses:
-                    # Error results are never cached: a transient failure
-                    # (solver hiccup, memory pressure) must not permanently
-                    # poison the cell as infeasible on disk.
-                    if results[cell].error is None:
-                        self.cache.put(keys[cell], results[cell])
+            if store is not None:
+                # Error results are never stored: a transient failure
+                # (solver hiccup, memory pressure) must not permanently
+                # poison the cell as infeasible.
+                store.put_cells(
+                    (keys[cell], results[cell].to_dict())
+                    for cell in misses
+                    if results[cell].error is None
+                )
 
         stats.elapsed = time.perf_counter() - start
         self.last_stats = stats
@@ -984,14 +934,15 @@ class BatchRunner:
             for si in range(len(specs))
             for ci in range(len(scenarios))
         ]
-        if self.results_store is not None:
+        if store is not None:
             self.last_run_id = self._record(
-                network, specs, scenarios, ordered, stats, record_config
+                store, network, specs, scenarios, ordered, stats, record_config
             )
         return ordered
 
     def _record(
         self,
+        store: ResultsStore,
         network: Network,
         specs: Sequence[ProtocolSpec],
         scenarios: Sequence[Scenario],
@@ -1000,59 +951,48 @@ class BatchRunner:
         record_config: dict[str, object] | None,
     ) -> str:
         """Write this run (manifest + one record per cell) to the store."""
-        # Imported lazily: repro.results depends on this module's
-        # CACHE_VERSION, and the store is optional machinery.
-        from ..results import RunManifest, ResultsStore, scenario_set_fingerprint
+        from ..obs.profiling import profile_records
+        from ..results import RunManifest, scenario_set_fingerprint
 
-        store = self.results_store
-        owned = not isinstance(store, ResultsStore)
-        if owned:
-            store = ResultsStore(store)  # type: ignore[arg-type]
-        try:
-            config: dict[str, object] = {
-                "scenarios": len(scenarios),
-                "protocols": len(specs),
-                "cache_hits": stats.cache_hits,
-                "evaluated": stats.evaluated,
-                "workers": stats.workers,
+        config: dict[str, object] = {
+            "scenarios": len(scenarios),
+            "protocols": len(specs),
+            "cache_hits": stats.cache_hits,
+            "evaluated": stats.evaluated,
+            "workers": stats.workers,
+        }
+        config.update(record_config or {})
+        timings: dict[str, float] = {
+            "elapsed": stats.elapsed,
+            "setup_seconds": stats.setup_seconds,
+        }
+        telemetry_record = _telemetry_summary_record(network.name, timings)
+        manifest = RunManifest.create(
+            kind="sweep",
+            topology=network.name,
+            protocols=[spec.display_name for spec in specs],
+            scenario_set=scenario_set_fingerprint(scenarios),
+            config=config,
+            timings=timings,
+        )
+        records = [
+            {
+                **result.as_row(),
+                "topology": network.name,
+                "runtime": result.runtime,
+                "setup_runtime": result.setup_runtime,
+                "cached": result.cached,
             }
-            config.update(record_config or {})
-            timings: dict[str, float] = {
-                "elapsed": stats.elapsed,
-                "setup_seconds": stats.setup_seconds,
-            }
-            telemetry_record = _telemetry_summary_record(network.name, timings)
-            manifest = RunManifest.create(
-                kind="sweep",
-                topology=network.name,
-                protocols=[spec.display_name for spec in specs],
-                scenario_set=scenario_set_fingerprint(scenarios),
-                config=config,
-                timings=timings,
-            )
-            records = [
-                {
-                    **result.as_row(),
-                    "topology": network.name,
-                    "runtime": result.runtime,
-                    "setup_runtime": result.setup_runtime,
-                    "cached": result.cached,
-                }
-                for result in results
-            ]
-            if telemetry_record is not None:
-                records.append(telemetry_record)
-            # Traced runs additionally persist per-span timing aggregates
-            # (scenario="__profile__") — the history `repro results perf`
-            # trends and gates on.  Untraced runs add nothing, keeping them
-            # record-identical to pre-telemetry behaviour.
-            from ..obs.profiling import profile_records
-
-            records.extend(profile_records(telemetry.get(), network.name))
-            return store.record_run(manifest, records)
-        finally:
-            if owned:
-                store.close()
+            for result in results
+        ]
+        if telemetry_record is not None:
+            records.append(telemetry_record)
+        # Traced runs additionally persist per-span timing aggregates
+        # (scenario="__profile__") — the history `repro results perf`
+        # trends and gates on.  Untraced runs add nothing, keeping them
+        # record-identical to pre-telemetry behaviour.
+        records.extend(profile_records(telemetry.get(), network.name))
+        return store.record_run(manifest, records)
 
     # ------------------------------------------------------------------
     # scheduling helpers

@@ -11,7 +11,7 @@ three payoffs:
 
 * they are tiny, hashable and cheap to ship to worker processes;
 * the same scenario set can be replayed against several base instances;
-* a stable :meth:`Scenario.fingerprint` makes them usable as cache keys for
+* a stable :meth:`Scenario.fingerprint` makes them usable as cell keys for
   the batch runner (:mod:`repro.scenarios.runner`).
 
 A scenario can fail directed links, fail nodes (all incident links), scale
@@ -95,7 +95,7 @@ class Scenario:
     def fingerprint(self) -> str:
         """A stable hash of everything that influences :meth:`apply`.
 
-        The fingerprint is what the batch runner's on-disk cache keys on, so
+        The fingerprint is what the batch runner's cell keys hash in, so
         it covers the perturbation fields (and the id/kind for auditability)
         but deliberately ignores ``seed``, which is provenance metadata.
         """
@@ -276,7 +276,7 @@ def combine(first: Scenario, second: Scenario, scenario_id: str | None = None) -
 
 
 # ----------------------------------------------------------------------
-# fingerprints of the base instance (shared with the runner's cache keys)
+# fingerprints of the base instance (shared with the runner's cell keys)
 # ----------------------------------------------------------------------
 def network_fingerprint(network: Network) -> str:
     """A stable hash of a network's topology, capacities and delays."""

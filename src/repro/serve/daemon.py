@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -31,10 +32,13 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from ..network import NetworkError
+from ..obs import telemetry
 from ..online.events import EventError
 from ..online.session import ROW_DECIMALS, ControllerSession
 from . import wire
 from .wire import Frame, WireError
+
+logger = logging.getLogger(__name__)
 
 
 class TEServer:
@@ -197,6 +201,13 @@ class TEServer:
             # before any state mutation, so the session is untouched.
             self.frames_error += 1
             return wire.error_frame(str(exc)), False
+        except Exception as exc:
+            # Anything else (a bug, a SolverError out of reoptimize) still
+            # gets an answer, and the connection stays open.
+            logger.exception("internal error answering a serve frame")
+            self.frames_error += 1
+            telemetry.count("serve.frames", outcome="internal-error")
+            return wire.error_frame(f"internal error: {type(exc).__name__}: {exc}"), False
         self.frames_ok += 1
         return wire.ok_frame(result), stop
 

@@ -122,7 +122,6 @@ def test_sweep_accepts_protocol_parameters_and_parallel(tmp_path, capsys):
         "--protocols", "MinHopOSPF,OSPF:ecmp_tolerance=0.5",
         "--scenarios", "single-link-failures",
         "--limit", "4",
-        "--no-cache",
         "--parallel",
         "--store", str(store_path),
     )
@@ -171,7 +170,6 @@ def test_sweep_records_run_and_prints_summary(tmp_path, capsys):
         "--protocols", "OSPF",
         "--scenarios", "single-link-failures",
         "--limit", "3",
-        "--no-cache",
         "--store", str(store_path),
     )
     assert code == 0
@@ -377,6 +375,24 @@ def test_results_gc_keeps_newest_per_family(seeded_store, capsys):
     assert "nothing to delete" in capsys.readouterr().out
 
 
+def test_results_gc_reports_stale_cells(seeded_store, capsys, monkeypatch):
+    from repro.scenarios import runner as runner_module
+
+    with ResultsStore(seeded_store) as store:
+        store.put_cells([("current", {"mlu": 0.5})])
+        monkeypatch.setattr(runner_module, "CACHE_VERSION", 0)
+        store.put_cells([("stale", {"mlu": 0.25})])
+    monkeypatch.undo()
+    assert run_cli(
+        "results", "gc", "--keep-last", "1", "--store", str(seeded_store)
+    ) == 0
+    out = capsys.readouterr().out
+    assert "deleted 1 stale sweep cell(s)" in out
+    assert "nothing to delete" not in out
+    with ResultsStore(seeded_store) as store:
+        assert store.cell_count() == 1
+
+
 def test_results_delete(seeded_store, capsys):
     assert run_cli(
         "results", "delete", "latest:online-controller", "--store", str(seeded_store)
@@ -503,8 +519,7 @@ def test_traced_sweep_rows_recomputed_match_serial_and_parallel(tmp_path, capsys
             "--protocols", "OSPF",
             "--scenarios", "single-link-failures",
             mode,
-            "--no-cache",
-            "--trace", str(tmp_path / f"t{mode}.jsonl"),
+                "--trace", str(tmp_path / f"t{mode}.jsonl"),
             "--store", store,
         ) == 0
     capsys.readouterr()
@@ -531,8 +546,7 @@ def test_results_plot_terminal_and_png(tmp_path, capsys):
             "--scenarios", "single-link-failures",
             "--limit", "3",
             "--utilization", utilization,
-            "--no-cache",
-            "--store", str(store_path),
+                "--store", str(store_path),
         ) == 0
     capsys.readouterr()
     png_path = tmp_path / "trend.png"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import repro
+from repro.obs import telemetry
 from repro.results import (
     ResultsStore,
     ResultsStoreError,
@@ -17,6 +19,7 @@ from repro.results import (
     scenario_set_fingerprint,
 )
 from repro.scenarios import BatchRunner, single_link_failures
+from repro.scenarios import runner as runner_module
 from repro.topology.backbones import abilene_network
 from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
 
@@ -173,6 +176,22 @@ def test_gc_filters_by_family(store):
     assert len(store.runs(benchmark="routing-backend")) == len(routing)
 
 
+def test_gc_drops_cells_of_other_code_versions(store, monkeypatch):
+    store.put_cells([("current", {"mlu": 0.5})])
+    monkeypatch.setattr(runner_module, "CACHE_VERSION", runner_module.CACHE_VERSION - 1)
+    store.put_cells([("old-cache-version", {"mlu": 0.25})])
+    monkeypatch.undo()
+    monkeypatch.setattr(repro, "__version__", "0.0.0-older")
+    store.put_cells([("old-release", {"mlu": 0.125})])
+    monkeypatch.undo()
+    assert store.cell_count() == 3
+    assert store.gc(keep_last=1) == []
+    assert store.cell("old-cache-version") is None
+    assert store.cell("old-release") is None
+    assert store.cell("current") == {"mlu": 0.5}
+    assert store.cell_count() == 1
+
+
 # ----------------------------------------------------------------------
 # BatchRunner integration
 # ----------------------------------------------------------------------
@@ -180,7 +199,7 @@ def test_batch_runner_records_manifested_run(store):
     network = abilene_network()
     demands = abilene_traffic_matrix(network, total_volume=50.0, seed=1)
     scenarios = single_link_failures(network)[:4]
-    runner = BatchRunner(cache_dir=False, max_workers=0, results_store=store)
+    runner = BatchRunner(max_workers=0, results_store=store)
     results = runner.run(
         network, demands, scenarios, ["OSPF"], record_config={"source": "unit-test"}
     )
@@ -208,13 +227,31 @@ def test_batch_runner_records_manifested_run(store):
 def test_batch_runner_accepts_store_path(tmp_path):
     network = abilene_network()
     demands = abilene_traffic_matrix(network, total_volume=50.0, seed=1)
-    runner = BatchRunner(
-        cache_dir=False, max_workers=0, results_store=tmp_path / "sweeps.sqlite"
-    )
+    runner = BatchRunner(max_workers=0, results_store=tmp_path / "sweeps.sqlite")
     runner.run(network, demands, single_link_failures(network)[:2], ["OSPF"])
     with ResultsStore(tmp_path / "sweeps.sqlite") as store:
         assert len(store.runs(kind="sweep")) == 1
         assert len(store.records(runner.last_run_id)) == 2
+
+
+def test_traced_run_reads_no_cells_but_writes_them(tmp_path):
+    network = abilene_network()
+    demands = abilene_traffic_matrix(network, total_volume=50.0, seed=1)
+    scenarios = single_link_failures(network)[:3]
+    runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
+    with telemetry.session():
+        traced = runner.run(network, demands, scenarios, ["OSPF"])
+    assert runner.last_stats.cache_hits == 0
+    # The traced run wrote its cells: an untraced run is served from them.
+    warm = runner.run(network, demands, scenarios, ["OSPF"])
+    assert runner.last_stats.cache_hits == len(scenarios)
+    assert [r.as_row() for r in warm] == [r.as_row() for r in traced]
+    # Over a warm store a traced run still evaluates every cell.
+    with telemetry.session() as registry:
+        runner.run(network, demands, scenarios, ["OSPF"])
+        assert registry.counter_value("runner.cells", outcome="cache-hit") == 0
+    assert runner.last_stats.cache_hits == 0
+    assert runner.last_stats.evaluated == len(scenarios)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Scenario engine tests: generators, apply semantics, runner and cache.
+"""Scenario engine tests: generators, apply semantics, runner and stored cells.
 
 The load-bearing properties are *determinism* (same seed => identical
-scenario set, identical fingerprints) and *cache transparency* (cached and
-fresh runner results are indistinguishable) — both are what make the batch
-runner's on-disk cache sound, so they are tested property-based.
+scenario set, identical fingerprints) and *store transparency* (stored and
+fresh runner results are indistinguishable) — both are what make serving
+cells from the results store sound, so they are tested property-based.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from repro.network.demands import TrafficMatrix
 from repro.network.graph import Network
+from repro.results import ResultsStore
 from repro.scenarios import (
     BatchRunner,
     ProtocolSpec,
-    ResultCache,
     RunnerError,
     Scenario,
     ScenarioError,
+    ScenarioResult,
     baseline_scenario,
     capacity_degradations,
     combine,
@@ -44,6 +45,7 @@ from repro.scenarios import (
     uniform_scaling_ensemble,
     worst_case,
 )
+from repro.scenarios.runner import cell_key
 from repro.topology.backbones import abilene_network
 
 
@@ -270,33 +272,34 @@ class TestRunner:
     def test_results_in_protocol_scenario_order(self, abilene_small_tm):
         net = abilene_network()
         scenarios = [baseline_scenario()] + single_link_failures(net)[:2]
-        runner = BatchRunner(cache_dir=False, max_workers=0)
+        runner = BatchRunner(max_workers=0)
         results = runner.run(net, abilene_small_tm, scenarios, ["OSPF", "MinMaxMLU"])
         assert [r.protocol for r in results] == ["OSPF"] * 3 + ["MinMaxMLU"] * 3
         assert [r.scenario_id for r in results[:3]] == [s.scenario_id for s in scenarios]
 
     def test_cache_roundtrip_preserves_results(self, tmp_path, abilene_small_tm):
         net = abilene_network()
-        cache = ResultCache(tmp_path)
         spec = ProtocolSpec.of("OSPF")
         scenario = single_link_failures(net)[0]
         result = evaluate_scenario(net, abilene_small_tm, scenario, spec)
-        key = ResultCache.key(
+        key = cell_key(
             network_fingerprint(net),
             demands_fingerprint(abilene_small_tm),
             scenario.fingerprint(),
             spec.fingerprint(),
         )
-        cache.put(key, result)
-        # A fresh cache object must read it back from disk, marked cached.
-        reloaded = ResultCache(tmp_path).get(key)
-        assert reloaded is not None and reloaded.cached
-        assert reloaded.as_row() == result.as_row()
+        with ResultsStore(tmp_path / "r.sqlite") as store:
+            store.put_cells([(key, result.to_dict())])
+        # A fresh store object must read it back from disk, exactly.
+        with ResultsStore(tmp_path / "r.sqlite") as store:
+            reloaded = store.cell(key)
+        assert reloaded == result.to_dict()
+        assert ScenarioResult.from_dict(reloaded).as_row() == result.as_row()
 
     def test_warm_run_is_fully_cached_and_identical(self, tmp_path, abilene_small_tm):
         net = abilene_network()
         scenarios = single_link_failures(net)[:5]
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         cold = runner.run(net, abilene_small_tm, scenarios, ["OSPF"])
         assert runner.last_stats.cache_hits == 0
         warm = runner.run(net, abilene_small_tm, scenarios, ["OSPF"])
@@ -304,11 +307,13 @@ class TestRunner:
         assert runner.last_stats.evaluated == 0
         assert [r.as_row() for r in warm] == [r.as_row() for r in cold]
         assert all(r.cached for r in warm)
+        # Stored cells come back exactly, timings included.
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
 
     def test_cache_is_keyed_on_demands(self, tmp_path, abilene_small_tm):
         net = abilene_network()
         scenarios = single_link_failures(net)[:2]
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         runner.run(net, abilene_small_tm, scenarios, ["OSPF"])
         runner.run(net, abilene_small_tm.scaled(2.0), scenarios, ["OSPF"])
         assert runner.last_stats.cache_hits == 0  # different matrix, no reuse
@@ -322,10 +327,10 @@ class TestRunner:
             + uniform_scaling_ensemble([0.8, 1.2])
         )
         protocols = ["OSPF", "MinHopOSPF", "SPEF"]
-        serial = BatchRunner(cache_dir=False, max_workers=0).run(
+        serial = BatchRunner(max_workers=0).run(
             net, abilene_small_tm, scenarios, protocols
         )
-        parallel = BatchRunner(cache_dir=False, max_workers=2, chunk_size=2).run(
+        parallel = BatchRunner(max_workers=2, chunk_size=2).run(
             net, abilene_small_tm, scenarios, protocols
         )
         assert all(r.error is None for r in serial)
@@ -334,7 +339,7 @@ class TestRunner:
     def test_serial_run_dispatches_one_chunk_per_spec(self, tmp_path, abilene_small_tm):
         net = abilene_network()
         scenarios = single_link_failures(net)[:3] + uniform_scaling_ensemble([0.5, 1.5])
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0, chunk_size=1)
+        runner = BatchRunner(max_workers=0, chunk_size=1, results_store=tmp_path / "r.sqlite")
         runner.run(net, abilene_small_tm, scenarios, ["OSPF", "MinHopOSPF"])
         assert runner.last_stats.chunks == 2
         # A fully cached spec has no misses and therefore no chunk.
@@ -353,7 +358,7 @@ class TestRunner:
 
         register_protocol("_Exploding", Exploding)
         try:
-            runner = BatchRunner(cache_dir=False, max_workers=0)
+            runner = BatchRunner(max_workers=0)
             results = runner.run(
                 abilene_network(), abilene_small_tm, [baseline_scenario()], ["_Exploding"]
             )
@@ -367,7 +372,7 @@ class TestRunner:
             PROTOCOL_REGISTRY.pop("_Exploding", None)
 
     def test_error_results_are_not_cached(self, tmp_path, abilene_small_tm):
-        """A transient failure must not poison the on-disk cache as infeasible."""
+        """A transient failure must not poison the stored cell as infeasible."""
         from repro.scenarios.runner import PROTOCOL_REGISTRY, register_protocol
 
         class FlakyOnce:
@@ -384,7 +389,7 @@ class TestRunner:
 
         register_protocol("_FlakyOnce", FlakyOnce)
         try:
-            runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+            runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
             net = abilene_network()
             first = runner.run(net, abilene_small_tm, [baseline_scenario()], ["_FlakyOnce"])
             assert first[0].error is not None
@@ -402,7 +407,7 @@ class TestRunner:
         cut = Scenario(
             scenario_id="cut", kind="link-failure", failed_links=((1, 2), (2, 1))
         )
-        result = BatchRunner(cache_dir=False, max_workers=0).run(net, tm, [cut], ["OSPF"])[0]
+        result = BatchRunner(max_workers=0).run(net, tm, [cut], ["OSPF"])[0]
         assert result.error is None
         assert result.feasible and not result.connected
         assert result.mlu == 0.0
@@ -413,7 +418,7 @@ class TestRunner:
         foreign = Scenario(
             scenario_id="foreign", kind="link-failure", failed_links=((1, 99),)
         )
-        runner = BatchRunner(cache_dir=False, max_workers=0)
+        runner = BatchRunner(max_workers=0)
         results = runner.run(
             abilene_network(), abilene_small_tm, [foreign, baseline_scenario()], ["OSPF"]
         )
@@ -428,8 +433,8 @@ class TestRunner:
         net = abilene_network()
         scenarios = capacity_degradations(net, count=3, seed=seed)
         assert scenarios == capacity_degradations(net, count=3, seed=seed)
-        with tempfile.TemporaryDirectory() as cache_dir:
-            runner = BatchRunner(cache_dir=cache_dir, max_workers=0)
+        with tempfile.TemporaryDirectory() as store_dir:
+            runner = BatchRunner(max_workers=0, results_store=f"{store_dir}/r.sqlite")
             fresh = runner.run(net, abilene_small_tm, scenarios, ["OSPF"])
             cached = runner.run(net, abilene_small_tm, scenarios, ["OSPF"])
             assert [r.as_row() for r in cached] == [r.as_row() for r in fresh]
@@ -443,7 +448,7 @@ class TestRobustness:
     def _results(self, abilene_small_tm, protocols=("OSPF",)):
         net = abilene_network()
         scenarios = [baseline_scenario()] + single_link_failures(net)[:4]
-        runner = BatchRunner(cache_dir=False, max_workers=0)
+        runner = BatchRunner(max_workers=0)
         return runner.run(net, abilene_small_tm, scenarios, list(protocols))
 
     def test_distribution_summary(self):
@@ -522,7 +527,7 @@ class TestRobustness:
             abilene_small_tm,
             scenarios=single_link_failures(net)[:3],
             protocols=("OSPF",),
-            runner=BatchRunner(cache_dir=False, max_workers=0),
+            runner=BatchRunner(max_workers=0),
         )
         assert {r["protocol"] for r in sweep["summary"]} == {"OSPF"}
         assert len(sweep["results"]) == 4  # baseline + 3 failures

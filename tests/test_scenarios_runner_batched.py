@@ -10,7 +10,7 @@ compiled weight setting.  These tests pin two contracts:
   protocols) falls back to the per-cell path with its error isolation intact;
 * error handling end to end: a failure inside a worker process surfaces as a
   per-cell error result (never an exception, never sinking the sweep), and
-  error results are never written to the on-disk cache.
+  error results are never written to the results store's cells.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class TestBatchedPathIsInvisible:
         """BatchRunner output is unchanged by the grouped serial dispatch."""
         net, tm = abilene_instance
         scenarios = mixed_scenarios(net)
-        results = BatchRunner(cache_dir=False, max_workers=0).run(
+        results = BatchRunner(max_workers=0).run(
             net, tm, scenarios, ["OSPF", "MinHopOSPF"]
         )
         spec_rows = [r.as_row() for r in results]
@@ -170,7 +170,7 @@ class TestErrorPaths:
         net, tm = abilene_instance
         scenarios = [baseline_scenario()] + uniform_scaling_ensemble([0.5, 1.5])
         for workers in (0, 2):
-            runner = BatchRunner(cache_dir=False, max_workers=workers, chunk_size=2)
+            runner = BatchRunner(max_workers=workers, chunk_size=2)
             results = runner.run(
                 net, tm, scenarios, [ProtocolSpec.of("FortzThorup", max_weight=0)]
             )
@@ -187,7 +187,7 @@ class TestErrorPaths:
             scenario_id="foreign", kind="link-failure", failed_links=((1, 99),)
         )
         scenarios = uniform_scaling_ensemble([0.5, 1.0]) + [foreign]
-        results = BatchRunner(cache_dir=False, max_workers=2, chunk_size=1).run(
+        results = BatchRunner(max_workers=2, chunk_size=1).run(
             net, tm, scenarios, ["OSPF"]
         )
         assert [r.error is None for r in results] == [True, True, False]
@@ -203,22 +203,21 @@ class TestErrorPaths:
 
         monkeypatch.setattr(TEController, "sweep_scenarios", broken)
         net, tm = abilene_instance
-        runner = BatchRunner(cache_dir=False, max_workers=workers)
+        runner = BatchRunner(max_workers=workers)
         with pytest.raises(RuntimeError, match="sweep bug"):
             runner.run(net, tm, single_link_failures(net)[:4], ["OSPF"])
 
     def test_cache_never_stores_error_results(self, tmp_path, abilene_instance):
-        """After a sweep with failures, only clean cells are on disk."""
+        """After a sweep with failures, only clean cells are stored."""
         net, tm = abilene_instance
         foreign = Scenario(
             scenario_id="foreign", kind="link-failure", failed_links=((1, 99),)
         )
         scenarios = [baseline_scenario(), foreign]
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         first = runner.run(net, tm, scenarios, ["OSPF"])
         assert first[0].error is None and first[1].error is not None
-        assert len(runner.cache) == 1  # only the clean cell was persisted
-        # A second sweep serves the clean cell from cache and re-evaluates
+        # A second sweep serves the clean cell from the store and re-evaluates
         # (not "serves stale error for") the broken one.
         second = runner.run(net, tm, scenarios, ["OSPF"])
         assert second[0].cached and not second[1].cached
@@ -226,10 +225,10 @@ class TestErrorPaths:
         assert runner.last_stats.evaluated == 1
 
     def test_batched_cells_are_cached_like_per_cell_ones(self, tmp_path, abilene_instance):
-        """Results produced by the batched path hit the cache on the next run."""
+        """Results produced by the batched path are served from the store next run."""
         net, tm = abilene_instance
         scenarios = uniform_scaling_ensemble([0.5, 1.0, 1.5])
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         fresh = runner.run(net, tm, scenarios, ["OSPF"])
         warm = runner.run(net, tm, scenarios, ["OSPF"])
         assert runner.last_stats.hit_rate == 1.0

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.obs import telemetry
 from repro.online import (
     ControllerSession,
     LinkFailure,
@@ -177,6 +178,30 @@ class TestMalformedFrames:
             assert response["error"]
             # The same connection keeps answering.
             assert isinstance(client.mlu(), float)
+
+    def test_internal_error_is_answered_and_keeps_connection(
+        self, server, monkeypatch, caplog
+    ):
+        """An unexpected exception still gets an error frame, then service resumes."""
+        te_server, runner, _ = server
+        (session,) = te_server.sessions.values()
+
+        def broken_feed(event):
+            raise RuntimeError("feed exploded")
+
+        monkeypatch.setattr(session, "feed", broken_feed)
+        errors_before = te_server.frames_error
+        with telemetry.session() as registry, connect(runner) as client:
+            response = client.request(
+                {"type": "event", "event": {"v": 1, "event": "noop", "time": 0.0}}
+            )
+            assert response["ok"] is False
+            assert response["error"] == "internal error: RuntimeError: feed exploded"
+            # The same connection keeps answering.
+            assert client.request({"type": "query", "query": "mlu"})["ok"] is True
+            assert registry.counter_value("serve.frames", outcome="internal-error") == 1
+        assert te_server.frames_error == errors_before + 1
+        assert "feed exploded" in caplog.text
 
     def test_error_frames_do_not_mutate_state(self, server):
         _, runner, _ = server

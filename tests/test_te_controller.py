@@ -44,10 +44,10 @@ from repro.scenarios import capacity_degradations, combine
 from repro.scenarios.runner import (
     BatchRunner,
     ProtocolSpec,
-    ResultCache,
     RunnerError,
     _incremental_eligible,
     _probe,
+    cell_key,
     evaluate_scenario,
     evaluate_scenarios,
 )
@@ -605,14 +605,14 @@ class TestRunnerIncrementalPath:
 
     def test_cache_keys_distinguish_incremental_from_cold(self):
         args = ("net-fp", "demands-fp", "scenario-fp", "protocol-fp")
-        cold_key = ResultCache.key(*args)
-        incremental_key = ResultCache.key(*args, {"route": "incremental"})
+        cold_key = cell_key(*args)
+        incremental_key = cell_key(*args, {"route": "incremental"})
         assert cold_key != incremental_key
-        assert ResultCache.key(*args, None) == cold_key
-        assert ResultCache.key(*args, {"route": "incremental"}) == incremental_key
+        assert cell_key(*args, None) == cold_key
+        assert cell_key(*args, {"route": "incremental"}) == incremental_key
 
     def test_batch_runner_caches_incremental_sweeps(self, tmp_path, abilene, abilene_tm):
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         scenarios = single_link_failures(abilene)
         first = runner.run(abilene, abilene_tm, scenarios, ["OSPF"])
         assert runner.last_stats.cache_hits == 0
@@ -624,7 +624,7 @@ class TestRunnerIncrementalPath:
         self, tmp_path, abilene, abilene_tm
     ):
         """Capacity cells hit route-flagged keys for MinHop, cold keys for InvCap."""
-        runner = BatchRunner(cache_dir=tmp_path, max_workers=0)
+        runner = BatchRunner(max_workers=0, results_store=tmp_path / "r.sqlite")
         scenarios = capacity_degradations(abilene, count=3, factor=0.5, seed=5)
         first = runner.run(abilene, abilene_tm, scenarios, ["MinHopOSPF"])
         assert runner.last_stats.cache_hits == 0
@@ -744,7 +744,7 @@ class TestAtomicity:
 class TestSetupAmortisation:
     def test_parallel_setup_runtime_sums_to_run_setup_seconds(self, abilene, abilene_tm):
         """Invariant: per-cell setup shares add up to the run's setup clock."""
-        runner = BatchRunner(cache_dir=False, max_workers=2)
+        runner = BatchRunner(max_workers=2)
         results = runner.run(
             abilene, abilene_tm, single_link_failures(abilene), ["OSPF"]
         )
