@@ -45,9 +45,9 @@ from bench_utils import BenchRecorder, full_bench, smoke_bench
 from repro.online import scenario_failed_edges
 from repro.online.controller import TEController
 from repro.protocols.ospf import invcap_weights
-from repro.routing import SparseRouter
 from repro.scenarios import single_link_failures
 from repro.scenarios.runner import ProtocolSpec, evaluate_scenario
+from repro.solvers.assignment import ecmp_assignment
 from repro.topology.generators import rand100, rand500
 from repro.traffic.gravity import gravity_traffic_matrix
 
@@ -145,8 +145,8 @@ def test_incremental_failure_sweep_speedup():
         pruned_weights = {
             link.endpoints: weight_map[link.endpoints] for link in instance.network.links
         }
-        router = SparseRouter(instance.network, weights=pruned_weights, mode="ecmp")
-        cold_loads.append((instance, router.route(instance.demands).aggregate()))
+        cold = ecmp_assignment(instance.network, instance.demands, pruned_weights)
+        cold_loads.append((instance, cold.aggregate()))
     cold_sparse_seconds = time.perf_counter() - start
 
     # Incremental: one controller, delta updates per trunk, revert after each.
@@ -258,8 +258,8 @@ def test_rand500_incremental_sweep_speedup():
         pruned_weights = {
             link.endpoints: weight_map[link.endpoints] for link in instance.network.links
         }
-        router = SparseRouter(instance.network, weights=pruned_weights, mode="ecmp")
-        cold_loads.append((instance, router.route(instance.demands).aggregate()))
+        cold = ecmp_assignment(instance.network, instance.demands, pruned_weights)
+        cold_loads.append((instance, cold.aggregate()))
 
     # Setup (controller construction + baseline routing) is timed apart
     # from the sweep: it is paid once per sweep — and once per *parallel*

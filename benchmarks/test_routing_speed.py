@@ -11,7 +11,8 @@ in ``tests/routing_oracle.py``:
   (>= 5x on Abilene) is asserted here.
 * **ECMP ensemble sweep** -- the scenario-engine shape: one weight setting,
   many demand matrices, the oracle paying Dijkstra + propagation per matrix
-  while :class:`~repro.routing.SparseRouter` amortises both.
+  while :meth:`~repro.protocols.OSPF.batch_link_loads` compiles the DAGs
+  once (:meth:`~repro.routing.CompiledDag.from_weights`) and amortises both.
 
 Results (timings, speedups, equivalence residuals) are recorded in the
 results store (``$REPRO_RESULTS_DB``; see :mod:`repro.results`) and — in
@@ -33,12 +34,11 @@ import routing_oracle
 
 from bench_utils import BenchRecorder, full_bench, smoke_bench
 
-from repro.core.traffic_distribution import exponential_split_ratios
 from repro.network.demands import TrafficMatrix
 from repro.network.graph import Network
 from repro.network.spt import all_shortest_path_dags
-from repro.protocols.ospf import invcap_weights
-from repro.routing import SparseRouter
+from repro.protocols.ospf import OSPF, invcap_weights
+from repro.routing import CompiledDagSet
 from repro.topology.backbones import abilene_network
 from repro.topology.rocketfuel import synthetic_rocketfuel
 from repro.traffic.gravity import gravity_traffic_matrix
@@ -120,7 +120,7 @@ def test_batched_split_ratio_speedup(name, network, count):
     rng = np.random.default_rng(1)
     second = rng.random(network.num_links)
     ratios = {
-        destination: exponential_split_ratios(network, dag, second)
+        destination: routing_oracle.exponential_split_ratios(network, dag, second)
         for destination, dag in dags.items()
     }
     matrices = _demand_ensemble(network, count, seed=2)
@@ -135,8 +135,7 @@ def test_batched_split_ratio_speedup(name, network, count):
     sparse_seconds = float("inf")
     for _ in range(3):  # best of three: the sparse path is fast enough to jitter
         start = time.perf_counter()
-        router = SparseRouter(network, dags=dags, mode="split")
-        loads = router.link_loads_many(matrices, split_ratios=ratios)
+        loads = CompiledDagSet(network, dags).link_loads_many(matrices, "split", ratios)
         sparse_seconds = min(sparse_seconds, time.perf_counter() - start)
 
     residual = max(
@@ -172,8 +171,7 @@ def test_ecmp_ensemble_sweep_speedup(name, network, count):
     sparse_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        router = SparseRouter(network, weights=weights, mode="ecmp")
-        loads = router.link_loads_many(matrices)
+        loads = OSPF(weights=weights).batch_link_loads(network, matrices)
         sparse_seconds = min(sparse_seconds, time.perf_counter() - start)
 
     residual = max(

@@ -19,8 +19,8 @@ The public API re-exports the pieces most users need:
   ensembles and cached parallel robustness evaluation;
 * the routing kernel (:mod:`repro.routing`): every routing path stacks its
   per-destination DAGs into one edge list and propagates flow level by
-  level; :class:`~repro.routing.SparseRouter` routes whole demand ensembles
-  against one compiled weight setting;
+  level; :meth:`~repro.routing.CompiledDag.from_weights` compiles one
+  weight setting and routes whole demand ensembles against it;
 * the online control plane (:mod:`repro.online`):
   :class:`~repro.online.TEController` absorbing event streams over
   incremental shortest-path DAGs, :class:`~repro.online.ControllerSession`
@@ -84,7 +84,7 @@ from .online import (
 )
 from .protocols import OSPF, PEFT, FortzThorup, MinMaxMLU, SPEFProtocol
 from .results import ResultsStore, RunManifest
-from .routing import CompiledDagSet, SparseRouter
+from .routing import CompiledDagSet
 from .scenarios import BatchRunner, ProtocolSpec, Scenario, ScenarioResult
 from .serve import ServeClient, TEServer
 
@@ -104,7 +104,6 @@ __all__ = [
     "topology",
     "traffic",
     "CompiledDagSet",
-    "SparseRouter",
     "SPEF",
     "LoadBalanceObjective",
     "SPEFConfig",

@@ -6,17 +6,12 @@ from .forwarding import (
     ForwardingTable,
     build_forwarding_tables,
     split_ratios_from_tables,
-    verify_split_consistency,
 )
 from .nem import SecondWeightsResult, compute_second_weights, nem_dual_objective
 from .objectives import LoadBalanceObjective, ObjectiveError, normalized_utility
 from .spef import SPEF, SPEFConfig, SPEFSolution
 from .te_problem import TEProblem, TESolution, optimality_gap, solve_optimal_te
-from .traffic_distribution import (
-    exponential_split_ratios,
-    path_weight_sums,
-    traffic_distribution,
-)
+from .traffic_distribution import traffic_distribution
 
 __all__ = [
     "FirstWeightsResult",
@@ -26,7 +21,6 @@ __all__ = [
     "ForwardingTable",
     "build_forwarding_tables",
     "split_ratios_from_tables",
-    "verify_split_consistency",
     "SecondWeightsResult",
     "compute_second_weights",
     "nem_dual_objective",
@@ -40,7 +34,5 @@ __all__ = [
     "TESolution",
     "optimality_gap",
     "solve_optimal_te",
-    "exponential_split_ratios",
-    "path_weight_sums",
     "traffic_distribution",
 ]

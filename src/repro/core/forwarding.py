@@ -8,8 +8,9 @@ rest of the network beyond the two weights per link -- this is what makes SPEF
 deployable on an OSPF-like control plane.
 
 :class:`ForwardingTable` materialises this structure.  For compactness the
-split ratios are computed exactly with the DAG dynamic program of
-:mod:`repro.core.traffic_distribution`; the explicit per-path lengths (the
+split ratios are computed exactly with the DAG dynamic program of Eq. (22)
+on the routing kernel (:meth:`repro.routing.CompiledDag.exponential_ratios`),
+one stacked pass over all destinations; the explicit per-path lengths (the
 literal content of Table II) are enumerated lazily and only up to a
 configurable cap, since their number can grow exponentially.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
-from .traffic_distribution import exponential_split_ratios
+from ..routing import CompiledDag
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,18 @@ def build_forwarding_tables(
     tables: dict[Node, ForwardingTable] = {
         node: ForwardingTable(node=node) for node in network.nodes
     }
-    for destination, dag in dags.items():
-        ratios = exponential_split_ratios(network, dag, second)
+    # Eq. (22) for every destination in one stacked pass, indexed by
+    # (destination row, link): each DAG edge is one such pair.
+    stack = CompiledDag.from_dags(network, dags)
+    ratios = np.zeros((len(stack.destinations), network.num_links))
+    ratios[stack.rows // network.num_nodes, stack.links] = stack.exponential_ratios(second)
+    for row, (destination, dag) in enumerate(dags.items()):
         for node in dag.distances:
             if node == destination:
                 continue
             hops = dag.next_hops_of(node)
             if not hops:
                 continue
-            node_ratios = ratios.get(node, {})
             entries: list[ForwardingEntry] = []
             for hop in hops:
                 lengths = []
@@ -139,7 +143,7 @@ def build_forwarding_tables(
                     ForwardingEntry(
                         next_hop=hop,
                         path_lengths=tuple(lengths),
-                        split_ratio=float(node_ratios.get(hop, 0.0)),
+                        split_ratio=float(ratios[row, network.link_index(node, hop)]),
                     )
                 )
             tables[node].entries[destination] = entries
@@ -160,29 +164,3 @@ def split_ratios_from_tables(
         for destination in table.destinations():
             ratios.setdefault(destination, {})[node] = table.split_ratios(destination)
     return ratios
-
-
-def verify_split_consistency(
-    network: Network,
-    dags: Mapping[Node, ShortestPathDag],
-    second_weights: np.ndarray,
-    tables: Mapping[Node, ForwardingTable],
-    tolerance: float = 1e-9,
-) -> bool:
-    """Check that table split ratios match Eq. (22) recomputed from scratch.
-
-    Used by tests to guarantee the distributed view (per-router tables) and
-    the centralized view (Algorithm 3) agree exactly.
-    """
-    second = np.asarray(second_weights, dtype=float)
-    for destination, dag in dags.items():
-        expected = exponential_split_ratios(network, dag, second)
-        for node, hop_ratios in expected.items():
-            table = tables.get(node)
-            if table is None:
-                return False
-            actual = table.split_ratios(destination)
-            for hop, ratio in hop_ratios.items():
-                if abs(actual.get(hop, 0.0) - ratio) > tolerance:
-                    return False
-    return True

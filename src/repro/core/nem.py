@@ -33,7 +33,7 @@ from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
 from ..routing import CompiledDagSet
 from ..solvers.subgradient import StepRule, default_step_for_flows, project_nonnegative
-from .traffic_distribution import path_weight_sums, traffic_distribution
+from .traffic_distribution import traffic_distribution
 
 
 @dataclass
@@ -52,7 +52,7 @@ class SecondWeightsResult:
 def nem_dual_objective(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
+    dags: Mapping[Node, ShortestPathDag] | CompiledDagSet,
     second_weights: np.ndarray,
     target_flows: np.ndarray,
 ) -> float:
@@ -60,17 +60,23 @@ def nem_dual_objective(
 
     Demands are normalised by the total volume so that the reported values
     stay comparable across congestion levels, mirroring the order of
-    magnitude (~0.67 for Cernet2) shown in the paper.
+    magnitude (~0.67 for Cernet2) shown in the paper.  ``Z(source)`` comes
+    from one stacked :meth:`~repro.routing.CompiledDag.path_weight_sums`
+    over the demands' destinations; Algorithm 2 passes its
+    :class:`~repro.routing.CompiledDagSet` so the stack is reused.
     """
     total_volume = demands.total_volume()
     if total_volume <= 0:
         return 0.0
-    value = float(np.dot(second_weights, target_flows)) / total_volume
-    z_cache: dict[Node, dict[Node, float]] = {}
+    second = np.asarray(second_weights, dtype=float)
+    value = float(np.dot(second, target_flows)) / total_volume
+    dag_set = dags if isinstance(dags, CompiledDagSet) else CompiledDagSet(network, dags)
+    stack = dag_set.stacked(demands.destinations())
+    z_values = stack.path_weight_sums(np.exp(-second[stack.links]))
+    n = network.num_nodes
+    block = {destination: k * n for k, destination in enumerate(stack.destinations)}
     for (source, destination), volume in demands.items():
-        if destination not in z_cache:
-            z_cache[destination] = path_weight_sums(network, dags[destination], second_weights)
-        z_value = z_cache[destination].get(source, 0.0)
+        z_value = float(z_values[block[destination] + network.node_index(source)])
         if z_value > 0:
             value += (volume / total_volume) * float(np.log(z_value))
     return value
@@ -138,7 +144,7 @@ def compute_second_weights(
         aggregate = flows.aggregate()
         if record_history:
             history.append(
-                nem_dual_objective(network, demands, dags, weights, target)
+                nem_dual_objective(network, demands, dag_set, weights, target)
             )
         excess = aggregate - target
         max_excess = float(np.max(excess)) if excess.size else 0.0

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..metrics.paths import histogram_from_dags
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
@@ -171,20 +172,7 @@ class SPEFSolution:
         Counts every ordered pair of distinct nodes (as Table V does), not
         only the pairs with demand.
         """
-        histogram: dict[int, int] = {}
-        counts_cache: dict[Node, dict[Node, int]] = {}
-        for destination in self.network.nodes:
-            dag = self.dags.get(destination)
-            if dag is None:
-                continue
-            counts_cache[destination] = dag.count_paths()
-        for destination, counts in counts_cache.items():
-            for source in self.network.nodes:
-                if source == destination:
-                    continue
-                n_paths = min(counts.get(source, 0), max_paths)
-                histogram[n_paths] = histogram.get(n_paths, 0) + 1
-        return histogram
+        return histogram_from_dags(self.dags, self.network, max_paths)
 
 
 class SPEF:

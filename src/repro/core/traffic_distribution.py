@@ -16,11 +16,13 @@ so that ``Gamma_t(s, k) = exp(-v_sk) * Z_t(k) / Z_t(s)``.  This is exact and
 keeps the computation polynomial even when the number of equal-cost paths is
 exponential.
 
-The dict forms below feed SPEF's forwarding tables and NEM's dual
-objective; :func:`traffic_distribution` computes the same ratios and the
-propagation on the routing kernel (:mod:`repro.routing`), all destinations
-in one stacked pass, so every node splits its whole incoming flow at once as
-the paper's Algorithm 3 prescribes.
+The library's only implementation of this dynamic program is the routing
+kernel's :meth:`~repro.routing.CompiledDag.path_weight_sums` /
+:meth:`~repro.routing.CompiledDag.exponential_ratios`, which SPEF's
+forwarding tables, NEM's dual objective and :func:`traffic_distribution`
+all read.  :func:`traffic_distribution` computes the ratios and the
+propagation for all destinations in one stacked pass, so every node splits
+its whole incoming flow at once as the paper's Algorithm 3 prescribes.
 """
 
 from __future__ import annotations
@@ -34,60 +36,6 @@ from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import ShortestPathDag
 from ..routing import CompiledDagSet
-
-
-def path_weight_sums(
-    network: Network,
-    dag: ShortestPathDag,
-    second_weights: np.ndarray,
-) -> dict[Node, float]:
-    """``Z_t(s) = sum over equal-cost paths p from s of exp(-v-length(p))``.
-
-    Computed bottom-up over the DAG (nodes in increasing distance order).
-    Nodes that cannot reach the destination are absent.
-    """
-    z_values: dict[Node, float] = {dag.destination: 1.0}
-    for node in reversed(dag.topological_order()):
-        if node == dag.destination:
-            continue
-        total = 0.0
-        for hop in dag.next_hops_of(node):
-            z_hop = z_values.get(hop)
-            if z_hop is None:
-                continue
-            index = network.link_index(node, hop)
-            total += float(np.exp(-second_weights[index])) * z_hop
-        z_values[node] = total
-    return z_values
-
-
-def exponential_split_ratios(
-    network: Network,
-    dag: ShortestPathDag,
-    second_weights: np.ndarray,
-) -> dict[Node, dict[Node, float]]:
-    """Per-node next-hop split ratios ``Gamma_t(s, k)`` of Eq. (22).
-
-    Nodes with a single next hop get ratio 1 for it.  Nodes whose ``Z`` value
-    is zero (numerically impossible unless the DAG is broken) fall back to an
-    even split.
-    """
-    z_values = path_weight_sums(network, dag, second_weights)
-    ratios: dict[Node, dict[Node, float]] = {}
-    for node, hops in dag.next_hops.items():
-        if node == dag.destination or not hops:
-            continue
-        weights = {}
-        for hop in hops:
-            z_hop = z_values.get(hop, 0.0)
-            index = network.link_index(node, hop)
-            weights[hop] = float(np.exp(-second_weights[index])) * z_hop
-        total = sum(weights.values())
-        if total <= 0:
-            ratios[node] = {hop: 1.0 / len(hops) for hop in hops}
-        else:
-            ratios[node] = {hop: value / total for hop, value in weights.items()}
-    return ratios
 
 
 def traffic_distribution(

@@ -240,21 +240,12 @@ class ShortestPathDag:
             for hop in hops
         ]
 
-    def nodes_by_decreasing_distance(self) -> list[Node]:
-        """Nodes sorted by decreasing distance to the destination.
-
-        Algorithm 3 of the paper propagates traffic in exactly this order so
-        that every node's incoming flow is known before it splits it.
-        """
-        return sorted(self.distances, key=lambda n: self.distances[n], reverse=True)
-
     def topological_order(self) -> list[Node]:
         """Nodes in an order where every node precedes all of its next hops.
 
-        This refines :meth:`nodes_by_decreasing_distance`: on zero-weight
-        plateaus several nodes share a distance and the distance sort is not
-        a valid processing order, whereas a topological order of the DAG
-        always is.  The destination comes last.
+        A sort by decreasing distance is not enough: on zero-weight plateaus
+        several nodes share a distance, whereas a topological order of the
+        DAG is always a valid processing order.  The destination comes last.
         """
         # Kahn's algorithm over the next-hop edges (u -> hop).
         in_degree: dict[Node, int] = {node: 0 for node in self.distances}

@@ -18,7 +18,7 @@ from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
 from ..network.spt import DEFAULT_TOLERANCE, WeightsLike, all_shortest_path_dags, as_weight_vector
-from ..routing import SparseRouter
+from ..routing import CompiledDag
 from ..solvers.assignment import ecmp_assignment
 from .base import RoutingProtocol
 
@@ -87,13 +87,14 @@ class OSPF(RoutingProtocol):
         or InvCap derived from capacities), so the shortest-path DAGs are
         compiled once and every matrix rides the same batched propagation.
         """
-        router = SparseRouter(
-            network,
-            weights=self.link_weights(network),
-            mode="ecmp",
-            tolerance=self.ecmp_tolerance,
+        matrices = list(matrices)
+        for tm in matrices:
+            tm.validate(network)
+        destinations = list(dict.fromkeys(d for tm in matrices for d in tm.destinations()))
+        stack = CompiledDag.from_weights(
+            network, destinations, self.link_weights(network), self.ecmp_tolerance
         )
-        return router.link_loads_many(matrices)
+        return stack.ensemble_loads(matrices, stack.uniform_ratios())
 
     def ecmp_forwarding_weights(self, network: Network) -> np.ndarray | None:
         """OSPF's forwarding is exactly even-ECMP under its link weights.

@@ -8,10 +8,11 @@ block-diagonal edge list over (destination, node) positions and flow is
 propagated level by level, one ``bincount`` per DAG depth for all
 destinations and demand matrices at once.
 
+* :meth:`CompiledDag.from_weights` compiles the shortest-path DAGs of one
+  weight setting; :meth:`CompiledDag.ensemble_loads` routes a whole demand
+  ensemble over them in one stacked propagation;
 * :class:`CompiledDagSet` compiles a ``{destination: dag}`` mapping once
-  and routes many demand matrices or ratio settings against it;
-* :class:`SparseRouter` owns one weight setting end to end and routes whole
-  demand ensembles in one stacked propagation.
+  and routes many demand matrices or ratio settings against it.
 
 The dict-loop reference implementation lives in ``tests/routing_oracle.py``;
 ``tests/test_routing_equivalence.py`` checks the kernel against it to 1e-9
@@ -21,11 +22,10 @@ The dict-loop reference implementation lives in ``tests/routing_oracle.py``;
 from __future__ import annotations
 
 from .compiled import CompiledDag, warn_degenerate_split
-from .sparse import CompiledDagSet, SparseRouter
+from .sparse import CompiledDagSet
 
 __all__ = [
     "CompiledDag",
     "CompiledDagSet",
-    "SparseRouter",
     "warn_degenerate_split",
 ]

@@ -20,25 +20,24 @@ DAGs, and this module is its only implementation:
 * link loads follow as ``f[link(u, v)] = P[u, v] * x[u]``.
 
 Compiling is one ``nonzero`` over a (destination x link) DAG mask
-(:meth:`CompiledDag.from_mask`): the shortest-path builder's mask
+(:meth:`CompiledDag.from_mask`), the one DAG format routing code compiles:
+the shortest-path builder's mask
 (:func:`~repro.network.spt.shortest_path_mask`) as is -- the online
 controller compiles the dirty rows of its
 :class:`~repro.online.DynamicSPT` mask this way -- or explicit next-hop
-maps (SPEF's augmented DAGs) walked once per destination into a
-:class:`DagPart`.  The result is reused across demand
-matrices, gradient iterations and scenario sweeps.  The dict-loop reference the
-equivalence suite checks this kernel against lives in
-``tests/routing_oracle.py``.
+maps (SPEF's augmented DAGs) walked into mask rows by :func:`dag_rows`.
+The result is reused across demand matrices, gradient iterations and
+scenario sweeps.  The dict-loop reference the equivalence suite checks this
+kernel against lives in ``tests/routing_oracle.py``.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,34 +105,24 @@ def _solve_levels(
     raise NetworkError("routing graph contains a cycle")
 
 
-class DagPart(NamedTuple):
-    """One destination's DAG as two masks: its links and its member nodes."""
+def dag_rows(
+    network: Network, dags: Mapping[Node, ShortestPathDag]
+) -> tuple[list[Node], np.ndarray, np.ndarray]:
+    """Walk next-hop maps into (destination x node) members and (destination x link) links.
 
-    destination: Node
-    mask: np.ndarray
-    member: np.ndarray
-
-    @classmethod
-    def from_next_hops(
-        cls,
-        network: Network,
-        destination: Node,
-        next_hops: Mapping[Node, Sequence[Node]],
-        members: Iterable[Node] | None = None,
-    ) -> DagPart:
-        """Walk an explicit next-hop map.
-
-        ``members`` defaults to the keys of ``next_hops`` plus the
-        destination.
-        """
-        link_index, node_index = network.link_index, network.node_index
-        mask = np.zeros(network.num_links, dtype=bool)
-        hops = [(u, v) for u, vs in next_hops.items() if u != destination for v in vs]
-        mask[[link_index(u, v) for u, v in hops]] = True
-        member = np.zeros(network.num_nodes, dtype=bool)
-        member[[node_index(node) for node in (next_hops if members is None else members)]] = True
-        member[node_index(destination)] = True
-        return cls(destination, mask, member)
+    A DAG's members are its ``distances`` keys; the destination's own next
+    hops (if any) are ignored.
+    """
+    destinations = list(dags)
+    member = np.zeros((len(destinations), network.num_nodes), dtype=bool)
+    mask = np.zeros((len(destinations), network.num_links), dtype=bool)
+    link_index, node_index = network.link_index, network.node_index
+    for row, (destination, dag) in enumerate(dags.items()):
+        member[row, [node_index(node) for node in dag.distances]] = True
+        member[row, node_index(destination)] = True
+        hops = [(u, v) for u, vs in dag.next_hops.items() if u != destination for v in vs]
+        mask[row, [link_index(u, v) for u, v in hops]] = True
+    return destinations, member, mask
 
 
 @dataclass
@@ -207,17 +196,6 @@ class CompiledDag:
         return compiled
 
     @classmethod
-    def from_parts(cls, network: Network, parts: Sequence[DagPart]) -> CompiledDag:
-        """Stack walked DAGs into one block-diagonal structure."""
-        k = len(parts)
-        return cls.from_mask(
-            network,
-            [part.destination for part in parts],
-            np.reshape([part.member for part in parts], (k, network.num_nodes)),
-            np.reshape([part.mask for part in parts], (k, network.num_links)),
-        )
-
-    @classmethod
     def from_weights(
         cls,
         network: Network,
@@ -233,22 +211,9 @@ class CompiledDag:
         return cls.from_mask(network, destinations, np.isfinite(distances), mask)
 
     @classmethod
-    def from_dag(cls, network: Network, dag: ShortestPathDag) -> CompiledDag:
-        """Compile one shortest-path DAG (including augmented DAGs)."""
-        return cls.from_next_hops(network, dag.destination, dag.next_hops, dag.distances)
-
-    @classmethod
-    def from_next_hops(
-        cls,
-        network: Network,
-        destination: Node,
-        next_hops: Mapping[Node, Sequence[Node]],
-        members: Iterable[Node] | None = None,
-    ) -> CompiledDag:
-        """Compile one destination's explicit next-hop map (see :class:`DagPart`)."""
-        return cls.from_parts(
-            network, [DagPart.from_next_hops(network, destination, next_hops, members)]
-        )
+    def from_dags(cls, network: Network, dags: Mapping[Node, ShortestPathDag]) -> CompiledDag:
+        """Compile explicit ``{destination: dag}`` next-hop maps (including augmented DAGs)."""
+        return cls.from_mask(network, *dag_rows(network, dags))
 
     # ------------------------------------------------------------------
     # views

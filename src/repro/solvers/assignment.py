@@ -18,8 +18,9 @@ All three route every destination in one stacked propagation on the
 routing kernel (:mod:`repro.routing`), so a node's whole incoming flow (local
 demand plus transit) is split at once -- the bookkeeping Algorithm 3 of the
 paper uses.
-For many matrices against one weight setting use
-:class:`repro.routing.SparseRouter` instead.
+For many matrices against one weight setting, compile once with
+:meth:`repro.routing.CompiledDag.from_weights` and route the ensemble with
+:meth:`~repro.routing.CompiledDag.ensemble_loads`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..network.spt import DEFAULT_TOLERANCE, ShortestPathDag, WeightsLike
 
 # Re-exported by name: perfbench/layers.py wraps it here.
 from ..network.spt import shortest_path_dag as shortest_path_dag
-from ..routing import CompiledDagSet, SparseRouter
+from ..routing import CompiledDagSet
 from ..routing.compiled import CompiledDag, SplitRatios
 
 
@@ -42,16 +43,11 @@ def ecmp_assignment(
     demands: TrafficMatrix,
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
-    dags: Mapping[Node, ShortestPathDag] | None = None,
 ) -> FlowAssignment:
     """Route ``demands`` with even splitting over equal-cost shortest paths.
 
-    This reproduces OSPF's ECMP behaviour for a given weight setting.  The
-    precomputed ``dags`` argument lets callers reuse shortest-path DAGs across
-    repeated evaluations; destinations it lacks are built from ``weights``.
+    This reproduces OSPF's ECMP behaviour for a given weight setting.
     """
-    if dags is not None:
-        return SparseRouter(network, weights, dags=dags, tolerance=tolerance).route(demands)
     demands.validate(network)
     stack = CompiledDag.from_weights(network, demands.destinations(), weights, tolerance)
     return stack.flows(demands, stack.uniform_ratios())

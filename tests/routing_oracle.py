@@ -11,7 +11,11 @@ is split.
 
 The DAGs themselves come from :func:`shortest_path_dag` below: a heapq
 Dijkstra and a node-by-node walk of the library's DAG rule, written
-independently of the vectorised builder in ``repro.network.spt``.
+independently of the vectorised builder in ``repro.network.spt``.  The
+exponential split of Eq. (22) is its own DAG dynamic program below
+(:func:`path_weight_sums`, :func:`exponential_split_ratios`), so the oracle
+shares nothing with the kernel but the data types and the degenerate-split
+log message.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.core.traffic_distribution import exponential_split_ratios
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network, Node
@@ -225,6 +228,90 @@ def split_ratio_assignment(
             network, dags[destination], entering, split_ratios.get(destination), flows
         )
     return flows
+
+
+# ----------------------------------------------------------------------
+# Eq. (22): exponential split ratios
+# ----------------------------------------------------------------------
+def path_weight_sums(
+    network: Network,
+    dag: ShortestPathDag,
+    second_weights: np.ndarray,
+) -> dict[Node, float]:
+    """``Z_t(s) = sum over equal-cost paths p from s of exp(-v-length(p))``.
+
+    Computed bottom-up over the DAG (nodes in increasing distance order).
+    Nodes that cannot reach the destination are absent.
+    """
+    z_values: dict[Node, float] = {dag.destination: 1.0}
+    for node in reversed(dag.topological_order()):
+        if node == dag.destination:
+            continue
+        total = 0.0
+        for hop in dag.next_hops_of(node):
+            z_hop = z_values.get(hop)
+            if z_hop is None:
+                continue
+            index = network.link_index(node, hop)
+            total += float(np.exp(-second_weights[index])) * z_hop
+        z_values[node] = total
+    return z_values
+
+
+def exponential_split_ratios(
+    network: Network,
+    dag: ShortestPathDag,
+    second_weights: np.ndarray,
+) -> dict[Node, dict[Node, float]]:
+    """Per-node next-hop split ratios ``Gamma_t(s, k)`` of Eq. (22).
+
+    Nodes with a single next hop get ratio 1 for it.  Nodes whose ``Z`` value
+    is zero (numerically impossible unless the DAG is broken) fall back to an
+    even split.
+    """
+    z_values = path_weight_sums(network, dag, second_weights)
+    ratios: dict[Node, dict[Node, float]] = {}
+    for node, hops in dag.next_hops.items():
+        if node == dag.destination or not hops:
+            continue
+        weights = {}
+        for hop in hops:
+            z_hop = z_values.get(hop, 0.0)
+            index = network.link_index(node, hop)
+            weights[hop] = float(np.exp(-second_weights[index])) * z_hop
+        total = sum(weights.values())
+        if total <= 0:
+            ratios[node] = {hop: 1.0 / len(hops) for hop in hops}
+        else:
+            ratios[node] = {hop: value / total for hop, value in weights.items()}
+    return ratios
+
+
+def verify_split_consistency(
+    network: Network,
+    dags: Mapping[Node, ShortestPathDag],
+    second_weights: np.ndarray,
+    tables: Mapping,
+    tolerance: float = 1e-9,
+) -> bool:
+    """Check that forwarding-table split ratios match Eq. (22) recomputed here.
+
+    ``tables`` maps each node to its ``repro.core.ForwardingTable``; the
+    distributed view (per-router tables) and this centralised recomputation
+    must agree.
+    """
+    second = np.asarray(second_weights, dtype=float)
+    for destination, dag in dags.items():
+        expected = exponential_split_ratios(network, dag, second)
+        for node, hop_ratios in expected.items():
+            table = tables.get(node)
+            if table is None:
+                return False
+            actual = table.split_ratios(destination)
+            for hop, ratio in hop_ratios.items():
+                if abs(actual.get(hop, 0.0) - ratio) > tolerance:
+                    return False
+    return True
 
 
 def traffic_distribution(

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from routing_oracle import exponential_split_ratios, verify_split_consistency
 
-from repro.core.forwarding import (
-    build_forwarding_tables,
-    split_ratios_from_tables,
-    verify_split_consistency,
-)
-from repro.core.traffic_distribution import exponential_split_ratios
+from repro.core.forwarding import build_forwarding_tables, split_ratios_from_tables
 from repro.network.spt import all_shortest_path_dags
 
 

@@ -6,13 +6,28 @@ import pytest
 from repro.core.nem import compute_second_weights, nem_dual_objective
 from repro.core.objectives import LoadBalanceObjective
 from repro.core.te_problem import TEProblem, solve_optimal_te
-from repro.core.traffic_distribution import (
-    exponential_split_ratios,
-    path_weight_sums,
-    traffic_distribution,
-)
+from repro.core.traffic_distribution import traffic_distribution
 from repro.network.demands import TrafficMatrix
 from repro.network.spt import all_shortest_path_dags, shortest_path_dag
+from repro.routing import CompiledDag
+
+
+def path_weight_sums(network, dag, second):
+    """The kernel's Eq. (22) ``Z`` values of one DAG, keyed by node."""
+    stack = CompiledDag.from_dags(network, {dag.destination: dag})
+    z_values = stack.path_weight_sums(np.exp(-np.asarray(second, dtype=float)[stack.links]))
+    return {node: z_values[network.node_index(node)] for node in dag.distances}
+
+
+def exponential_split_ratios(network, dag, second):
+    """The kernel's Eq. (22) split ratios of one DAG as ``{node: {hop: ratio}}``."""
+    stack = CompiledDag.from_dags(network, {dag.destination: dag})
+    ratios: dict = {}
+    for tail, head, ratio in zip(
+        stack.rows, stack.targets, stack.exponential_ratios(second), strict=True
+    ):
+        ratios.setdefault(network.nodes[tail], {})[network.nodes[head]] = ratio
+    return ratios
 
 
 class TestPathWeightSums:

@@ -105,11 +105,6 @@ class TestDag:
         dag = shortest_path_dag(diamond_network, 4, np.ones(4))
         assert len(dag.paths_from(1, limit=1)) == 1
 
-    def test_nodes_by_decreasing_distance(self, line_network):
-        dag = shortest_path_dag(line_network, 4, np.ones(3))
-        order = dag.nodes_by_decreasing_distance()
-        assert order == [1, 2, 3, 4]
-
     def test_all_shortest_path_dags(self, triangle_network):
         dags = all_shortest_path_dags(triangle_network, [1, 2, 3], np.ones(6))
         assert set(dags) == {1, 2, 3}

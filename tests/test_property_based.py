@@ -6,10 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.objectives import LoadBalanceObjective
-from repro.core.traffic_distribution import exponential_split_ratios, traffic_distribution
+from repro.core.traffic_distribution import traffic_distribution
 from repro.network.demands import TrafficMatrix
 from repro.network.graph import Network
 from repro.network.spt import all_shortest_path_dags, distances_to, shortest_path_dag
+from repro.routing import CompiledDag
 from repro.solvers.assignment import all_or_nothing_assignment, ecmp_assignment
 
 # ----------------------------------------------------------------------
@@ -163,10 +164,11 @@ class TestRoutingProperties:
         second = data.draw(weight_vectors(network))
         destination = data.draw(st.integers(min_value=0, max_value=NODE_COUNT - 1))
         dag = shortest_path_dag(network, destination, weights)
-        ratios = exponential_split_ratios(network, dag, second)
-        for hops in ratios.values():
-            assert all(r >= -1e-12 for r in hops.values())
-            assert sum(hops.values()) == pytest.approx(1.0)
+        stack = CompiledDag.from_dags(network, {destination: dag})
+        ratios = stack.exponential_ratios(second)
+        assert np.all(ratios >= -1e-12)
+        totals = np.bincount(stack.rows, weights=ratios, minlength=stack.num_nodes)
+        assert totals[stack.out_degree() > 0] == pytest.approx(1.0)
 
     @common_settings
     @given(data=st.data())

@@ -16,6 +16,8 @@ examples are derandomised so any failure reproduces exactly.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from repro.network.spt import (
     all_shortest_path_dags,
     shortest_path_dag,
 )
-from repro.routing import SparseRouter
+from repro.protocols.ospf import OSPF
+from repro.routing import CompiledDagSet
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
@@ -185,6 +188,25 @@ def run_both(oracle_fn, kernel_fn, *args, **kwargs):
     return python, sparse
 
 
+def test_oracle_shares_no_kernel_code():
+    """The oracle owns its Eq. (22) and propagation: no import from ``repro.core``
+    or ``repro.routing`` except the degenerate-split log helper."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    shared = {
+        name
+        for name in imported
+        if name.startswith(("repro.core", "repro.routing"))
+        and not name.endswith(".warn_degenerate_split")
+    }
+    assert not shared, f"routing_oracle.py imports library routing code: {sorted(shared)}"
+
+
 # ----------------------------------------------------------------------
 # property-based equivalence
 # ----------------------------------------------------------------------
@@ -293,7 +315,7 @@ class TestEquivalenceOnRandomInstances:
         """link_loads_many rows equal the oracle's aggregate, matrix by matrix."""
         net, weights, tm = instance
         matrices = [tm.scaled(0.5 * (i + 1)) for i in range(count)]
-        loads = SparseRouter(net, weights=weights).link_loads_many(matrices)
+        loads = OSPF(weights=weights).batch_link_loads(net, matrices)
         assert loads.shape == (count, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
             reference = oracle.ecmp_assignment(net, matrix, weights)
@@ -397,12 +419,14 @@ class TestEquivalenceCorners:
         assert_flows_equal(python, sparse)
 
     def test_sparse_router_single_matches_batch(self, abilene, abilene_tm):
-        """route(), link_loads() and link_loads_many() are mutually consistent."""
+        """route(), ecmp_assignment() and link_loads_many() are mutually consistent."""
         weights = np.ones(abilene.num_links)
-        router = SparseRouter(abilene, weights=weights)
-        flows = router.route(abilene_tm)
-        single = router.link_loads(abilene_tm)
-        batch = router.link_loads_many([abilene_tm, abilene_tm.scaled(2.0)])
+        dag_set = CompiledDagSet(
+            abilene, all_shortest_path_dags(abilene, abilene_tm.destinations(), weights)
+        )
+        flows = dag_set.route(abilene_tm)
+        single = ecmp_assignment(abilene, abilene_tm, weights).aggregate()
+        batch = dag_set.link_loads_many([abilene_tm, abilene_tm.scaled(2.0)])
         np.testing.assert_allclose(flows.aggregate(), single, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(batch[0], single, atol=TOLERANCE, rtol=0)
         np.testing.assert_allclose(batch[1], 2.0 * single, atol=1e-8, rtol=0)
@@ -427,8 +451,6 @@ class TestEquivalenceCorners:
 # ----------------------------------------------------------------------
 class TestProtocolBackendEquivalence:
     def test_ospf_backends_agree_on_abilene(self, abilene, abilene_tm):
-        from repro.protocols.ospf import OSPF
-
         python = oracle.ecmp_assignment(abilene, abilene_tm, OSPF().link_weights(abilene))
         sparse = OSPF().route(abilene, abilene_tm)
         assert_flows_equal(python, sparse)
@@ -573,7 +595,7 @@ class TestDeepChain:
     def test_batched(self):
         net, weights, tm = _deep_chain()
         matrices = [tm, tm.scaled(0.5), tm.scaled(2.0)]
-        loads = SparseRouter(net, weights=weights).link_loads_many(matrices)
+        loads = OSPF(weights=weights).batch_link_loads(net, matrices)
         assert loads.shape == (3, net.num_links)
         for row, matrix in zip(loads, matrices, strict=True):
             reference = oracle.ecmp_assignment(net, matrix, weights)

@@ -15,17 +15,24 @@ import routing_oracle as oracle
 
 import repro.core.nem as nem
 from repro.core.nem import compute_second_weights
-from repro.network.demands import TrafficMatrix
+from repro.network.demands import DemandError, TrafficMatrix
 from repro.network.graph import Network
-from repro.network.spt import UnreachableError, all_shortest_path_dags, shortest_path_dag
-from repro.routing import CompiledDagSet, SparseRouter
+from repro.network.spt import (
+    ShortestPathDag,
+    UnreachableError,
+    all_shortest_path_dags,
+    shortest_path_dag,
+)
+from repro.protocols.ospf import OSPF
+from repro.routing import CompiledDagSet
 from repro.routing.compiled import CompiledDag
+from repro.solvers.assignment import all_or_nothing_assignment
 
 
 @pytest.fixture
 def diamond_compiled(diamond_network):
     dag = shortest_path_dag(diamond_network, 4, np.ones(4))
-    return CompiledDag.from_dag(diamond_network, dag)
+    return CompiledDag.from_dags(diamond_network, {4: dag})
 
 
 class TestCompiledDag:
@@ -87,7 +94,8 @@ class TestCompiledDag:
         net = Network(name="deadend")
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
-        compiled = CompiledDag.from_next_hops(net, 3, {1: [2], 2: []})
+        dag = ShortestPathDag(3, {1: 2.0, 2: 1.0, 3: 0.0}, {1: [2], 2: []})
+        compiled = CompiledDag.from_dags(net, {3: dag})
         with pytest.raises(UnreachableError):
             compiled.propagate(np.array([1.0, 0.0, 0.0]), compiled.uniform_ratios())
         # ... but an *unloaded* dead end is fine (matches the oracle's skip).
@@ -99,7 +107,7 @@ class TestCompiledDag:
         for u, v in diamond_network.edges:
             net.add_link(u, v, 10.0)
         net.add_node(99)  # cannot reach 4
-        compiled = CompiledDag.from_dag(net, shortest_path_dag(net, 4, np.ones(4)))
+        compiled = CompiledDag.from_dags(net, {4: shortest_path_dag(net, 4, np.ones(4))})
         with pytest.raises(UnreachableError):
             compiled.entering([TrafficMatrix({(99, 4): 1.0})], missing="raise")
         dropped = compiled.entering(
@@ -111,15 +119,21 @@ class TestCompiledDag:
         net = Network(name="bad")
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
+        dag = ShortestPathDag(3, {1: 2.0, 3: 0.0}, {1: [2]})  # 2 is not a member
         with pytest.raises(UnreachableError):
-            CompiledDag.from_next_hops(net, 3, {1: [2]})
+            CompiledDag.from_dags(net, {3: dag})
 
 
 class TestCompiledDagSet:
     def test_missing_destination_raises_oracle_error(self, diamond_network):
         dag_set = CompiledDagSet(diamond_network, {})
         with pytest.raises(UnreachableError, match="no shortest-path DAG"):
-            dag_set.compiled(4)
+            dag_set.stacked([4])
+
+    def test_ensemble_rejects_unknown_nodes(self, diamond_network):
+        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
+        with pytest.raises(DemandError, match="99"):
+            CompiledDagSet(diamond_network, dags).link_loads_many([TrafficMatrix({(99, 4): 1.0})])
 
     def test_amortised_traffic_distribution_matches_fresh(self, abilene, abilene_tm):
         """The compile-once path equals recompiling per call (NEM's contract)."""
@@ -161,29 +175,23 @@ class TestCompiledDagSet:
 
 
 class TestSparseRouter:
-    def test_mode_validation(self, diamond_network):
-        with pytest.raises(ValueError, match="mode"):
-            SparseRouter(diamond_network, weights=np.ones(4), mode="teleport")
-        with pytest.raises(ValueError, match="weights or precomputed"):
-            SparseRouter(diamond_network)
+    """Routing under link weights: ``OSPF.batch_link_loads`` and all-or-nothing."""
 
     def test_unreachable_source_raises_in_batch(self):
         net = Network(name="oneway")
         net.add_link(1, 2, 10.0)  # 2 cannot reach 1
-        router = SparseRouter(net, weights=np.ones(1))
+        ospf = OSPF(weights=np.ones(1))
         good = TrafficMatrix({(1, 2): 1.0})
         bad = TrafficMatrix({(2, 1): 1.0})
-        assert router.link_loads_many([good]).shape == (1, 1)
+        assert ospf.batch_link_loads(net, [good]).shape == (1, 1)
         with pytest.raises(UnreachableError):
-            router.link_loads_many([good, bad])
+            ospf.batch_link_loads(net, [good, bad])
 
     def test_empty_ensemble(self, diamond_network):
-        router = SparseRouter(diamond_network, weights=np.ones(4))
-        assert router.link_loads_many([]).shape == (0, 4)
+        ospf = OSPF(weights=np.ones(4))
+        assert ospf.batch_link_loads(diamond_network, []).shape == (0, 4)
 
     def test_all_or_nothing_mode(self, diamond_network, diamond_demands):
-        router = SparseRouter(diamond_network, weights=np.ones(4), mode="all_or_nothing")
+        flows = all_or_nothing_assignment(diamond_network, diamond_demands, np.ones(4))
         reference = oracle.all_or_nothing_assignment(diamond_network, diamond_demands, np.ones(4))
-        np.testing.assert_allclose(
-            router.link_loads(diamond_demands), reference.aggregate(), atol=1e-9
-        )
+        np.testing.assert_allclose(flows.aggregate(), reference.aggregate(), atol=1e-9)

@@ -40,11 +40,6 @@ class TestEcmpAssignment:
         with pytest.raises(UnreachableError):
             ecmp_assignment(line_network, demands, np.ones(3))
 
-    def test_precomputed_dags_reused(self, diamond_network, diamond_demands):
-        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
-        flows = ecmp_assignment(diamond_network, diamond_demands, np.ones(4), dags=dags)
-        assert flows.flow_on(1, 2) == pytest.approx(4.0)
-
     def test_conserves_total_demand(self, fig1, fig1_tm):
         flows = ecmp_assignment(fig1, fig1_tm, np.ones(4))
         flows.validate(fig1_tm)

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from routing_oracle import verify_split_consistency
 
 import repro
-from repro.core.forwarding import verify_split_consistency
 from repro.core.objectives import LoadBalanceObjective
 from repro.core.spef import SPEF, SPEFConfig
 from repro.core.te_problem import TEProblem, solve_optimal_te

@@ -38,7 +38,6 @@ from repro.online import (
 )
 from repro.protocols.fortz_thorup import FortzThorup
 from repro.protocols.ospf import OSPF, MinHopOSPF, invcap_weights
-from repro.routing import SparseRouter
 from repro.scenarios import Scenario, single_link_failures, node_failures
 from repro.scenarios import capacity_degradations, combine
 from repro.scenarios.runner import (
@@ -52,6 +51,7 @@ from repro.scenarios.runner import (
     evaluate_scenarios,
 )
 from repro.simulator.events import Simulator
+from repro.solvers.assignment import ecmp_assignment
 
 TOLERANCE = 1e-9
 
@@ -261,9 +261,9 @@ class TestController:
                 link.endpoints: weight_map[link.endpoints]
                 for link in instance.network.links
             }
-            cold = SparseRouter(
-                instance.network, weights=pruned_weights, mode="ecmp"
-            ).route(instance.demands).aggregate()
+            cold = ecmp_assignment(
+                instance.network, instance.demands, pruned_weights
+            ).aggregate()
             mapped = np.zeros(abilene.num_links)
             for link in instance.network.links:
                 mapped[abilene.link_index(link.source, link.target)] = cold[link.index]
@@ -363,8 +363,7 @@ class TestController:
             link.endpoints: weight_map[link.endpoints] for link in instance.network.links
         }
         for row, matrix in zip(loads, matrices, strict=True):
-            router = SparseRouter(instance.network, weights=pruned_weights)
-            cold = router.link_loads(matrix)
+            cold = ecmp_assignment(instance.network, matrix, pruned_weights).aggregate()
             mapped = np.zeros(abilene.num_links)
             for link in instance.network.links:
                 mapped[abilene.link_index(link.source, link.target)] = cold[link.index]
