@@ -370,6 +370,12 @@ class SPEF:
                 optimizer="spef",
                 phase="second-weights",
             )
+            telemetry.count(
+                "optimizer.outcome",
+                optimizer="spef",
+                phase="second-weights",
+                outcome="converged" if second.converged else "iteration-cap",
+            )
 
         tables = build_forwarding_tables(network, dags, second.weights)
         return SPEFSolution(

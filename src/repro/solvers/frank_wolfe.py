@@ -24,7 +24,9 @@ order, so the result does not depend on hash order.
 For strictly concave barrier-like utilities (``beta >= 1``) the cost diverges
 as any link saturates, so iterates stay strictly feasible as long as the
 starting point is.  For ``beta < 1`` the optimum may saturate links, so the
-linearised subproblem is solved as a *capacitated* min-cost MCF LP instead.
+linearised subproblem is solved as a *capacitated* min-cost MCF LP instead;
+a saturated link's infinite marginal cost is replaced by a finite one that
+prices every path through it above any path avoiding it.
 
 The solver is deliberately independent from Algorithm 1 (the distributed dual
 decomposition); the test-suite cross-checks the two against each other.
@@ -118,6 +120,23 @@ def _line_step(
     return 0.5 * (lo + hi)
 
 
+def _finite_costs(weights: np.ndarray) -> np.ndarray:
+    """Marginal costs with every saturated link's ``inf`` made finite.
+
+    With ``beta < 1`` a saturated link has an infinite marginal cost, which
+    the min-cost LP rejects.  Its cost becomes ``num_links`` times the
+    largest finite cost (1 if none is positive), so no simple path avoiding
+    it costs more than a path through it; the LP's capacity constraint
+    already keeps the direction feasible.  Finite inputs are returned as
+    they are.
+    """
+    finite = np.isfinite(weights)
+    if finite.all():
+        return weights
+    top = float(weights[finite].max()) if finite.any() else 0.0
+    return np.where(finite, weights, (top if top > 0 else 1.0) * weights.size)
+
+
 def _stacked(flows: FlowAssignment, rows: list[Node], num_links: int) -> np.ndarray:
     """``flows`` as a ``(len(rows), num_links)`` array; absent rows are zero."""
     out = np.zeros((len(rows), num_links))
@@ -196,7 +215,7 @@ def solve_frank_wolfe(
     iteration = 0
     for iteration in range(1, max_iterations + 1):  # noqa: B007
         aggregate = flows.sum(axis=0)
-        weights = np.maximum(gradient(aggregate), 0.0)
+        weights = _finite_costs(np.maximum(gradient(aggregate), 0.0))
         if barrier:
             target = all_or_nothing_assignment(network, demands, weights)
         else:
@@ -222,7 +241,7 @@ def solve_frank_wolfe(
     return FrankWolfeResult(
         flows=FlowAssignment(network=network, per_destination=dict(zip(rows, flows, strict=True))),
         objective=final_cost,
-        link_weights=np.maximum(gradient(aggregate), 0.0),
+        link_weights=_finite_costs(np.maximum(gradient(aggregate), 0.0)),
         iterations=iteration,
         relative_gap=float(relative_gap),
         converged=converged,

@@ -185,5 +185,30 @@ class TestAlgorithm2:
         # With v = 0 the dual equals sum_r (d_r / total) * log(#paths) = log 2.
         assert value == pytest.approx(np.log(2.0))
 
+    def test_capped_run_returns_the_measured_iterate(self, fig4, fig4_tm):
+        solution, dags = self._setup(fig4, fig4_tm)
+        target = solution.flows.aggregate()
+        result = compute_second_weights(
+            fig4, fig4_tm, dags, target, max_iterations=3, tolerance=0.0
+        )
+        assert not result.converged
+        assert result.iterations == 3
+        rerouted = traffic_distribution(fig4, fig4_tm, dags, result.weights).aggregate()
+        np.testing.assert_allclose(rerouted, result.flows.aggregate(), atol=1e-12, rtol=0)
+        assert result.max_excess == pytest.approx(float(np.max(rerouted - target)), abs=1e-12)
+
+    def test_dual_objective_matches_per_demand_sum(self, fig4, fig4_tm):
+        """The vectorised dual equals ``v . f* / T + sum_r (d_r / T) log Z_r(v)``."""
+        solution, dags = self._setup(fig4, fig4_tm)
+        target = solution.flows.aggregate()
+        second = np.random.default_rng(7).random(fig4.num_links)
+        total = fig4_tm.total_volume()
+        expected = float(np.dot(second, target)) / total
+        for (source, destination), volume in fig4_tm.items():
+            z_values = path_weight_sums(fig4, dags[destination], second)
+            expected += (volume / total) * float(np.log(z_values[source]))
+        value = nem_dual_objective(fig4, fig4_tm, dags, second, target)
+        assert value == pytest.approx(expected, rel=0, abs=1e-12)
+
     def test_dual_objective_empty_demands(self, diamond_network):
         assert nem_dual_objective(diamond_network, TrafficMatrix(), {}, np.zeros(4), np.zeros(4)) == 0.0

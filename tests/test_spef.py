@@ -10,10 +10,13 @@ import pytest
 from routing_oracle import verify_split_consistency
 
 import repro
+from repro.analysis.experiments import standard_instances
 from repro.core.objectives import LoadBalanceObjective
 from repro.core.spef import SPEF, SPEFConfig
 from repro.core.te_problem import TEProblem, solve_optimal_te
 from repro.network.demands import TrafficMatrix
+from repro.network.graph import Network
+from repro.obs import telemetry
 from repro.protocols.ospf import OSPF
 from repro.protocols.spef_protocol import SPEFProtocol
 
@@ -89,13 +92,15 @@ class TestPipeline:
         )
         assert spef_solution.utility() >= ospf_utility - 1e-6
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 5.0])
     def test_all_paper_betas_run(self, fig4, fig4_tm, beta):
         solution = SPEF(objective=LoadBalanceObjective(beta=beta)).fit(fig4, fig4_tm)
         # beta = 0 legitimately saturates the bottleneck (Fig. 6 shows link 1
         # at 100% for SPEF0); allow the NEM tolerance on top of that.
         assert solution.max_link_utilization() <= 1.0 + 5e-3
         assert solution.flows.conservation_violation(fig4_tm) < 1e-6
+        # Algorithm 2 meets its stop test within the default cap.
+        assert solution.second_result.converged
 
 
 #: One SPEF fit on Abilene with string node names ("r1" ... "r11") at 0.75x
@@ -214,3 +219,52 @@ class TestOptimalityAcrossObjectives:
         solution = SPEF().fit(line_network, demands)
         assert solution.flows.flow_on(1, 2) == pytest.approx(2.0)
         assert solution.flows.flow_on(3, 4) == pytest.approx(2.0)
+
+
+def test_saturated_link_with_beta_below_one_gets_a_finite_first_weight():
+    """A forced-saturated link (0 < beta < 1) has an infinite marginal cost."""
+    network = Network()
+    network.add_duplex_link(1, 2, 10.0)
+    network.add_duplex_link(2, 3, 100.0)
+    demands = TrafficMatrix({(1, 3): 10.0})
+    solution = SPEF(objective=LoadBalanceObjective(beta=0.5)).fit(network, demands)
+    assert np.all(np.isfinite(solution.first_weights))
+    assert solution.max_link_utilization() <= 1.0
+    assert solution.flows.flow_on(1, 2) == pytest.approx(10.0)
+
+
+class TestSecondWeightsOutcome:
+    @pytest.mark.parametrize(
+        "overrides, outcome",
+        [({}, "converged"), ({"alg2_max_iterations": 2, "alg2_tolerance": 0.0}, "iteration-cap")],
+    )
+    def test_outcome_is_counted(self, fig4, fig4_tm, overrides, outcome):
+        with telemetry.session(label="nem") as registry:
+            solution = SPEF(**overrides).fit(fig4, fig4_tm)
+        assert solution.second_result.converged == (outcome == "converged")
+        assert registry.counter_value("optimizer.outcome") == 1
+        assert registry.counter_value(
+            "optimizer.outcome", optimizer="spef", phase="second-weights", outcome=outcome
+        ) == 1
+
+    def test_disabled_telemetry_leaves_the_fit_unchanged(self, fig4, fig4_tm):
+        plain = SPEF().fit(fig4, fig4_tm)
+        with telemetry.session(label="nem"):
+            traced = SPEF().fit(fig4, fig4_tm)
+        assert plain.second_weights.tobytes() == traced.second_weights.tobytes()
+        assert plain.second_result.iterations == traced.second_result.iterations
+
+
+@pytest.fixture(scope="module")
+def standard():
+    return standard_instances()
+
+
+@pytest.mark.parametrize(
+    "name", ["Abilene", "Cernet2", "Hier50a", "Hier50b", "Rand50a", "Rand50b", "Rand100"]
+)
+def test_nem_converges_on_standard_instances(standard, name):
+    """Algorithm 2 meets its stop test within the default cap at 0.75x saturation."""
+    instance = standard[name]
+    solution = SPEF().fit(instance.network, instance.at_fraction(0.75))
+    assert solution.second_result.converged, solution.second_result.max_excess
