@@ -12,6 +12,7 @@ with fixed seeds so every experiment is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
@@ -88,9 +89,12 @@ class Instance:
             from ..solvers.mcf import solve_min_mlu
 
             base_load = self.base_demands.network_load(self.network)
+            # The LP is badly conditioned on tiny volumes: solve it near load 1.
+            # The MLU is linear in the scale, and a power of two is exact.
+            scale = 2.0 ** -round(math.log2(base_load)) if base_load > 0 else 1.0
             base_mlu = solve_min_mlu(
-                self.network, self.base_demands, allow_overload=True
-            ).objective
+                self.network, self.base_demands.scaled(scale), allow_overload=True
+            ).objective / scale
             if base_mlu <= 0:
                 raise ValueError("base traffic matrix routes with zero utilization")
             self._saturation_load = base_load * self.SATURATION_MLU / base_mlu

@@ -23,7 +23,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..network.graph import Network, Node
-from ..network.spt import ShortestPathDag
+from ..network.spt import ShortestPathDag, ShortestPathDags
 from ..routing import CompiledDag
 
 
@@ -97,7 +97,7 @@ def _paths_through_hop(
 
 def build_forwarding_tables(
     network: Network,
-    dags: Mapping[Node, ShortestPathDag],
+    dags: ShortestPathDags,
     second_weights: np.ndarray,
     max_paths_per_entry: int = 32,
 ) -> dict[Node, ForwardingTable]:
@@ -120,8 +120,9 @@ def build_forwarding_tables(
     }
     # Eq. (22) for every destination in one stacked pass, indexed by
     # (destination row, link): each DAG edge is one such pair.
-    stack = CompiledDag.from_dags(network, dags)
-    ratios = np.zeros((len(stack.destinations), network.num_links))
+    member = np.isfinite(dags.distances)
+    stack = CompiledDag.from_mask(network, dags.destinations, member, dags.mask)
+    ratios = np.zeros(dags.mask.shape)
     ratios[stack.rows // network.num_nodes, stack.links] = stack.exponential_ratios(second)
     for row, (destination, dag) in enumerate(dags.items()):
         for node in dag.distances:

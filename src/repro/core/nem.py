@@ -46,14 +46,14 @@ it is the series plotted in Fig. 12(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 
 import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
-from ..network.spt import ShortestPathDag
+from ..network.graph import Network
+from ..network.spt import ShortestPathDags
 from ..routing import CompiledDagSet
 from ..solvers.subgradient import StepRule, default_step_for_flows, project_nonnegative
 from .traffic_distribution import traffic_distribution
@@ -105,7 +105,7 @@ def _dual_oracle(
 def nem_dual_objective(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag] | CompiledDagSet,
+    dags: ShortestPathDags | CompiledDagSet,
     second_weights: np.ndarray,
     target_flows: np.ndarray,
 ) -> float:
@@ -127,7 +127,7 @@ def nem_dual_objective(
 def compute_second_weights(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
+    dags: ShortestPathDags,
     target_flows: np.ndarray,
     max_iterations: int = 1000,
     tolerance: float = 1e-3,

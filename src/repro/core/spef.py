@@ -15,8 +15,9 @@ by configuring *two* weights per link:
   weights (either centrally via Frank-Wolfe or distributedly via
   Algorithm 1);
 * optionally round the first weights to integers (Section V-G);
-* build the per-destination equal-cost shortest-path DAGs (one builder call,
-  with the optimal flow's downhill links OR-ed in);
+* build the per-destination equal-cost shortest-path DAGs: one builder call
+  (:class:`~repro.network.spt.ShortestPathDags`) with the optimal flow's
+  downhill links OR-ed into its mask, which every later step reads;
 * run Algorithm 2 to obtain the second weights;
 * install the Table II forwarding tables and compute the realised flows.
 """
@@ -27,26 +28,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..metrics.paths import histogram_from_dags
+from ..metrics.paths import histogram_from_dags, path_counts
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import (
-    ShortestPathDag,
-    as_weight_vector,
-    dags_from_mask,
-    shortest_path_mask,
-    validate_weights,
-)
-
-# Re-exported by name: perfbench/layers.py wraps it here.
-from ..network.spt import all_shortest_path_dags as all_shortest_path_dags
+from ..network.spt import ShortestPathDags, all_shortest_path_dags
 from ..obs import telemetry
 from .first_weights import FirstWeightsResult, compute_first_weights, round_weights
 from .forwarding import ForwardingTable, build_forwarding_tables
 from .nem import SecondWeightsResult, compute_second_weights
 from .objectives import LoadBalanceObjective, normalized_utility
 from .te_problem import TEProblem, TESolution, solve_optimal_te
+
+#: Optimal flow towards a destination, as a fraction of the total demand
+#: volume, above which a downhill link joins that destination's DAG.
+DAG_FLOW_THRESHOLD = 1e-4
 
 
 @dataclass
@@ -70,14 +66,6 @@ class SPEFConfig:
     integer_weights:
         Round the first weights to integers before building shortest paths
         (Section V-G / Fig. 13).
-    augment_dags_with_optimum:
-        Add optimal-flow-carrying downhill links to the equal-cost DAGs (see
-        :meth:`SPEF.fit`).  With exact optimal weights this is a
-        no-op; with approximate weights it keeps the NEM target attainable.
-    dag_flow_threshold:
-        Per-destination optimal flow (as a fraction of the total demand
-        volume) below which a link is not considered "carrying" flow for the
-        DAG augmentation.
     """
 
     objective: LoadBalanceObjective = field(default_factory=LoadBalanceObjective.proportional)
@@ -86,8 +74,6 @@ class SPEFConfig:
     ecmp_tolerance_factor: float = 0.05
     integer_weights: bool = False
     max_integer_weight: int | None = 65535
-    augment_dags_with_optimum: bool = True
-    dag_flow_threshold: float = 1e-4
     te_max_iterations: int = 400
     te_tolerance: float = 1e-7
     alg1_max_iterations: int = 2000
@@ -116,7 +102,7 @@ class SPEFSolution:
     #: The raw (un-rounded) first weights from the TE solution.
     raw_first_weights: np.ndarray
     second_weights: np.ndarray
-    dags: dict[Node, ShortestPathDag]
+    dags: ShortestPathDags
     forwarding_tables: dict[Node, ForwardingTable]
     #: Flows realised by the SPEF forwarding tables.
     flows: FlowAssignment
@@ -161,10 +147,10 @@ class SPEFSolution:
     # ------------------------------------------------------------------
     def equal_cost_paths(self, source: Node, destination: Node) -> int:
         """Number of equal-cost shortest paths SPEF uses for one pair."""
-        dag = self.dags.get(destination)
-        if dag is None or not dag.reachable(source):
+        if destination not in self.dags or not self.network.has_node(source):
             return 0
-        return dag.count_paths().get(source, 0)
+        row = self.dags.destinations.index(destination)
+        return int(path_counts(self.dags)[row, self.network.node_index(source)])
 
     def equal_cost_path_histogram(self, max_paths: int = 8) -> dict[int, int]:
         """``{i: number of ingress-egress pairs with i equal-cost paths}``.
@@ -332,24 +318,22 @@ class SPEF:
             spare = network.capacities - target_flows
             installed = round_weights(raw_weights, spare, cfg.max_integer_weight)
 
-        tolerance = self._ecmp_tolerance(installed)
         destinations = demands.destinations()
-        vector = as_weight_vector(network, installed)
-        validate_weights(vector)
-        distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
-        if cfg.augment_dags_with_optimum:
-            # At the exact TE optimum every link carrying flow towards a
-            # destination is on a shortest path (complementary slackness,
-            # (6d)-(6e)); approximate weights can miss some, which would make
-            # the NEM target unattainable.  OR in every downhill link whose
-            # optimal flow exceeds the threshold (downhill keeps it acyclic).
-            threshold = cfg.dag_flow_threshold * max(demands.total_volume(), 1e-12)
-            zeros = np.zeros(network.num_links)
-            flows = [optimal_flows.per_destination.get(d, zeros) for d in destinations]
-            sources, targets = network.link_node_indices()
-            tail, head = distances[:, sources], distances[:, targets]
-            mask |= (np.reshape(flows, mask.shape) > threshold) & (head < tail) & np.isfinite(tail)
-        dags = dags_from_mask(network, destinations, distances, mask, tolerance)
+        dags = all_shortest_path_dags(
+            network, destinations, installed, self._ecmp_tolerance(installed)
+        )
+        # At the exact TE optimum every link carrying flow towards a
+        # destination is on a shortest path (complementary slackness,
+        # (6d)-(6e)); approximate weights can miss some, which would make the
+        # NEM target unattainable.  OR in every downhill link whose optimal
+        # flow exceeds the threshold (downhill keeps the DAG acyclic).
+        threshold = DAG_FLOW_THRESHOLD * max(demands.total_volume(), 1e-12)
+        zeros = np.zeros(network.num_links)
+        flows = [optimal_flows.per_destination.get(d, zeros) for d in destinations]
+        sources, targets = network.link_node_indices()
+        tail, head = dags.distances[:, sources], dags.distances[:, targets]
+        carrying = np.reshape(flows, dags.mask.shape) > threshold
+        dags.mask |= carrying & (head < tail) & np.isfinite(tail)
 
         with telemetry.span("optimizer.spef_second_weights"):
             second = compute_second_weights(

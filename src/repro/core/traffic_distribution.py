@@ -27,21 +27,19 @@ its whole incoming flow at once as the paper's Algorithm 3 prescribes.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
-from ..network.spt import ShortestPathDag
+from ..network.graph import Network
+from ..network.spt import ShortestPathDags
 from ..routing import CompiledDagSet
 
 
 def traffic_distribution(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag] | CompiledDagSet,
+    dags: ShortestPathDags | CompiledDagSet,
     second_weights: np.ndarray,
 ) -> FlowAssignment:
     """Algorithm 3: the traffic distribution induced by second weights ``v``.

@@ -7,6 +7,7 @@ from .incidence import conservation_residual, demand_vector, incidence_matrix, r
 from .spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
+    ShortestPathDags,
     UnreachableError,
     all_shortest_path_dags,
     as_weight_vector,
@@ -33,6 +34,7 @@ __all__ = [
     "reduced_system",
     "DEFAULT_TOLERANCE",
     "ShortestPathDag",
+    "ShortestPathDags",
     "UnreachableError",
     "all_shortest_path_dags",
     "as_weight_vector",

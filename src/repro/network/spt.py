@@ -11,16 +11,17 @@ destination.  Two details from the paper matter here:
 
 Every DAG comes from :func:`shortest_path_mask`: one C Dijkstra for all
 destinations and one (destination x link) mask.  The routing kernel
-compiles the mask directly; :class:`ShortestPathDag` is the dict view the
-public functions below return.  They take link weights as an
-``{(u, v): w}`` mapping or a link-indexed vector.
+compiles the mask directly; :class:`ShortestPathDags` carries it and builds
+each destination's :class:`ShortestPathDag` dict view on access.  The
+public functions below take link weights as an ``{(u, v): w}`` mapping or
+a link-indexed vector.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,30 +155,6 @@ def shortest_path_mask(
     return distances, mask
 
 
-def dags_from_mask(
-    network: Network,
-    destinations: Sequence[Node],
-    distances: np.ndarray,
-    mask: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[Node, ShortestPathDag]:
-    """:class:`ShortestPathDag` dict views of :func:`shortest_path_mask` rows.
-
-    Next hops follow link-index order, so a node's first hop is its DAG
-    link with the lowest index.
-    """
-    nodes = network.nodes
-    sources, targets = (array.tolist() for array in network.link_node_indices())
-    dags: dict[Node, ShortestPathDag] = {}
-    for destination, row, links in zip(destinations, distances, mask, strict=True):
-        dist = _distance_dict(nodes, row)
-        next_hops: dict[Node, list[Node]] = {node: [] for node in dist if node != destination}
-        for link in np.flatnonzero(links).tolist():
-            next_hops[nodes[sources[link]]].append(nodes[targets[link]])
-        dags[destination] = ShortestPathDag(destination, dist, next_hops, tolerance)
-    return dags
-
-
 def distances_to(
     network: Network,
     destination: Node,
@@ -240,43 +217,6 @@ class ShortestPathDag:
             for hop in hops
         ]
 
-    def topological_order(self) -> list[Node]:
-        """Nodes in an order where every node precedes all of its next hops.
-
-        A sort by decreasing distance is not enough: on zero-weight plateaus
-        several nodes share a distance, whereas a topological order of the
-        DAG is always a valid processing order.  The destination comes last.
-        """
-        # Kahn's algorithm over the next-hop edges (u -> hop).
-        in_degree: dict[Node, int] = {node: 0 for node in self.distances}
-        for hops in self.next_hops.values():
-            for hop in hops:
-                if hop in in_degree:
-                    in_degree[hop] += 1
-        # Start from nodes nobody forwards through, farthest first for
-        # determinism.
-        ready = sorted(
-            (node for node, degree in in_degree.items() if degree == 0),
-            key=lambda n: self.distances[n],
-            reverse=True,
-        )
-        order: list[Node] = []
-        queue = list(ready)
-        while queue:
-            node = queue.pop(0)
-            order.append(node)
-            for hop in self.next_hops.get(node, []):
-                if hop not in in_degree:
-                    continue
-                in_degree[hop] -= 1
-                if in_degree[hop] == 0:
-                    queue.append(hop)
-        if len(order) != len(self.distances):
-            raise NetworkError(
-                f"shortest-path structure towards {self.destination!r} contains a cycle"
-            )
-        return order
-
     def paths_from(self, source: Node, limit: int | None = None) -> list[list[Node]]:
         """Enumerate the equal-cost shortest paths from ``source``.
 
@@ -301,18 +241,52 @@ class ShortestPathDag:
                 stack.append((hop, prefix + [hop]))
         return paths
 
-    def count_paths(self) -> dict[Node, int]:
-        """Number of equal-cost shortest paths from each node to the destination.
 
-        Computed by dynamic programming over the DAG, so it stays cheap even
-        when explicit enumeration would blow up.
-        """
-        counts: dict[Node, int] = {self.destination: 1}
-        for node in reversed(self.topological_order()):
-            if node == self.destination:
-                continue
-            counts[node] = sum(counts.get(hop, 0) for hop in self.next_hops.get(node, []))
-        return counts
+class ShortestPathDags(Mapping[Node, ShortestPathDag]):
+    """``{destination: ShortestPathDag}`` over one :func:`shortest_path_mask` result.
+
+    ``distances`` (destinations x nodes, ``inf`` where a node cannot reach
+    the destination) and ``mask`` (destinations x links) are the builder's
+    rows as they are; routing code reads them directly.
+    Indexing builds a destination's :class:`ShortestPathDag` from its rows,
+    anew on each access, with next hops in link-index order (a node's first
+    hop is its DAG link with the lowest index).
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        destinations: Sequence[Node],
+        distances: np.ndarray,
+        mask: np.ndarray,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ) -> None:
+        self.network = network
+        self.destinations = list(destinations)
+        self.distances = distances
+        self.mask = mask
+        self.tolerance = tolerance
+        self._rows = {destination: row for row, destination in enumerate(self.destinations)}
+
+    def __contains__(self, destination: object) -> bool:
+        return destination in self._rows
+
+    def __iter__(self) -> Iterator[Node]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, destination: Node) -> ShortestPathDag:
+        row = self._rows[destination]
+        nodes = self.network.nodes
+        sources, targets = self.network.link_node_indices()
+        dist = _distance_dict(nodes, self.distances[row])
+        next_hops: dict[Node, list[Node]] = {node: [] for node in dist if node != destination}
+        (links,) = self.mask[row].nonzero()
+        for tail, head in zip(sources[links].tolist(), targets[links].tolist(), strict=True):
+            next_hops[nodes[tail]].append(nodes[head])
+        return ShortestPathDag(destination, dist, next_hops, self.tolerance)
 
 
 def shortest_path_dag(
@@ -334,13 +308,13 @@ def all_shortest_path_dags(
     destinations: Sequence[Node],
     weights: WeightsLike,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> dict[Node, ShortestPathDag]:
+) -> ShortestPathDags:
     """Shortest-path DAGs for every destination in ``destinations`` (one build)."""
     vector = as_weight_vector(network, weights)
     validate_weights(vector)
     destinations = list(destinations)
     distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
-    return dags_from_mask(network, destinations, distances, mask, tolerance)
+    return ShortestPathDags(network, destinations, distances, mask, tolerance)
 
 
 def shortest_path_length(

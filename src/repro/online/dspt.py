@@ -42,9 +42,9 @@ from ..network.graph import Edge, Network, NetworkError, Node
 from ..network.spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
+    ShortestPathDags,
     WeightsLike,
     as_weight_vector,
-    dags_from_mask,
     shortest_path_mask,
     validate_weights,
 )
@@ -202,7 +202,7 @@ class DynamicSPT:
         """A :class:`ShortestPathDag` snapshot of one destination's row."""
         row = self.row(destination)
         distances, mask = self.arrays()
-        return dags_from_mask(
+        return ShortestPathDags(
             self.network, [destination], distances[row : row + 1], mask[row : row + 1],
             self.tolerance,
         )[destination]

@@ -11,8 +11,9 @@ destinations and demand matrices at once.
 * :meth:`CompiledDag.from_weights` compiles the shortest-path DAGs of one
   weight setting; :meth:`CompiledDag.ensemble_loads` routes a whole demand
   ensemble over them in one stacked propagation;
-* :class:`CompiledDagSet` compiles a ``{destination: dag}`` mapping once
-  and routes many demand matrices or ratio settings against it.
+* :class:`CompiledDagSet` keeps one builder call's DAG rows
+  (:class:`~repro.network.spt.ShortestPathDags`) and routes many demand
+  matrices, ratio settings or second weights against them.
 
 The dict-loop reference implementation lives in ``tests/routing_oracle.py``;
 ``tests/test_routing_equivalence.py`` checks the kernel against it to 1e-9

@@ -22,13 +22,14 @@ DAGs, and this module is its only implementation:
 Compiling is one ``nonzero`` over a (destination x link) DAG mask
 (:meth:`CompiledDag.from_mask`), the one DAG format routing code compiles:
 the shortest-path builder's mask
-(:func:`~repro.network.spt.shortest_path_mask`) as is -- the online
-controller compiles the dirty rows of its
-:class:`~repro.online.DynamicSPT` mask this way -- or explicit next-hop
-maps (SPEF's augmented DAGs) walked into mask rows by :func:`dag_rows`.
-The result is reused across demand matrices, gradient iterations and
-scenario sweeps.  The dict-loop reference the equivalence suite checks this
-kernel against lives in ``tests/routing_oracle.py``.
+(:func:`~repro.network.spt.shortest_path_mask`) as is, whether it comes
+straight from the builder, from the rows a
+:class:`~repro.network.spt.ShortestPathDags` carries (SPEF's augmented
+DAGs among them) or from the dirty rows of the online controller's
+:class:`~repro.online.DynamicSPT`.  The result is reused across demand
+matrices, gradient iterations and scenario sweeps.  The dict-loop reference
+the equivalence suite checks this kernel against lives in
+``tests/routing_oracle.py``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ from ..network.flows import FlowAssignment
 from ..network.graph import Network, NetworkError, Node
 from ..network.spt import (
     DEFAULT_TOLERANCE,
-    ShortestPathDag,
     UnreachableError,
     WeightsLike,
-    as_weight_vector,
-    shortest_path_mask,
-    validate_weights,
+    all_shortest_path_dags,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,26 +101,6 @@ def _solve_levels(
             return y
         y = following
     raise NetworkError("routing graph contains a cycle")
-
-
-def dag_rows(
-    network: Network, dags: Mapping[Node, ShortestPathDag]
-) -> tuple[list[Node], np.ndarray, np.ndarray]:
-    """Walk next-hop maps into (destination x node) members and (destination x link) links.
-
-    A DAG's members are its ``distances`` keys; the destination's own next
-    hops (if any) are ignored.
-    """
-    destinations = list(dags)
-    member = np.zeros((len(destinations), network.num_nodes), dtype=bool)
-    mask = np.zeros((len(destinations), network.num_links), dtype=bool)
-    link_index, node_index = network.link_index, network.node_index
-    for row, (destination, dag) in enumerate(dags.items()):
-        member[row, [node_index(node) for node in dag.distances]] = True
-        member[row, node_index(destination)] = True
-        hops = [(u, v) for u, vs in dag.next_hops.items() if u != destination for v in vs]
-        mask[row, [link_index(u, v) for u, v in hops]] = True
-    return destinations, member, mask
 
 
 @dataclass
@@ -204,16 +182,8 @@ class CompiledDag:
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> CompiledDag:
         """The destinations' shortest-path DAGs under ``weights``, stacked."""
-        vector = as_weight_vector(network, weights)
-        validate_weights(vector)
-        destinations = list(destinations)
-        distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
-        return cls.from_mask(network, destinations, np.isfinite(distances), mask)
-
-    @classmethod
-    def from_dags(cls, network: Network, dags: Mapping[Node, ShortestPathDag]) -> CompiledDag:
-        """Compile explicit ``{destination: dag}`` next-hop maps (including augmented DAGs)."""
-        return cls.from_mask(network, *dag_rows(network, dags))
+        dags = all_shortest_path_dags(network, destinations, weights, tolerance)
+        return cls.from_mask(network, dags.destinations, np.isfinite(dags.distances), dags.mask)
 
     # ------------------------------------------------------------------
     # views

@@ -1,12 +1,12 @@
-"""Routing over explicit per-destination DAGs: :class:`CompiledDagSet`.
+"""Routing over one builder call's DAGs: :class:`CompiledDagSet`.
 
-:class:`CompiledDagSet` walks a ``{destination: dag}`` mapping once into
-(destination x node) members and a (destination x link) mask and routes
+:class:`CompiledDagSet` keeps the (destination x link) mask and the
+reachable nodes of a :class:`~repro.network.spt.ShortestPathDags` and routes
 arbitrarily many demand matrices, split-ratio settings or second-weight
-vectors against it.  Every destination a call touches rides one stacked
-propagation (:meth:`CompiledDag.from_mask`).  This is what explicit split
-ratios, Algorithm 2's gradient loop and the SPEF pipeline use; routing
-under link weights compiles straight from the builder with
+vectors against them.  Every destination a call touches rides one stacked
+propagation (:meth:`CompiledDag.from_mask` over its rows).  This is what
+explicit split ratios, Algorithm 2's gradient loop and the SPEF pipeline
+use; routing under link weights compiles straight from the builder with
 :meth:`CompiledDag.from_weights`.
 
 ``tests/test_routing_equivalence.py`` pins every routine here to the
@@ -15,17 +15,17 @@ dict-loop reference in ``tests/routing_oracle.py`` within 1e-9.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.spt import ShortestPathDag, UnreachableError
+from ..network.spt import ShortestPathDags, UnreachableError
 # Re-exported by name: perfbench/layers.py wraps it here.
 from ..network.spt import shortest_path_dag as shortest_path_dag
-from .compiled import CompiledDag, SplitRatios, dag_rows
+from .compiled import CompiledDag, SplitRatios
 
 
 def _missing(mode: str) -> str:
@@ -36,15 +36,14 @@ def _missing(mode: str) -> str:
 class CompiledDagSet:
     """Per-destination DAGs over one network, stacked on demand.
 
-    The DAGs are walked once into mask rows.  The stack of the last
-    destination set routed is cached, which is what makes repeated calls
-    with the same demands (Algorithm 2) cheap.
+    The stack of the last destination set routed is cached, which is what
+    makes repeated calls with the same demands (Algorithm 2) cheap.
     """
 
-    def __init__(self, network: Network, dags: Mapping[Node, ShortestPathDag]) -> None:
+    def __init__(self, network: Network, dags: ShortestPathDags) -> None:
         self.network = network
-        destinations, self._member, self._mask = dag_rows(network, dags)
-        self._row = {destination: row for row, destination in enumerate(destinations)}
+        self._member, self._mask = np.isfinite(dags.distances), dags.mask
+        self._row = {destination: row for row, destination in enumerate(dags.destinations)}
         self._stacked: tuple[tuple[Node, ...], CompiledDag] | None = None
 
     def stacked(self, destinations: Iterable[Node]) -> CompiledDag:

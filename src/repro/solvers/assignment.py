@@ -25,12 +25,10 @@ For many matrices against one weight setting, compile once with
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
-from ..network.spt import DEFAULT_TOLERANCE, ShortestPathDag, WeightsLike
+from ..network.graph import Network
+from ..network.spt import DEFAULT_TOLERANCE, ShortestPathDags, WeightsLike
 
 # Re-exported by name: perfbench/layers.py wraps it here.
 from ..network.spt import shortest_path_dag as shortest_path_dag
@@ -74,7 +72,7 @@ def all_or_nothing_assignment(
 def split_ratio_assignment(
     network: Network,
     demands: TrafficMatrix,
-    dags: Mapping[Node, ShortestPathDag],
+    dags: ShortestPathDags,
     split_ratios: SplitRatios,
 ) -> FlowAssignment:
     """Route demands over precomputed DAGs with explicit split ratios.

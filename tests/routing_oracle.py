@@ -11,11 +11,12 @@ is split.
 
 The DAGs themselves come from :func:`shortest_path_dag` below: a heapq
 Dijkstra and a node-by-node walk of the library's DAG rule, written
-independently of the vectorised builder in ``repro.network.spt``.  The
-exponential split of Eq. (22) is its own DAG dynamic program below
-(:func:`path_weight_sums`, :func:`exponential_split_ratios`), so the oracle
-shares nothing with the kernel but the data types and the degenerate-split
-log message.
+independently of the vectorised builder in ``repro.network.spt``, and are
+walked in :func:`topological_order`.  The exponential split of Eq. (22) and
+the Table V path counts are their own DAG dynamic programs below
+(:func:`path_weight_sums`, :func:`exponential_split_ratios`,
+:func:`count_paths`), so the oracle shares nothing with the kernel but the
+data types and the degenerate-split log message.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
-from repro.network.graph import Network, Node
+from repro.network.graph import Network, NetworkError, Node
 from repro.network.spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
@@ -115,6 +116,52 @@ def shortest_path_dag(
     return ShortestPathDag(destination, dist, next_hops, tolerance)
 
 
+def topological_order(dag: ShortestPathDag) -> list[Node]:
+    """Nodes in an order where every node precedes all of its next hops.
+
+    A sort by decreasing distance is not enough: on zero-weight plateaus
+    several nodes share a distance, whereas a topological order of the DAG
+    is always a valid processing order.  The destination comes last.
+    """
+    # Kahn's algorithm over the next-hop edges (u -> hop).
+    in_degree: dict[Node, int] = {node: 0 for node in dag.distances}
+    for hops in dag.next_hops.values():
+        for hop in hops:
+            if hop in in_degree:
+                in_degree[hop] += 1
+    # Start from nodes nobody forwards through, farthest first for determinism.
+    queue = sorted(
+        (node for node, degree in in_degree.items() if degree == 0),
+        key=lambda n: dag.distances[n],
+        reverse=True,
+    )
+    order: list[Node] = []
+    while queue:
+        node = queue.pop(0)
+        order.append(node)
+        for hop in dag.next_hops.get(node, []):
+            if hop not in in_degree:
+                continue
+            in_degree[hop] -= 1
+            if in_degree[hop] == 0:
+                queue.append(hop)
+    if len(order) != len(dag.distances):
+        raise NetworkError(
+            f"shortest-path structure towards {dag.destination!r} contains a cycle"
+        )
+    return order
+
+
+def count_paths(dag: ShortestPathDag) -> dict[Node, int]:
+    """Number of equal-cost shortest paths from each node to the destination."""
+    counts: dict[Node, int] = {dag.destination: 1}
+    for node in reversed(topological_order(dag)):
+        if node == dag.destination:
+            continue
+        counts[node] = sum(counts.get(hop, 0) for hop in dag.next_hops.get(node, []))
+    return counts
+
+
 def _propagate_over_dag(
     network: Network,
     dag: ShortestPathDag,
@@ -132,7 +179,7 @@ def _propagate_over_dag(
     destination = dag.destination
     vector = flows.ensure_destination(destination)
     transit: dict[Node, float] = {}
-    for node in dag.topological_order():
+    for node in topological_order(dag):
         if node == destination:
             continue
         load = entering.get(node, 0.0) + transit.get(node, 0.0)
@@ -244,7 +291,7 @@ def path_weight_sums(
     Nodes that cannot reach the destination are absent.
     """
     z_values: dict[Node, float] = {dag.destination: 1.0}
-    for node in reversed(dag.topological_order()):
+    for node in reversed(topological_order(dag)):
         if node == dag.destination:
             continue
         total = 0.0

@@ -8,20 +8,27 @@ from repro.core.objectives import LoadBalanceObjective
 from repro.core.te_problem import TEProblem, solve_optimal_te
 from repro.core.traffic_distribution import traffic_distribution
 from repro.network.demands import TrafficMatrix
-from repro.network.spt import all_shortest_path_dags, shortest_path_dag
+from repro.network.spt import all_shortest_path_dags
 from repro.routing import CompiledDag
 
 
-def path_weight_sums(network, dag, second):
-    """The kernel's Eq. (22) ``Z`` values of one DAG, keyed by node."""
-    stack = CompiledDag.from_dags(network, {dag.destination: dag})
+def _stack(network, dags, destination):
+    """One destination's rows of ``dags``, compiled on the kernel."""
+    rows = [dags.destinations.index(destination)]
+    member = np.isfinite(dags.distances[rows])
+    return CompiledDag.from_mask(network, [destination], member, dags.mask[rows])
+
+
+def path_weight_sums(network, dags, destination, second):
+    """The kernel's Eq. (22) ``Z`` values towards one destination, keyed by node."""
+    stack = _stack(network, dags, destination)
     z_values = stack.path_weight_sums(np.exp(-np.asarray(second, dtype=float)[stack.links]))
-    return {node: z_values[network.node_index(node)] for node in dag.distances}
+    return {node: z_values[network.node_index(node)] for node in dags[destination].distances}
 
 
-def exponential_split_ratios(network, dag, second):
-    """The kernel's Eq. (22) split ratios of one DAG as ``{node: {hop: ratio}}``."""
-    stack = CompiledDag.from_dags(network, {dag.destination: dag})
+def exponential_split_ratios(network, dags, destination, second):
+    """The kernel's Eq. (22) split ratios towards one destination as ``{node: {hop: ratio}}``."""
+    stack = _stack(network, dags, destination)
     ratios: dict = {}
     for tail, head, ratio in zip(
         stack.rows, stack.targets, stack.exponential_ratios(second), strict=True
@@ -32,30 +39,30 @@ def exponential_split_ratios(network, dag, second):
 
 class TestPathWeightSums:
     def test_single_path_z_is_exp_of_length(self, line_network):
-        dag = shortest_path_dag(line_network, 4, np.ones(3))
+        dags = all_shortest_path_dags(line_network, [4], np.ones(3))
         second = np.array([0.5, 1.0, 1.5])
-        z_values = path_weight_sums(line_network, dag, second)
+        z_values = path_weight_sums(line_network, dags, 4, second)
         assert z_values[1] == pytest.approx(np.exp(-3.0))
         assert z_values[4] == pytest.approx(1.0)
 
     def test_diamond_sums_both_paths(self, diamond_network):
-        dag = shortest_path_dag(diamond_network, 4, np.ones(4))
+        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         second = diamond_network.weight_vector({(1, 2): 1.0, (2, 4): 0.0, (1, 3): 0.0, (3, 4): 0.0})
-        z_values = path_weight_sums(diamond_network, dag, second)
+        z_values = path_weight_sums(diamond_network, dags, 4, second)
         assert z_values[1] == pytest.approx(np.exp(-1.0) + 1.0)
 
 
 class TestExponentialSplitRatios:
     def test_zero_weights_split_by_path_count(self, diamond_network):
-        dag = shortest_path_dag(diamond_network, 4, np.ones(4))
-        ratios = exponential_split_ratios(diamond_network, dag, np.zeros(4))
+        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
+        ratios = exponential_split_ratios(diamond_network, dags, 4, np.zeros(4))
         assert ratios[1][2] == pytest.approx(0.5)
         assert ratios[1][3] == pytest.approx(0.5)
 
     def test_ratios_follow_eq22(self, diamond_network):
-        dag = shortest_path_dag(diamond_network, 4, np.ones(4))
+        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         second = diamond_network.weight_vector({(1, 2): 1.0, (2, 4): 0.0, (1, 3): 0.0, (3, 4): 0.0})
-        ratios = exponential_split_ratios(diamond_network, dag, second)
+        ratios = exponential_split_ratios(diamond_network, dags, 4, second)
         expected_2 = np.exp(-1.0) / (np.exp(-1.0) + 1.0)
         assert ratios[1][2] == pytest.approx(expected_2)
         assert ratios[1][3] == pytest.approx(1.0 - expected_2)
@@ -64,18 +71,18 @@ class TestExponentialSplitRatios:
         weights = np.ones(fig4.num_links)
         dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
         second = np.linspace(0, 1, fig4.num_links)
-        for dag in dags.values():
-            ratios = exponential_split_ratios(fig4, dag, second)
+        for destination in dags:
+            ratios = exponential_split_ratios(fig4, dags, destination, second)
             for hops in ratios.values():
                 assert sum(hops.values()) == pytest.approx(1.0)
 
     def test_higher_second_weight_reduces_share(self, diamond_network):
-        dag = shortest_path_dag(diamond_network, 4, np.ones(4))
+        dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
         low = exponential_split_ratios(
-            diamond_network, dag, diamond_network.weight_vector({(1, 2): 0.5})
+            diamond_network, dags, 4, diamond_network.weight_vector({(1, 2): 0.5})
         )
         high = exponential_split_ratios(
-            diamond_network, dag, diamond_network.weight_vector({(1, 2): 2.0})
+            diamond_network, dags, 4, diamond_network.weight_vector({(1, 2): 2.0})
         )
         assert high[1][2] < low[1][2]
 
@@ -205,10 +212,13 @@ class TestAlgorithm2:
         total = fig4_tm.total_volume()
         expected = float(np.dot(second, target)) / total
         for (source, destination), volume in fig4_tm.items():
-            z_values = path_weight_sums(fig4, dags[destination], second)
+            z_values = path_weight_sums(fig4, dags, destination, second)
             expected += (volume / total) * float(np.log(z_values[source]))
         value = nem_dual_objective(fig4, fig4_tm, dags, second, target)
         assert value == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_dual_objective_empty_demands(self, diamond_network):
-        assert nem_dual_objective(diamond_network, TrafficMatrix(), {}, np.zeros(4), np.zeros(4)) == 0.0
+        no_dags = all_shortest_path_dags(diamond_network, [], np.ones(4))
+        assert nem_dual_objective(
+            diamond_network, TrafficMatrix(), no_dags, np.zeros(4), np.zeros(4)
+        ) == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.metrics.paths import equal_cost_path_counts
 from repro.network.graph import NetworkError
 from repro.network.spt import (
     UnreachableError,
@@ -68,7 +69,7 @@ class TestDag:
     def test_diamond_has_two_equal_paths(self, diamond_network):
         dag = shortest_path_dag(diamond_network, 4, np.ones(4))
         assert set(dag.next_hops_of(1)) == {2, 3}
-        assert dag.count_paths()[1] == 2
+        assert equal_cost_path_counts(diamond_network, np.ones(4), destinations=[4])[(1, 4)] == 2
         paths = dag.paths_from(1)
         assert sorted(paths) == [[1, 2, 4], [1, 3, 4]]
 
@@ -76,7 +77,7 @@ class TestDag:
         weights = {(1, 2): 1.0, (2, 4): 1.0, (1, 3): 2.0, (3, 4): 2.0}
         dag = shortest_path_dag(diamond_network, 4, weights)
         assert dag.next_hops_of(1) == [2]
-        assert dag.count_paths()[1] == 1
+        assert equal_cost_path_counts(diamond_network, weights, destinations=[4])[(1, 4)] == 1
 
     def test_tolerance_merges_near_equal_paths(self, diamond_network):
         weights = {(1, 2): 1.0, (2, 4): 1.0, (1, 3): 1.1, (3, 4): 1.1}

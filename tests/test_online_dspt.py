@@ -325,9 +325,13 @@ class TestDynamicSptCorners:
     def test_fail_recover_roundtrip_restores_state(self):
         net = self.make_diamond()
         spt = DynamicSPT(net, np.ones(net.num_links), destinations=[4])
+        snapshot = spt.dag(4)
         before = (spt.distances(4), {n: list(h) for n, h in spt.dag(4).next_hops.items()})
         assert spt.fail_link(1, 2) == {4}
         assert spt.dag(4).next_hops[1] == [3]
+        # A dag() taken before the event does not follow the engine's arrays.
+        assert snapshot.next_hops == before[1] and snapshot.next_hops[1] == [2, 3]
+        assert snapshot.distances == before[0]
         assert spt.recover_link(1, 2) == {4}
         after = (spt.distances(4), {n: list(h) for n, h in spt.dag(4).next_hops.items()})
         assert before == after

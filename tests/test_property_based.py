@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import routing_oracle as oracle
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -121,7 +122,7 @@ class TestShortestPathProperties:
         weights = data.draw(weight_vectors(network))
         destination = data.draw(st.integers(min_value=0, max_value=NODE_COUNT - 1))
         dag = shortest_path_dag(network, destination, weights)
-        order = dag.topological_order()
+        order = oracle.topological_order(dag)
         position = {node: i for i, node in enumerate(order)}
         assert set(order) == set(dag.distances)
         for node, hops in dag.next_hops.items():
@@ -163,8 +164,9 @@ class TestRoutingProperties:
         weights = data.draw(weight_vectors(network))
         second = data.draw(weight_vectors(network))
         destination = data.draw(st.integers(min_value=0, max_value=NODE_COUNT - 1))
-        dag = shortest_path_dag(network, destination, weights)
-        stack = CompiledDag.from_dags(network, {destination: dag})
+        dags = all_shortest_path_dags(network, [destination], weights)
+        member = np.isfinite(dags.distances)
+        stack = CompiledDag.from_mask(network, dags.destinations, member, dags.mask)
         ratios = stack.exponential_ratios(second)
         assert np.all(ratios >= -1e-12)
         totals = np.bincount(stack.rows, weights=ratios, minlength=stack.num_nodes)

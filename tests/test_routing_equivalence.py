@@ -25,7 +25,9 @@ import routing_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.spef import SPEF
 from repro.core.traffic_distribution import traffic_distribution
+from repro.metrics.paths import path_counts
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
@@ -34,14 +36,16 @@ from repro.network.spt import (
     UnreachableError,
     all_shortest_path_dags,
     shortest_path_dag,
+    shortest_path_mask,
 )
-from repro.protocols.ospf import OSPF
+from repro.protocols.ospf import OSPF, invcap_weights
 from repro.routing import CompiledDagSet
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
     split_ratio_assignment,
 )
+from repro.topology import abilene_network, cernet2_network, rand50a
 
 TOLERANCE = 1e-9
 
@@ -223,7 +227,7 @@ class TestEquivalenceOnRandomInstances:
             reference = oracle.shortest_path_dag(net, destination, weights, tolerance)
             assert dag.distances == reference.distances
             assert dag.next_hops == reference.next_hops
-            assert len(dag.topological_order()) == len(dag.distances)
+            assert len(oracle.topological_order(dag)) == len(dag.distances)
             assert all(dag.next_hops[node] for node in dag.next_hops)
 
     @given(instance=routing_instance())
@@ -342,7 +346,7 @@ class TestEquivalenceCorners:
             net, weights = _plateau_network(links)
             dag = shortest_path_dag(net, destination, weights)
             assert set(dag.edges()) == expected
-            assert len(dag.topological_order()) == net.num_nodes  # acyclic, all reachable
+            assert len(oracle.topological_order(dag)) == net.num_nodes  # acyclic, all reachable
             assert all(dag.next_hops[node] for node in net.nodes if node != destination)
             assert dag.next_hops == oracle.shortest_path_dag(net, destination, weights).next_hops
             tm = TrafficMatrix(
@@ -397,24 +401,23 @@ class TestEquivalenceCorners:
         assert sparse.flow_on(1, 3) == pytest.approx(0.0)
 
     def test_missing_dag_raises_on_both_backends(self, diamond_network, diamond_demands):
+        no_dags = all_shortest_path_dags(diamond_network, [], np.ones(4))
         for implementation in (oracle.split_ratio_assignment, split_ratio_assignment):
             with pytest.raises(UnreachableError):
-                implementation(diamond_network, diamond_demands, {}, {})
+                implementation(diamond_network, diamond_demands, no_dags, {})
 
     def test_augmented_dag_extra_hops_agree(self, fig4, fig4_tm):
         """DAGs with extra (augmented) downhill edges route identically."""
-        weights = np.ones(fig4.num_links)
+        # Distinct weights leave downhill links off the DAG (unit weights do not).
+        weights = np.linspace(1.0, 2.0, fig4.num_links)
         dags = all_shortest_path_dags(fig4, fig4_tm.destinations(), weights)
-        # Mimic SPEF's DAG augmentation: add every strictly-downhill link.
-        for dag in dags.values():
-            for link in fig4.links:
-                du = dag.distances.get(link.source)
-                dv = dag.distances.get(link.target)
-                if du is None or dv is None or dv >= du:
-                    continue
-                hops = dag.next_hops.setdefault(link.source, [])
-                if link.target not in hops:
-                    hops.append(link.target)
+        # Mimic SPEF's DAG augmentation: OR every strictly-downhill link into
+        # the mask, before the oracle reads the dict views.
+        sources, targets = fig4.link_node_indices()
+        tail, head = dags.distances[:, sources], dags.distances[:, targets]
+        downhill = (head < tail) & np.isfinite(tail)
+        assert np.any(downhill & ~dags.mask)
+        dags.mask |= downhill
         python, sparse = run_both(oracle.split_ratio_assignment, split_ratio_assignment, fig4, fig4_tm, dags, {})
         assert_flows_equal(python, sparse)
 
@@ -557,7 +560,7 @@ class TestDeepChain:
             "c80": ["c81"], "c81": ["c82"], "c82": ["c83"], "c83": ["c84"], "c84": ["c85"]
         }
         for destination, dag in dags.items():
-            assert len(dag.topological_order()) == net.num_nodes
+            assert len(oracle.topological_order(dag)) == net.num_nodes
             assert all(dag.next_hops[node] for node in net.nodes if node != destination)
             assert dag.next_hops == oracle.shortest_path_dag(net, destination, weights).next_hops
 
@@ -592,6 +595,11 @@ class TestDeepChain:
         assert_flows_equal(python, sparse)
         assert sparse.aggregate().max() > 0
 
+    def test_path_counts_match_oracle(self):
+        """Up to 2**31 paths per pair (one doubling per diamond), still exact."""
+        net, weights, _ = _deep_chain()
+        assert_counts_match_oracle(all_shortest_path_dags(net, net.nodes, weights))
+
     def test_batched(self):
         net, weights, tm = _deep_chain()
         matrices = [tm, tm.scaled(0.5), tm.scaled(2.0)]
@@ -600,3 +608,37 @@ class TestDeepChain:
         for row, matrix in zip(loads, matrices, strict=True):
             reference = oracle.ecmp_assignment(net, matrix, weights)
             np.testing.assert_allclose(row, reference.aggregate(), atol=TOLERANCE, rtol=0)
+
+
+# ----------------------------------------------------------------------
+# Table V path counts: one stacked kernel DP against the dict DP
+# ----------------------------------------------------------------------
+def assert_counts_match_oracle(dags):
+    """Kernel path counts equal the oracle's, as exact ints, for every (destination, node)."""
+    nodes = dags.network.nodes
+    for destination, counts in zip(dags.destinations, path_counts(dags).tolist(), strict=True):
+        reference = oracle.count_paths(dags[destination])
+        assert counts == [reference.get(node, 0) for node in nodes]
+
+
+class TestPathCounts:
+    @pytest.mark.parametrize("weighting", ["invcap", "unit"])
+    @pytest.mark.parametrize("build", [abilene_network, cernet2_network, rand50a])
+    def test_standard_instances(self, build, weighting):
+        net = build()
+        weights = invcap_weights(net) if weighting == "invcap" else np.ones(net.num_links)
+        assert_counts_match_oracle(all_shortest_path_dags(net, net.nodes, weights))
+
+    def test_spef_augmented_dags(self, fig4, fig4_tm):
+        """A strict ECMP tolerance leaves optimal-flow links for the augmentation to add."""
+        solution = SPEF(ecmp_tolerance=1e-9).fit(fig4, fig4_tm)
+        dags = solution.dags
+        _, builder_mask = shortest_path_mask(
+            fig4, dags.destinations, solution.first_weights, dags.tolerance
+        )
+        assert np.any(dags.mask & ~builder_mask)
+        assert_counts_match_oracle(dags)
+        for destination, dag in dags.items():
+            reference = oracle.count_paths(dag)
+            for source in fig4.nodes:
+                assert solution.equal_cost_paths(source, destination) == reference.get(source, 0)

@@ -17,12 +17,7 @@ import repro.core.nem as nem
 from repro.core.nem import compute_second_weights
 from repro.network.demands import DemandError, TrafficMatrix
 from repro.network.graph import Network
-from repro.network.spt import (
-    ShortestPathDag,
-    UnreachableError,
-    all_shortest_path_dags,
-    shortest_path_dag,
-)
+from repro.network.spt import UnreachableError, all_shortest_path_dags
 from repro.protocols.ospf import OSPF
 from repro.routing import CompiledDagSet
 from repro.routing.compiled import CompiledDag
@@ -31,8 +26,7 @@ from repro.solvers.assignment import all_or_nothing_assignment
 
 @pytest.fixture
 def diamond_compiled(diamond_network):
-    dag = shortest_path_dag(diamond_network, 4, np.ones(4))
-    return CompiledDag.from_dags(diamond_network, {4: dag})
+    return CompiledDag.from_weights(diamond_network, [4], np.ones(4))
 
 
 class TestCompiledDag:
@@ -94,8 +88,10 @@ class TestCompiledDag:
         net = Network(name="deadend")
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
-        dag = ShortestPathDag(3, {1: 2.0, 2: 1.0, 3: 0.0}, {1: [2], 2: []})
-        compiled = CompiledDag.from_dags(net, {3: dag})
+        # Node 2 reaches 3 but has no next hop.
+        compiled = CompiledDag.from_mask(
+            net, [3], np.array([[True, True, True]]), np.array([[True, False]])
+        )
         with pytest.raises(UnreachableError):
             compiled.propagate(np.array([1.0, 0.0, 0.0]), compiled.uniform_ratios())
         # ... but an *unloaded* dead end is fine (matches the oracle's skip).
@@ -107,7 +103,7 @@ class TestCompiledDag:
         for u, v in diamond_network.edges:
             net.add_link(u, v, 10.0)
         net.add_node(99)  # cannot reach 4
-        compiled = CompiledDag.from_dags(net, {4: shortest_path_dag(net, 4, np.ones(4))})
+        compiled = CompiledDag.from_weights(net, [4], np.ones(4))
         with pytest.raises(UnreachableError):
             compiled.entering([TrafficMatrix({(99, 4): 1.0})], missing="raise")
         dropped = compiled.entering(
@@ -119,14 +115,15 @@ class TestCompiledDag:
         net = Network(name="bad")
         net.add_link(1, 2, 10.0)
         net.add_link(2, 3, 10.0)
-        dag = ShortestPathDag(3, {1: 2.0, 3: 0.0}, {1: [2]})  # 2 is not a member
+        member = np.array([[True, False, True]])  # 2 is not a member
         with pytest.raises(UnreachableError):
-            CompiledDag.from_dags(net, {3: dag})
+            CompiledDag.from_mask(net, [3], member, np.array([[True, False]]))
 
 
 class TestCompiledDagSet:
     def test_missing_destination_raises_oracle_error(self, diamond_network):
-        dag_set = CompiledDagSet(diamond_network, {})
+        no_dags = all_shortest_path_dags(diamond_network, [], np.ones(4))
+        dag_set = CompiledDagSet(diamond_network, no_dags)
         with pytest.raises(UnreachableError, match="no shortest-path DAG"):
             dag_set.stacked([4])
 

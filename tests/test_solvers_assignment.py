@@ -92,8 +92,9 @@ class TestSplitRatioAssignment:
         assert flows.flow_on(1, 2) == pytest.approx(4.0)
 
     def test_missing_dag_raises(self, diamond_network, diamond_demands):
+        no_dags = all_shortest_path_dags(diamond_network, [], np.ones(4))
         with pytest.raises(UnreachableError):
-            split_ratio_assignment(diamond_network, diamond_demands, {}, {})
+            split_ratio_assignment(diamond_network, diamond_demands, no_dags, {})
 
     def test_ratios_renormalised(self, diamond_network, diamond_demands):
         dags = all_shortest_path_dags(diamond_network, [4], np.ones(4))
