@@ -85,14 +85,9 @@ def _dual_oracle(
     if total_volume <= 0:
         return lambda _second: 0.0
     stack = dag_set.stacked(demands.destinations())
-    n = network.num_nodes
-    block = {destination: k * n for k, destination in enumerate(stack.destinations)}
-    items = list(demands.items())
-    positions = np.array(
-        [block[destination] + network.node_index(source) for (source, destination), _ in items],
-        dtype=np.int64,
-    )
-    shares = np.array([volume for _, volume in items]) / total_volume
+    sources, targets, volumes = demands.layout(network)
+    positions = stack.block_bases[targets] + sources
+    shares = volumes / total_volume
 
     def dual(second: np.ndarray) -> float:
         z_values = stack.path_weight_sums(np.exp(-second[stack.links]))[positions]

@@ -146,11 +146,14 @@ class SPEFSolution:
     # path-diversity views (Table V)
     # ------------------------------------------------------------------
     def equal_cost_paths(self, source: Node, destination: Node) -> int:
-        """Number of equal-cost shortest paths SPEF uses for one pair."""
-        if destination not in self.dags or not self.network.has_node(source):
+        """Number of equal-cost shortest paths SPEF uses for one pair (its row only)."""
+        dags = self.dags
+        if destination not in dags or not self.network.has_node(source):
             return 0
-        row = self.dags.destinations.index(destination)
-        return int(path_counts(self.dags)[row, self.network.node_index(source)])
+        k = dags.destinations.index(destination)
+        rows = slice(k, k + 1)
+        one = ShortestPathDags(self.network, [destination], dags.distances[rows], dags.mask[rows])
+        return int(path_counts(one)[0, self.network.node_index(source)])
 
     def equal_cost_path_histogram(self, max_paths: int = 8) -> dict[int, int]:
         """``{i: number of ingress-egress pairs with i equal-cost paths}``.

@@ -22,6 +22,7 @@ distributed fashion; the tests cross-check the two.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,18 @@ def solve_optimal_te(
     # (LoadBalanceObjective.congestion_cost / congestion_gradient) with the
     # capacity vector read once per solve instead of once per call.
     capacities = network.capacities
+    q, beta = np.asarray(objective.q, dtype=float), objective.beta
+
+    def gradient_on(links: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        # V' on links; the line search silences its probes' warnings at once.
+        c, q_links = capacities[links], q[links] if q.ndim else q
+
+        def on_links(f: np.ndarray) -> np.ndarray:
+            spare = c - f
+            return np.where(spare > 0, q_links / np.power(spare, beta), np.inf)
+
+        return on_links
+
     result = solve_frank_wolfe(
         network,
         demands,
@@ -150,6 +163,7 @@ def solve_optimal_te(
         max_iterations=max_iterations,
         tolerance=tolerance,
         initial_flows=initial_flows,
+        gradient_on=gradient_on,
     )
     spare = result.flows.spare_capacity()
     return TESolution(

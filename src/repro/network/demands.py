@@ -55,6 +55,7 @@ class TrafficMatrix:
 
     def __init__(self, demands: Mapping[Pair, float] | None = None) -> None:
         self._demands: dict[Pair, float] = {}
+        self._layout: tuple[list[Node], np.ndarray, np.ndarray, np.ndarray] | None = None
         if demands:
             for (source, target), volume in demands.items():
                 self.add(source, target, volume)
@@ -71,6 +72,7 @@ class TrafficMatrix:
         if volume == 0:
             return
         self._demands[(source, target)] = self._demands.get((source, target), 0.0) + float(volume)
+        self._layout = None
 
     @classmethod
     def from_demands(cls, demands: Iterable[Demand]) -> TrafficMatrix:
@@ -174,10 +176,9 @@ class TrafficMatrix:
 
     def matrix(self, network: Network) -> np.ndarray:
         """Dense ``N x N`` demand matrix indexed by the network's node order."""
-        size = network.num_nodes
-        dense = np.zeros((size, size))
-        for (source, target), volume in self._demands.items():
-            dense[network.node_index(source), network.node_index(target)] = volume
+        sources, targets, volumes = self.layout(network)
+        dense = np.zeros((network.num_nodes,) * 2)
+        dense[sources, targets] = volumes
         return dense
 
     # ------------------------------------------------------------------
@@ -208,14 +209,31 @@ class TrafficMatrix:
         DemandError
             If some endpoint is not a node of the network.
         """
-        unknown = set(itertools.chain.from_iterable(self._demands)).difference(network.nodes)
-        if not unknown:
-            return
-        for source, target in self._demands:
-            if source in unknown:
-                raise DemandError(f"demand source {source!r} is not in the network")
-            if target in unknown:
-                raise DemandError(f"demand target {target!r} is not in the network")
+        self.layout(network)
+
+    def layout(self, network: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs as ``(source index, target index, volume)`` arrays, in pair order.
+
+        Computed once and kept until the next :meth:`add` or a network with
+        another node list; callers must not modify them.  Raises
+        :class:`DemandError` for the first unknown endpoint, as :meth:`validate`.
+        """
+        nodes = network.nodes
+        cached = self._layout
+        if cached is None or cached[0] != nodes:
+            index = {node: i for i, node in enumerate(nodes)}
+            ends = itertools.chain.from_iterable(self._demands)
+            flat = np.array(list(map(index.get, ends, itertools.repeat(-1))), dtype=np.int64)
+            unknown = np.flatnonzero(flat < 0)
+            if unknown.size:
+                pair, end = divmod(int(unknown[0]), 2)
+                role, node = ("source", "target")[end], list(self._demands)[pair][end]
+                raise DemandError(f"demand {role} {node!r} is not in the network")
+            sources, targets = flat.reshape(-1, 2).T.copy()
+            volumes = np.fromiter(self._demands.values(), dtype=float, count=len(self._demands))
+            # One tuple assignment: a concurrent reader sees the old or the new layout.
+            cached = self._layout = (nodes, sources, targets, volumes)
+        return cached[1:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TrafficMatrix(pairs={len(self)}, volume={self.total_volume():.3f})"

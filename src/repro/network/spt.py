@@ -59,9 +59,9 @@ def as_weight_vector(network: Network, weights: WeightsLike) -> np.ndarray:
 
 def validate_weights(vector: np.ndarray) -> None:
     """Reject negative or non-finite weights."""
-    if np.any(~np.isfinite(vector)):
+    if not np.isfinite(vector).all():
         raise NetworkError("link weights must be finite")
-    if np.any(vector < 0):
+    if (vector < 0).any():
         raise NetworkError("link weights must be non-negative")
 
 

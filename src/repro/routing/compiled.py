@@ -38,7 +38,6 @@ import logging
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +73,10 @@ def warn_degenerate_split(node: Node, destination: Node, total: float, count: in
         total,
         count,
     )
+
+
+#: The layout of a matrix without pairs (see ``TrafficMatrix.layout``).
+_NO_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -215,6 +218,17 @@ class CompiledDag:
             dtype=np.int64,
         )
 
+    @cached_property
+    def block_bases(self) -> np.ndarray:
+        """Per network node: ``k * n`` if it is ``destinations[k]``, else ``-n``.
+
+        Pair ``(s, t)`` enters at position ``block_bases[t] + s``.
+        """
+        n = self.network.num_nodes
+        nodes, bases = self.destination_positions % n, np.full(n, -n, dtype=np.int64)
+        bases[nodes] = self.destination_positions - nodes
+        return bases
+
     def _label(self, position: int) -> tuple[Node, Node]:
         """``(node, destination)`` of a position."""
         block, index = divmod(int(position), self.network.num_nodes)
@@ -346,40 +360,28 @@ class CompiledDag:
         Column ``j`` holds ``matrices[j]``, whose destinations must all be in
         this stack.  ``missing`` controls sources that cannot reach their
         destination: ``"raise"`` (ECMP, all-or-nothing) or ``"drop"``
-        (explicit and exponential splits).
+        (explicit and exponential splits).  Each matrix's pairs are read
+        from its :meth:`~repro.network.demands.TrafficMatrix.layout`.
         """
-        n = self.network.num_nodes
-        index = {node: i for i, node in enumerate(self.network.nodes)}
-        base = {d: k * n for k, d in enumerate(self.destinations)}
-        positions: list[int] = []
-        volumes: list[float] = []
-        pairs: list[tuple[Node, Node]] = []
-        block: list[int] = []
-        for matrix in matrices:
-            # Ensembles usually repeat one pair set: map it to positions once.
-            keys = list(matrix)
-            if keys != pairs:
-                pairs = keys
-                block = [base[target] + index[source] for source, target in pairs]
-            positions.extend(block)
-            volumes.extend(map(itemgetter(1), matrix.items()))
-        position_array = np.asarray(positions, dtype=np.int64)
-        volume_array = np.asarray(volumes, dtype=float)
-        column_array = np.repeat(np.arange(len(matrices)), [len(matrix) for matrix in matrices])
+        layouts = [matrix.layout(self.network) for matrix in matrices] or [_NO_PAIRS]
+        sources, targets, volume_array = map(np.concatenate, zip(*layouts, strict=True))
+        position_array = self.block_bases[targets] + sources
+        if position_array.size and position_array.min() < 0:
+            node = self.network.nodes[targets[position_array.argmin()]]
+            raise UnreachableError(f"no DAG towards {node!r} in this stack")
         routable = self.member[position_array]
-        if not np.all(routable):
-            if missing == "raise":
-                source, destination = self._label(position_array[~routable][0])
-                raise UnreachableError(f"demand source {source!r} cannot reach {destination!r}")
-            position_array = position_array[routable]
-            volume_array = volume_array[routable]
-            column_array = column_array[routable]
-        if not batched:
-            return np.bincount(position_array, weights=volume_array, minlength=self.num_nodes)
-        m = len(matrices)
-        return np.bincount(
-            position_array * m + column_array, weights=volume_array, minlength=self.num_nodes * m
-        ).reshape(self.num_nodes, m)
+        dropped = not routable.all()
+        if dropped and missing == "raise":
+            source, destination = self._label(position_array[~routable][0])
+            raise UnreachableError(f"demand source {source!r} cannot reach {destination!r}")
+        m = len(matrices) if batched else 1
+        if batched:  # entry (position, column) of the (num_nodes, m) result
+            columns = np.repeat(np.arange(m), [len(matrix) for matrix in matrices])
+            position_array = position_array * m + columns
+        if dropped:
+            position_array, volume_array = position_array[routable], volume_array[routable]
+        sums = np.bincount(position_array, weights=volume_array, minlength=self.num_nodes * m)
+        return sums.reshape(self.num_nodes, m) if batched else sums
 
     # ------------------------------------------------------------------
     # kernels

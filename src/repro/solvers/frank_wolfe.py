@@ -21,6 +21,11 @@ flow-deviation method applies directly:
 The iterate is one ``(destination x link)`` array, rows in demand-destination
 order, so the result does not depend on hash order.
 
+Per matrix, the pair layout (``TrafficMatrix.layout``) is compiled once.
+Per iteration, the gradient, the cost and the all-or-nothing routing (weight
+checks, shortest-path build, DAG compile, propagation) are recomputed, and
+the line step evaluates ``V'`` on the moving links only (``gradient_on``).
+
 For strictly concave barrier-like utilities (``beta >= 1``) the cost diverges
 as any link saturates, so iterates stay strictly feasible as long as the
 starting point is.  For ``beta < 1`` the optimum may saturate links, so the
@@ -34,6 +39,7 @@ decomposition); the test-suite cross-checks the two against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
@@ -85,39 +91,41 @@ def _line_step(
     outside the bracket falls back to bisection.  Stops once the bracket is
     narrower than ``tol``, so the step is never 0.
     """
-    moving = direction != 0.0
+    moving: np.ndarray | slice = direction != 0.0
+    if moving.all():  # the caller passed the moving links only
+        moving = slice(None)
     d = direction[moving]
 
     def slope(alpha: float) -> float:
-        with np.errstate(invalid="ignore"):
-            return float(np.dot(d, gradient(aggregate + alpha * direction)[moving]))
+        return float(np.dot(d, gradient(aggregate + alpha * direction)[moving]))
 
-    s_hi = slope(1.0)
-    if np.isfinite(s_hi) and s_hi <= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    s_lo = slope(0.0)
-    side = 0
-    while hi - lo > tol:
-        alpha = 0.5 * (lo + hi)
-        if np.isfinite(s_lo) and np.isfinite(s_hi):
-            secant = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
-            if lo < secant < hi:
-                alpha = secant
-        s = slope(alpha)
-        if s == 0.0:
-            return alpha
-        if s < 0.0:
-            lo, s_lo = alpha, s
-            if side < 0:
-                s_hi *= 0.5
-            side = -1
-        else:  # positive, +inf or NaN: at or past the root (or the barrier)
-            hi, s_hi = alpha, s
-            if side > 0:
-                s_lo *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # probes past the barrier
+        s_hi = slope(1.0)
+        if math.isfinite(s_hi) and s_hi <= 0.0:
+            return 1.0
+        lo, hi = 0.0, 1.0
+        s_lo = slope(0.0)
+        side = 0
+        while hi - lo > tol:
+            alpha = 0.5 * (lo + hi)
+            if math.isfinite(s_lo) and math.isfinite(s_hi):
+                secant = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+                if lo < secant < hi:
+                    alpha = secant
+            s = slope(alpha)
+            if s == 0.0:
+                return alpha
+            if s < 0.0:
+                lo, s_lo = alpha, s
+                if side < 0:
+                    s_hi *= 0.5
+                side = -1
+            else:  # positive, +inf or NaN: at or past the root (or the barrier)
+                hi, s_hi = alpha, s
+                if side > 0:
+                    s_lo *= 0.5
+                side = 1
+        return 0.5 * (lo + hi)
 
 
 def _finite_costs(weights: np.ndarray) -> np.ndarray:
@@ -156,6 +164,7 @@ def solve_frank_wolfe(
     max_iterations: int = 300,
     tolerance: float = 1e-6,
     initial_flows: FlowAssignment | None = None,
+    gradient_on: Callable[[np.ndarray], GradientOracle] | None = None,
 ) -> FrankWolfeResult:
     """Minimise a convex separable link cost over the MCF polytope.
 
@@ -173,6 +182,9 @@ def solve_frank_wolfe(
     initial_flows:
         A feasible starting assignment; by default the min-MLU LP solution
         (scaled slightly towards the interior when ``barrier`` is set).
+    gradient_on:
+        ``gradient_on(links)``, a boolean link mask, gives ``gradient`` on
+        those links only: the line search then evaluates just the moving links.
 
     Raises
     ------
@@ -232,7 +244,11 @@ def solve_frank_wolfe(
             converged = True
             break
 
-        alpha = _line_step(gradient, aggregate, direction)
+        if gradient_on is None:
+            alpha = _line_step(gradient, aggregate, direction)
+        else:
+            moving = direction != 0.0
+            alpha = _line_step(gradient_on(moving), aggregate[moving], direction[moving])
         flows = (1 - alpha) * flows + alpha * target_flows
 
     aggregate = flows.sum(axis=0)

@@ -25,10 +25,11 @@ import routing_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import Instance
 from repro.core.spef import SPEF
 from repro.core.traffic_distribution import traffic_distribution
 from repro.metrics.paths import path_counts
-from repro.network.demands import TrafficMatrix
+from repro.network.demands import DemandError, TrafficMatrix
 from repro.network.flows import FlowAssignment
 from repro.network.graph import Network
 from repro.network.spt import (
@@ -39,13 +40,16 @@ from repro.network.spt import (
     shortest_path_mask,
 )
 from repro.protocols.ospf import OSPF, invcap_weights
-from repro.routing import CompiledDagSet
+from repro.routing import CompiledDag, CompiledDagSet
+from repro.scenarios.scenario import Scenario
 from repro.solvers.assignment import (
     all_or_nothing_assignment,
     ecmp_assignment,
     split_ratio_assignment,
 )
 from repro.topology import abilene_network, cernet2_network, rand50a
+from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
+from repro.traffic.netflow import cernet2_traffic_matrix
 
 TOLERANCE = 1e-9
 
@@ -642,3 +646,118 @@ class TestPathCounts:
             reference = oracle.count_paths(dag)
             for source in fig4.nodes:
                 assert solution.equal_cost_paths(source, destination) == reference.get(source, 0)
+
+
+class TestOneRowPathCounts:
+    @pytest.mark.parametrize("instance", ["fig4", "cernet2"])
+    def test_one_row_compiled_per_call(self, instance, fig4, fig4_tm, monkeypatch):
+        """``equal_cost_paths`` compiles only the requested destination's row."""
+        if instance == "fig4":
+            network, demands = fig4, fig4_tm
+        else:
+            network = cernet2_network()
+            base = cernet2_traffic_matrix(network, mean_utilization=0.25, seed=2010)
+            demands = Instance(network, base, "Backbone").at_fraction(0.75)
+        solution = SPEF().fit(network, demands)
+        compiled_rows: list[int] = []
+        from_mask = CompiledDag.from_mask.__func__
+
+        def counting(cls, network, destinations, member, mask):
+            compiled_rows.append(mask.shape[0])
+            return from_mask(cls, network, destinations, member, mask)
+
+        monkeypatch.setattr(CompiledDag, "from_mask", classmethod(counting))
+        calls = 0
+        for destination, dag in solution.dags.items():
+            reference = oracle.count_paths(dag)
+            for source in network.nodes:
+                assert solution.equal_cost_paths(source, destination) == reference.get(source, 0)
+                calls += 1
+        assert compiled_rows == [1] * calls
+
+
+# ----------------------------------------------------------------------
+# the per-matrix demand layout (TrafficMatrix.layout) behind `entering`
+# ----------------------------------------------------------------------
+def _oracle_loads(network, demands, weights):
+    return oracle.ecmp_assignment(network, demands, weights).aggregate()
+
+
+def assert_loads_equal(actual, expected):
+    np.testing.assert_allclose(actual, expected, atol=1e-12, rtol=0)
+
+
+def _reordered(network: Network) -> Network:
+    """``network`` with its nodes indexed in reverse order (links unchanged)."""
+    copy = Network(name=f"{network.name}/reversed")
+    for node in reversed(network.nodes):
+        copy.add_node(node)
+    for link in network.links:
+        copy.add_link(link.source, link.target, link.capacity, link.delay)
+    return copy
+
+
+class TestDemandLayout:
+    @pytest.fixture
+    def abilene_case(self):
+        network = abilene_network()
+        demands = abilene_traffic_matrix(network, total_volume=10.0, seed=3)
+        return network, demands, invcap_weights(network)
+
+    def test_add_after_routing_changes_the_next_loads(self, abilene_case):
+        network, full, weights = abilene_case
+        *pairs, fresh = full.pairs()
+        demands = TrafficMatrix({pair: full[pair] for pair in pairs})
+        before = ecmp_assignment(network, demands, weights).aggregate()
+        demands.add(*pairs[0], demands[pairs[0]])  # an existing pair grows
+        grown = ecmp_assignment(network, demands, weights).aggregate()
+        assert not np.array_equal(grown, before)
+        assert_loads_equal(grown, _oracle_loads(network, demands, weights))
+        demands.add(*fresh, 0.25)  # a new pair
+        added = ecmp_assignment(network, demands, weights).aggregate()
+        assert not np.array_equal(added, grown)
+        assert_loads_equal(added, _oracle_loads(network, demands, weights))
+
+    def test_one_matrix_on_several_networks(self, abilene_case):
+        """Base, a failure copy, a node-reordered copy and the base again: no stale positions."""
+        network, demands, _ = abilene_case
+        failed = Scenario(scenario_id="cut", failed_links=(network.edges[0],))
+        perturbed = failed.apply(network, demands).network
+        for net in (network, perturbed, _reordered(network), network):
+            weights = invcap_weights(net)
+            loads = ecmp_assignment(net, demands, weights).aggregate()
+            assert_loads_equal(loads, _oracle_loads(net, demands, weights))
+            first_hop = all_or_nothing_assignment(net, demands, weights).aggregate()
+            reference = oracle.all_or_nothing_assignment(net, demands, weights).aggregate()
+            assert_loads_equal(first_hop, reference)
+
+    def test_unknown_endpoint_after_warm_cache(self, fig1):
+        demands = TrafficMatrix({(1, 3): 1.0, (2, 4): 0.5})
+        demands.validate(fig1)  # warm
+        smaller = Network(name="no-node-2")
+        for link in fig1.links:
+            if 2 not in link.endpoints:
+                smaller.add_link(link.source, link.target, link.capacity)
+        for _ in range(2):  # a failed layout is not kept
+            with pytest.raises(DemandError, match=r"^demand source 2 is not in the network$"):
+                demands.validate(smaller)
+        demands.validate(fig1)
+
+    def test_destination_outside_the_stack_raises(self, abilene_case):
+        network, demands, weights = abilene_case
+        first, *others = demands.destinations()
+        stack = CompiledDag.from_weights(network, others, weights)
+        with pytest.raises(UnreachableError, match=f"no DAG towards {first!r} in this stack"):
+            stack.ensemble_loads([demands], stack.uniform_ratios())
+
+    def test_ensemble_over_repeated_and_mixed_pair_sets(self, abilene_case):
+        network, demands, weights = abilene_case
+        pairs = demands.pairs()
+        subset = TrafficMatrix({pair: demands[pair] for pair in pairs[::3]})
+        shuffled = TrafficMatrix({pair: 2.0 * demands[pair] for pair in reversed(pairs)})
+        matrices = [demands, demands.scaled(0.5), demands, subset, shuffled, subset]
+        destinations = list(dict.fromkeys(d for tm in matrices for d in tm.destinations()))
+        stack = CompiledDag.from_weights(network, destinations, weights)
+        loads = stack.ensemble_loads(matrices, stack.uniform_ratios())
+        for row, matrix in zip(loads, matrices, strict=True):
+            assert_loads_equal(row, _oracle_loads(network, matrix, weights))
