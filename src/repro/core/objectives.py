@@ -86,7 +86,8 @@ class LoadBalanceObjective:
     # ------------------------------------------------------------------
     # utility, derivative, inverse derivative
     # ------------------------------------------------------------------
-    def _coefficients(self, spare: np.ndarray) -> np.ndarray:
+    def coefficients(self, spare: np.ndarray) -> np.ndarray:
+        """``q`` as one coefficient per entry of ``spare`` (a shape mismatch raises)."""
         q = np.asarray(self.q, dtype=float)
         if q.ndim == 0:
             return np.full_like(spare, float(q))
@@ -103,7 +104,7 @@ class LoadBalanceObjective:
         sees non-positive spare capacity.
         """
         spare_arr = np.asarray(spare, dtype=float)
-        q = self._coefficients(spare_arr)
+        q = self.coefficients(spare_arr)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.beta == 1.0:
                 values = np.where(spare_arr > 0, q * np.log(np.maximum(spare_arr, 1e-300)), -np.inf)
@@ -127,15 +128,11 @@ class LoadBalanceObjective:
     def derivative(self, spare: ArrayLike) -> np.ndarray:
         """``V'_ij(s) = q_ij / s^beta`` -- the optimal first link weight."""
         spare_arr = np.asarray(spare, dtype=float)
-        q = self._coefficients(spare_arr)
+        q = self.coefficients(spare_arr)
         if self.beta == 0.0:
             return q.copy()
         with np.errstate(divide="ignore"):
-            return np.where(
-                spare_arr > 0,
-                q / np.power(np.maximum(spare_arr, 1e-300), self.beta),
-                np.inf,
-            )
+            return marginal_utility(q, spare_arr, self.beta)
 
     def derivative_inverse(self, weights: ArrayLike) -> np.ndarray:
         """Solve ``V'(s) = w`` for ``s``, i.e. ``s = (q / w)^(1/beta)``.
@@ -148,7 +145,7 @@ class LoadBalanceObjective:
         the latter to the link capacity.
         """
         w = np.asarray(weights, dtype=float)
-        q = self._coefficients(np.broadcast_to(np.zeros(1), w.shape) if w.ndim else np.asarray(0.0))
+        q = self.coefficients(np.broadcast_to(np.zeros(1), w.shape) if w.ndim else np.asarray(0.0))
         q = np.asarray(self.q, dtype=float)
         if q.ndim == 0:
             q = np.full_like(w, float(q))
@@ -196,7 +193,7 @@ class LoadBalanceObjective:
         """
         candidate = np.asarray(candidate_spare, dtype=float)
         other = np.asarray(other_spare, dtype=float)
-        q = self._coefficients(candidate)
+        q = self.coefficients(candidate)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = q * (other - candidate) / np.power(np.maximum(candidate, 1e-300), self.beta)
         return float(np.sum(terms))
@@ -206,6 +203,15 @@ class LoadBalanceObjective:
         q = np.asarray(self.q)
         q_label = f"{float(q):g}" if q.ndim == 0 else "per-link"
         return f"(q={q_label}, beta={self.beta:g}) proportional load balance"
+
+
+def marginal_utility(q: ArrayLike, spare: np.ndarray, beta: float) -> np.ndarray:
+    """``V'(s) = q / s^beta`` where ``s > 0`` and ``inf`` elsewhere, for ``beta > 0``.
+
+    The one formula behind ``LoadBalanceObjective.derivative`` and the
+    Frank-Wolfe gradient oracle; it leaves divide warnings to the caller.
+    """
+    return np.where(spare > 0, q / np.power(np.maximum(spare, 1e-300), beta), np.inf)
 
 
 def normalized_utility(utilizations: ArrayLike) -> float:

@@ -22,7 +22,6 @@ distributed fashion; the tests cross-check the two.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..network.flows import FlowAssignment
 from ..network.graph import Network
 from ..solvers.frank_wolfe import solve_frank_wolfe
 from ..solvers.mcf import solve_min_cost_mcf
-from .objectives import LoadBalanceObjective, normalized_utility
+from .objectives import LoadBalanceObjective, marginal_utility, normalized_utility
 
 
 @dataclass
@@ -140,30 +139,20 @@ def solve_optimal_te(
 
     # The oracles are Phi(f) = -sum V(c - f) and V'(c - f)
     # (LoadBalanceObjective.congestion_cost / congestion_gradient) with the
-    # capacity vector read once per solve instead of once per call.
+    # capacities and q read once per solve instead of once per call; the
+    # gradient skips derivative's per-call errstate (the line step opens one
+    # for all of its probes).
     capacities = network.capacities
-    q, beta = np.asarray(objective.q, dtype=float), objective.beta
-
-    def gradient_on(links: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        # V' on links; the line search silences its probes' warnings at once.
-        c, q_links = capacities[links], q[links] if q.ndim else q
-
-        def on_links(f: np.ndarray) -> np.ndarray:
-            spare = c - f
-            return np.where(spare > 0, q_links / np.power(spare, beta), np.inf)
-
-        return on_links
-
+    q = objective.coefficients(capacities)
     result = solve_frank_wolfe(
         network,
         demands,
         cost=lambda f: -objective.total_utility(capacities - f),
-        gradient=lambda f: objective.derivative(capacities - f),
+        gradient=lambda f: marginal_utility(q, capacities - f, objective.beta),
         barrier=objective.is_barrier(),
         max_iterations=max_iterations,
         tolerance=tolerance,
         initial_flows=initial_flows,
-        gradient_on=gradient_on,
     )
     spare = result.flows.spare_capacity()
     return TESolution(

@@ -23,8 +23,8 @@ order, so the result does not depend on hash order.
 
 Per matrix, the pair layout (``TrafficMatrix.layout``) is compiled once.
 Per iteration, the gradient, the cost and the all-or-nothing routing (weight
-checks, shortest-path build, DAG compile, propagation) are recomputed, and
-the line step evaluates ``V'`` on the moving links only (``gradient_on``).
+checks, shortest-path build, DAG compile, propagation) are recomputed; the
+line step's probes share one ``errstate`` instead of opening one each.
 
 For strictly concave barrier-like utilities (``beta >= 1``) the cost diverges
 as any link saturates, so iterates stay strictly feasible as long as the
@@ -91,9 +91,7 @@ def _line_step(
     outside the bracket falls back to bisection.  Stops once the bracket is
     narrower than ``tol``, so the step is never 0.
     """
-    moving: np.ndarray | slice = direction != 0.0
-    if moving.all():  # the caller passed the moving links only
-        moving = slice(None)
+    moving = direction != 0.0
     d = direction[moving]
 
     def slope(alpha: float) -> float:
@@ -164,7 +162,6 @@ def solve_frank_wolfe(
     max_iterations: int = 300,
     tolerance: float = 1e-6,
     initial_flows: FlowAssignment | None = None,
-    gradient_on: Callable[[np.ndarray], GradientOracle] | None = None,
 ) -> FrankWolfeResult:
     """Minimise a convex separable link cost over the MCF polytope.
 
@@ -182,9 +179,6 @@ def solve_frank_wolfe(
     initial_flows:
         A feasible starting assignment; by default the min-MLU LP solution
         (scaled slightly towards the interior when ``barrier`` is set).
-    gradient_on:
-        ``gradient_on(links)``, a boolean link mask, gives ``gradient`` on
-        those links only: the line search then evaluates just the moving links.
 
     Raises
     ------
@@ -244,11 +238,7 @@ def solve_frank_wolfe(
             converged = True
             break
 
-        if gradient_on is None:
-            alpha = _line_step(gradient, aggregate, direction)
-        else:
-            moving = direction != 0.0
-            alpha = _line_step(gradient_on(moving), aggregate[moving], direction[moving])
+        alpha = _line_step(gradient, aggregate, direction)
         flows = (1 - alpha) * flows + alpha * target_flows
 
     aggregate = flows.sum(axis=0)

@@ -7,11 +7,13 @@ form that re-did every piece of per-iteration work from scratch:
   (:func:`validate`) and rebuilds the demand entering each (destination,
   node) position with a Python loop over the pairs (:func:`entering_loop`);
 * the exact line step evaluates the full gradient oracle at every probe
-  and reads the moving links out of it (:func:`line_step`).
+  and reads the moving links out of it (:func:`line_step`);
+* the gradient is ``LoadBalanceObjective.derivative`` as it read then, a
+  full ``q`` vector and one ``errstate`` per call (:func:`derivative`).
 
 The tests in ``tests/test_fw_oracle.py`` run the library's
-``solve_optimal_te`` and ``SPEF.fit`` with this loop (and the pair loop
-in place of ``CompiledDag.entering``) and assert bitwise-equal results,
+``solve_optimal_te`` and ``SPEF.fit`` with this loop (with the pair loop
+in place of ``CompiledDag.entering`` and :func:`derivative` as the gradient) and assert bitwise-equal results,
 so hoisting work out of the iteration can never change a fit.
 """
 
@@ -32,6 +34,13 @@ from repro.solvers.frank_wolfe import FrankWolfeResult
 from repro.solvers.mcf import SolverError, solve_min_cost_mcf, solve_min_mlu
 
 Oracle = Callable[[np.ndarray], np.ndarray]
+
+
+def derivative(q: np.ndarray, spare: np.ndarray, beta: float) -> np.ndarray:
+    """``V'(s) = q / s^beta`` (``inf`` at ``s <= 0``), written out independently."""
+    q = np.full_like(spare, float(q)) if np.ndim(q) == 0 else q
+    with np.errstate(divide="ignore"):
+        return np.where(spare > 0, q / np.power(np.maximum(spare, 1e-300), beta), np.inf)
 
 
 def validate(demands: TrafficMatrix, network: Network) -> None:

@@ -1,8 +1,9 @@
 """Fits are bitwise equal to the reference Frank-Wolfe loop in ``fw_oracle.py``.
 
 The reference re-validates the matrix, rebuilds the entering vector with a
-pair loop and evaluates the full gradient at every line probe; the library
-compiles each matrix's layout once and evaluates the moving links only.
+pair loop and opens an ``errstate`` in every gradient call and line probe;
+the library compiles each matrix's layout once and opens one ``errstate``
+per line step.
 Every compared field must be ``array_equal``, not merely close.
 """
 
@@ -84,14 +85,12 @@ def _config(name: str, network) -> dict:
 
 @pytest.fixture
 def reference_loop(monkeypatch):
-    """Route every solve through the reference loop and the pair-loop entering vector."""
-
-    def reference_fw(*args, gradient_on=None, **kwargs):
-        return fw_oracle.solve_frank_wolfe(*args, **kwargs)
+    """Route every solve through the reference loop, gradient and entering vector."""
 
     def run(call):
         with monkeypatch.context() as patched:
-            patched.setattr(te_problem, "solve_frank_wolfe", reference_fw)
+            patched.setattr(te_problem, "solve_frank_wolfe", fw_oracle.solve_frank_wolfe)
+            patched.setattr(te_problem, "marginal_utility", fw_oracle.derivative)
             patched.setattr(CompiledDag, "entering", fw_oracle.entering_loop)
             return call()
 
@@ -135,3 +134,20 @@ def test_solve_optimal_te_matches_reference_loop(name, reference_loop):
     cap = overrides.get("te_max_iterations", 400)
     solution = solve_optimal_te(problem, max_iterations=cap)
     assert_te_equal(solution, reference_loop(lambda: solve_optimal_te(problem, max_iterations=cap)))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("per_link", [False, True])
+def test_gradient_matches_reference_derivative(beta, per_link):
+    """One ``V'``: the solver's gradient, ``derivative`` and the reference agree bitwise.
+
+    The spare capacities include subnormal, zero and negative values, where a
+    formula without the ``1e-300`` clamp would overflow to ``inf``.
+    """
+    spare = np.array([2.0, 0.5, 1e-12, 1e-160, 1e-300, 5e-324, 0.0, -0.0, -1e-9, -3.0, np.inf])
+    q = np.linspace(0.5, 2.0, spare.size) if per_link else np.asarray(1.5)
+    objective = LoadBalanceObjective(q=q if per_link else 1.5, beta=beta)
+    with np.errstate(divide="ignore", over="ignore"):
+        expected = fw_oracle.derivative(q, spare, beta)
+        np.testing.assert_array_equal(te_problem.marginal_utility(q, spare, beta), expected)
+        np.testing.assert_array_equal(objective.derivative(spare), expected)
