@@ -27,7 +27,7 @@ import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
+from ..network.graph import Network
 from ..network.spt import distances_to
 from ..solvers.assignment import all_or_nothing_assignment
 from ..solvers.subgradient import StepRule, default_step_for_capacities, project_nonnegative
@@ -141,9 +141,7 @@ def compute_first_weights(
     step_rule = step_rule or default_step_for_capacities(capacities, step_ratio)
 
     destinations = demands.destinations()
-    flow_average: dict[Node, np.ndarray] = {
-        destination: np.zeros(network.num_links) for destination in destinations
-    }
+    flow_average = np.zeros((len(destinations), network.num_links))
     spare = np.minimum(objective.derivative_inverse(weights), capacities)
     dual_history: list[float] = []
     gap_history: list[float] = []
@@ -159,11 +157,7 @@ def compute_first_weights(
         aggregate = routing.aggregate()
         # Primal recovery: running average of routing solutions.
         samples += 1
-        for destination in destinations:
-            vector = routing.per_destination.get(destination)
-            if vector is None:
-                vector = np.zeros(network.num_links)
-            flow_average[destination] += (vector - flow_average[destination]) / samples
+        flow_average += (routing.rows(destinations) - flow_average) / samples
 
         gap = float(np.dot(weights, aggregate + spare - capacities))
         if record_history:
@@ -176,7 +170,7 @@ def compute_first_weights(
         step = step_rule(iteration - 1)
         weights = project_nonnegative(weights - step * (capacities - aggregate - spare))
 
-    flows = FlowAssignment(network=network, per_destination=dict(flow_average))
+    flows = FlowAssignment(network, destinations, flow_average)
     return FirstWeightsResult(
         weights=weights,
         spare_capacity=np.minimum(objective.derivative_inverse(weights), capacities),

@@ -260,11 +260,7 @@ class SPEF:
         for pair, volume in old.items():
             if abs(demands[pair] - factor * volume) > 1e-9 * max(1.0, factor * volume):
                 return None
-        scaled = warm_start.flows.copy()
-        for destination in scaled.per_destination:
-            scaled.per_destination[destination] = (
-                factor * scaled.per_destination[destination]
-            )
+        scaled = warm_start.flows.scale(factor)
         if self.config.objective.is_barrier():
             utilization = scaled.aggregate() / network.capacities
             if utilization.size and float(np.max(utilization)) >= 0.98:
@@ -331,11 +327,9 @@ class SPEF:
         # NEM target unattainable.  OR in every downhill link whose optimal
         # flow exceeds the threshold (downhill keeps the DAG acyclic).
         threshold = DAG_FLOW_THRESHOLD * max(demands.total_volume(), 1e-12)
-        zeros = np.zeros(network.num_links)
-        flows = [optimal_flows.per_destination.get(d, zeros) for d in destinations]
         sources, targets = network.link_node_indices()
         tail, head = dags.distances[:, sources], dags.distances[:, targets]
-        carrying = np.reshape(flows, dags.mask.shape) > threshold
+        carrying = optimal_flows.rows(destinations) > threshold
         dags.mask |= carrying & (head < tail) & np.isfinite(tail)
 
         with telemetry.span("optimizer.spef_second_weights"):

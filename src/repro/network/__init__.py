@@ -3,7 +3,7 @@
 from .demands import Demand, DemandError, TrafficMatrix
 from .flows import FlowAssignment, FlowError
 from .graph import Link, Network, NetworkError, NetworkSummary
-from .incidence import conservation_residual, demand_vector, incidence_matrix, reduced_system
+from .incidence import demand_vector, incidence_matrix, reduced_system
 from .spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
@@ -28,7 +28,6 @@ __all__ = [
     "Network",
     "NetworkError",
     "NetworkSummary",
-    "conservation_residual",
     "demand_vector",
     "incidence_matrix",
     "reduced_system",

@@ -66,17 +66,3 @@ def reduced_system(
         i for i, node in enumerate(network.nodes) if node != destination
     ]
     return {"A_eq": incidence[keep, :], "b_eq": rhs[keep]}
-
-
-def conservation_residual(
-    network: Network,
-    flows_by_destination: dict[Node, np.ndarray],
-    demands: TrafficMatrix,
-) -> float:
-    """Maximum absolute residual of ``B f^t - d^t`` over all destinations."""
-    incidence = incidence_matrix(network)
-    worst = 0.0
-    for destination, vector in flows_by_destination.items():
-        residual = incidence @ vector - demand_vector(network, demands, destination)
-        worst = max(worst, float(np.max(np.abs(residual))))
-    return worst

@@ -68,10 +68,7 @@ class MinMaxMLU(RoutingProtocol):
             capped_scaled, demands, np.ones(network.num_links), capacitated=True
         )
         # Re-home the flows onto the original network object.
-        flows = FlowAssignment(network=network)
-        for destination, vector in refined.flows.per_destination.items():
-            flows.per_destination[destination] = vector.copy()
-        return flows
+        return FlowAssignment(network, refined.flows.destinations, refined.flows.loads)
 
     def weights(self, network: Network, demands: TrafficMatrix) -> np.ndarray | None:
         """Link weights under which the MLU-optimal flows are shortest paths.

@@ -448,10 +448,8 @@ class CompiledDag:
         """
         throughflow = self.propagate(self.entering([demands], missing, batched=False), ratios)
         self.warn_loaded_degenerates(degenerate, throughflow)
-        loads = self.destination_loads(throughflow, ratios)
         return FlowAssignment(
-            network=self.network,
-            per_destination=dict(zip(self.destinations, loads, strict=True)),
+            self.network, self.destinations, self.destination_loads(throughflow, ratios)
         )
 
     def ensemble_loads(

@@ -98,9 +98,7 @@ def proportional_split_ratios(flows: FlowAssignment) -> SplitRatios:
     """
     network = flows.network
     ratios: SplitRatios = {}
-    for destination, vector in flows.per_destination.items():
-        if destination is None:
-            continue
+    for destination, vector in zip(flows.destinations, flows.loads, strict=True):
         per_node: dict[Node, dict[Node, float]] = {}
         for node in network.nodes:
             if node == destination:

@@ -47,12 +47,13 @@ import numpy as np
 
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
-from ..network.graph import Network, Node
+from ..network.graph import Network
 from .assignment import all_or_nothing_assignment
 from .mcf import SolverError, solve_min_cost_mcf, solve_min_mlu
 
-#: Signature of a link congestion-cost oracle: given the aggregate flow vector
-#: it returns (total cost, per-link marginal cost).
+#: Signatures of the link oracles: given the aggregate flow vector, the cost
+#: oracle returns the total congestion cost and the gradient oracle the
+#: per-link marginal costs.
 CostOracle = Callable[[np.ndarray], float]
 GradientOracle = Callable[[np.ndarray], np.ndarray]
 
@@ -143,16 +144,6 @@ def _finite_costs(weights: np.ndarray) -> np.ndarray:
     return np.where(finite, weights, (top if top > 0 else 1.0) * weights.size)
 
 
-def _stacked(flows: FlowAssignment, rows: list[Node], num_links: int) -> np.ndarray:
-    """``flows`` as a ``(len(rows), num_links)`` array; absent rows are zero."""
-    out = np.zeros((len(rows), num_links))
-    for i, destination in enumerate(rows):
-        vector = flows.per_destination.get(destination)
-        if vector is not None:
-            out[i] = vector
-    return out
-
-
 def solve_frank_wolfe(
     network: Network,
     demands: TrafficMatrix,
@@ -212,8 +203,8 @@ def solve_frank_wolfe(
 
     # The iterate as one (destination x link) array: the demand destinations
     # in demand order, then any other rows of the starting point.
-    rows = list(dict.fromkeys([*demands.destinations(), *current.per_destination]))
-    flows = _stacked(current, rows, network.num_links)
+    rows = list(dict.fromkeys([*demands.destinations(), *current.destinations]))
+    flows = current.rows(rows)
 
     history: list[float] = []
     relative_gap = np.inf
@@ -226,7 +217,7 @@ def solve_frank_wolfe(
             target = all_or_nothing_assignment(network, demands, weights)
         else:
             target = solve_min_cost_mcf(network, demands, weights, capacitated=True).flows
-        target_flows = _stacked(target, rows, network.num_links)
+        target_flows = target.rows(rows)
 
         current_cost = float(cost(aggregate))
         history.append(current_cost)
@@ -245,7 +236,7 @@ def solve_frank_wolfe(
     final_cost = float(cost(aggregate))
     history.append(final_cost)
     return FrankWolfeResult(
-        flows=FlowAssignment(network=network, per_destination=dict(zip(rows, flows, strict=True))),
+        flows=FlowAssignment(network, rows, flows),
         objective=final_cost,
         link_weights=_finite_costs(np.maximum(gradient(aggregate), 0.0)),
         iterations=iteration,

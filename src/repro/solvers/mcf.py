@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.incidence import demand_vector, incidence_matrix
+from ..network.incidence import incidence_matrix
 from ..network.spt import WeightsLike, as_weight_vector
 
 
@@ -55,16 +55,19 @@ def _stack_conservation(
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Block-diagonal conservation constraints ``B f^t = d^t`` for all commodities.
 
-    One (redundant) row per destination is dropped to keep the system full
-    rank.
+    The right-hand side ``d^t`` is the demand matrix's column of ``t``; one
+    (redundant) row per destination, its own, is dropped to keep the system
+    full rank.
     """
     incidence = incidence_matrix(network)
+    dense = demands.matrix(network)
     blocks = []
     rhs_parts = []
     for destination in destinations:
-        keep = [i for i, node in enumerate(network.nodes) if node != destination]
+        column = network.node_index(destination)
+        keep = np.arange(network.num_nodes) != column
         blocks.append(sparse.csr_matrix(incidence[keep, :]))
-        rhs_parts.append(demand_vector(network, demands, destination)[keep])
+        rhs_parts.append(dense[keep, column])
     a_eq = sparse.block_diag(blocks, format="csr")
     b_eq = np.concatenate(rhs_parts)
     return a_eq, b_eq
@@ -81,13 +84,8 @@ def _extract_flows(
     destinations: list[Node],
     solution: np.ndarray,
 ) -> FlowAssignment:
-    flows = FlowAssignment(network=network)
-    num_links = network.num_links
-    for k, destination in enumerate(destinations):
-        flows.per_destination[destination] = np.maximum(
-            solution[k * num_links : (k + 1) * num_links], 0.0
-        )
-    return flows
+    shape = (len(destinations), network.num_links)
+    return FlowAssignment(network, destinations, np.maximum(solution.reshape(shape), 0.0))
 
 
 def solve_min_cost_mcf(
@@ -212,7 +210,4 @@ def solve_route_subproblem(
     toward = demands.toward(destination)
     single = TrafficMatrix({(s, destination): v for s, v in toward.items()})
     solution = solve_min_cost_mcf(network, single, weights, capacitated=False)
-    vector = solution.flows.per_destination.get(destination)
-    if vector is None:
-        return np.zeros(network.num_links)
-    return vector
+    return solution.flows.rows([destination])[0]

@@ -105,8 +105,7 @@ def all_or_nothing_assignment(
     ratios = stack.first_hop_ratios()
     throughflow = stack.propagate(entering_loop(stack, [demands], batched=False), ratios)
     loads = stack.destination_loads(throughflow, ratios)
-    per_destination = dict(zip(stack.destinations, loads, strict=True))
-    return FlowAssignment(network=network, per_destination=per_destination)
+    return FlowAssignment(network, stack.destinations, loads)
 
 
 def line_step(
@@ -225,7 +224,7 @@ def solve_frank_wolfe(
     final_cost = float(cost(aggregate))
     history.append(final_cost)
     return FrankWolfeResult(
-        flows=FlowAssignment(network=network, per_destination=dict(zip(rows, flows, strict=True))),
+        flows=FlowAssignment(network, rows, flows),
         objective=final_cost,
         link_weights=finite_costs(np.maximum(gradient(aggregate), 0.0)),
         iterations=iteration,

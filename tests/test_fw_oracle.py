@@ -21,7 +21,9 @@ from repro.core.objectives import LoadBalanceObjective
 from repro.core.spef import SPEF
 from repro.core.te_problem import TEProblem, solve_optimal_te
 from repro.network.demands import TrafficMatrix
+from repro.network.flows import FlowAssignment
 from repro.routing.compiled import CompiledDag
+from repro.solvers.mcf import solve_min_mlu
 from repro.topology import abilene_network, cernet2_network, fig4_demands, fig4_network
 from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
 from repro.traffic.netflow import cernet2_traffic_matrix
@@ -151,3 +153,43 @@ def test_gradient_matches_reference_derivative(beta, per_link):
         expected = fw_oracle.derivative(q, spare, beta)
         np.testing.assert_array_equal(te_problem.marginal_utility(q, spare, beta), expected)
         np.testing.assert_array_equal(objective.derivative(spare), expected)
+
+
+def test_warm_started_fit_matches_reference_loop(reference_loop):
+    """``SPEF.fit(warm_start=)``: Abilene at 0.75x, then the same matrix at 0.8x."""
+    network = abilene_network()
+    instance = Instance(
+        network=network,
+        base_demands=abilene_traffic_matrix(network, total_volume=1.0, seed=1),
+        kind="Backbone",
+    )
+    before, after = instance.at_fraction(0.75), instance.at_fraction(0.8)
+    previous = SPEF().fit(network, before)
+    start = SPEF()._warm_initial_flows(network, after, previous)
+    assert start is not None  # the uniform rescaling is taken as a warm start
+    factor = after.total_volume() / before.total_volume()
+    assert start.destinations == previous.flows.destinations
+    for destination, vector in previous.flows.per_destination.items():
+        np.testing.assert_array_equal(start.per_destination[destination], factor * vector)
+
+    fit = SPEF().fit(network, after, warm_start=previous)
+    expected = reference_loop(lambda: SPEF().fit(network, after, warm_start=previous))
+    np.testing.assert_array_equal(fit.raw_first_weights, expected.raw_first_weights)
+    np.testing.assert_array_equal(fit.second_weights, expected.second_weights)
+    assert_flows_equal(fit.flows, expected.flows)
+    assert_te_equal(fit.te_solution, expected.te_solution)
+
+
+def test_start_with_undemanded_row_matches_reference_loop(reference_loop):
+    """``initial_flows`` rows out of demand order, plus a row for a node nobody sends to."""
+    network, demands = _fig4()
+    lp = solve_min_mlu(network, demands).flows
+    order = [7, 3, 2]
+    assert 5 not in demands.destinations()
+    loads = np.vstack((np.full(network.num_links, 0.1), lp.rows(order)))
+    start = FlowAssignment(network, [5, *order], loads)
+    problem = TEProblem(network=network, demands=demands, objective=LoadBalanceObjective.proportional())
+    solution = solve_optimal_te(problem, initial_flows=start)
+    expected = reference_loop(lambda: solve_optimal_te(problem, initial_flows=start))
+    assert solution.flows.destinations == [*demands.destinations(), 5]
+    assert_te_equal(solution, expected)

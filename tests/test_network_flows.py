@@ -5,6 +5,7 @@ import pytest
 
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment, FlowError
+from repro.topology import fig4_demands, fig4_network
 
 
 class TestConstruction:
@@ -31,9 +32,37 @@ class TestConstruction:
         assert flows.flow_on(1, 2) == pytest.approx(2.0)
         assert flows.flow_on(2, 4) == pytest.approx(2.0)
 
-    def test_from_aggregate(self, diamond_network):
-        flows = FlowAssignment.from_aggregate(diamond_network, {(1, 2): 4.0})
-        assert flows.flow_on(1, 2) == pytest.approx(4.0)
+    def test_destinations_are_rows_of_loads(self, diamond_network):
+        flows = FlowAssignment(network=diamond_network)
+        flows.add_flow(4, 1, 2, 3.0)
+        flows.add_flow(2, 1, 2, 1.0)
+        assert flows.destinations == [4, 2]
+        assert flows.loads.shape == (2, diamond_network.num_links)
+        np.testing.assert_array_equal(flows.aggregate(), flows.loads.sum(axis=0))
+        assert flows.flow_on(1, 2, destination=2) == pytest.approx(1.0)
+
+    def test_rows_gather_fills_absent_destinations_with_zeros(self, diamond_network):
+        flows = FlowAssignment(network=diamond_network)
+        flows.add_flow(4, 1, 2, 3.0)
+        gathered = flows.rows([3, 4])
+        np.testing.assert_array_equal(gathered[0], 0.0)
+        np.testing.assert_array_equal(gathered[1], flows.loads[0])
+        gathered[1] = 7.0  # a new array, not a view
+        assert flows.flow_on(1, 2) == pytest.approx(3.0)
+
+    def test_per_destination_is_read_only(self, diamond_network):
+        flows = FlowAssignment(network=diamond_network)
+        flows.add_flow(4, 1, 2, 3.0)
+        assert list(flows.per_destination) == [4]
+        np.testing.assert_array_equal(flows.per_destination[4], flows.loads[0])
+        with pytest.raises(TypeError):
+            flows.per_destination[2] = np.zeros(diamond_network.num_links)
+
+    def test_loads_shape_must_match(self, diamond_network):
+        with pytest.raises(FlowError, match="shape"):
+            FlowAssignment(diamond_network, [4], np.zeros((2, diamond_network.num_links)))
+        with pytest.raises(FlowError, match="distinct"):
+            FlowAssignment(diamond_network, [4, 4])
 
     def test_copy_is_deep(self, diamond_network):
         flows = FlowAssignment(network=diamond_network)
@@ -118,6 +147,24 @@ class TestValidation:
         assert flows.conservation_violation(demands) > 1.0
         with pytest.raises(FlowError, match="conservation"):
             flows.validate(demands)
+
+    def test_missing_commodities_violate_conservation(self, diamond_network):
+        demands = TrafficMatrix({(1, 4): 8.0, (1, 2): 2.0})
+        with pytest.raises(FlowError, match="conservation"):
+            FlowAssignment(network=diamond_network).validate(demands)
+        flows = FlowAssignment(network=diamond_network)
+        flows.add_path_flow(4, [1, 2, 4], 4.0)
+        flows.add_path_flow(4, [1, 3, 4], 4.0)
+        flows.add_path_flow(2, [1, 2], 2.0)
+        flows.validate(demands)
+        dropped = FlowAssignment(diamond_network, [4], flows.rows([4]))
+        assert dropped.conservation_violation(demands) == pytest.approx(2.0)
+        with pytest.raises(FlowError, match="conservation"):
+            dropped.validate(demands)
+
+    def test_empty_assignment_fails_fig4(self):
+        with pytest.raises(FlowError, match="conservation"):
+            FlowAssignment(network=fig4_network()).validate(fig4_demands())
 
     def test_negative_vector_rejected(self, diamond_network):
         flows = FlowAssignment(network=diamond_network)

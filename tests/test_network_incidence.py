@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.network.demands import TrafficMatrix
-from repro.network.incidence import (
-    conservation_residual,
-    demand_vector,
-    incidence_matrix,
-    reduced_system,
-)
+from repro.network.flows import FlowAssignment
+from repro.network.incidence import demand_vector, incidence_matrix, reduced_system
 
 
 class TestIncidenceMatrix:
@@ -56,12 +52,12 @@ class TestConservationResidual:
         flow[diamond_network.link_index(2, 4)] = 4.0
         flow[diamond_network.link_index(1, 3)] = 4.0
         flow[diamond_network.link_index(3, 4)] = 4.0
-        residual = conservation_residual(diamond_network, {4: flow}, demands)
-        assert residual == pytest.approx(0.0)
+        flows = FlowAssignment(diamond_network, [4], flow[None, :])
+        assert flows.conservation_violation(demands) == pytest.approx(0.0)
 
     def test_positive_for_broken_flow(self, diamond_network):
         demands = TrafficMatrix({(1, 4): 8.0})
         flow = np.zeros(4)
         flow[diamond_network.link_index(1, 2)] = 8.0  # never reaches 4
-        residual = conservation_residual(diamond_network, {4: flow}, demands)
-        assert residual == pytest.approx(8.0)
+        flows = FlowAssignment(diamond_network, [4], flow[None, :])
+        assert flows.conservation_violation(demands) == pytest.approx(8.0)
