@@ -10,9 +10,10 @@ deployable on an OSPF-like control plane.
 :class:`ForwardingTable` materialises this structure.  For compactness the
 split ratios are computed exactly with the DAG dynamic program of Eq. (22)
 on the routing kernel (:meth:`repro.routing.CompiledDag.exponential_ratios`),
-one stacked pass over all destinations; the explicit per-path lengths (the
-literal content of Table II) are enumerated lazily and only up to a
-configurable cap, since their number can grow exponentially.
+one stacked pass over all destinations.  The explicit per-path lengths (the
+literal content of Table II) are enumerated by :func:`build_forwarding_tables`
+for every (router, destination, next hop) entry on every build, but only up
+to a configurable cap per entry, since their number can grow exponentially.
 """
 
 from __future__ import annotations

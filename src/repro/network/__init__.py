@@ -3,7 +3,7 @@
 from .demands import Demand, DemandError, TrafficMatrix
 from .flows import FlowAssignment, FlowError
 from .graph import Link, Network, NetworkError, NetworkSummary
-from .incidence import demand_vector, incidence_matrix, reduced_system
+from .incidence import incidence_matrix
 from .spt import (
     DEFAULT_TOLERANCE,
     ShortestPathDag,
@@ -28,9 +28,7 @@ __all__ = [
     "Network",
     "NetworkError",
     "NetworkSummary",
-    "demand_vector",
     "incidence_matrix",
-    "reduced_system",
     "DEFAULT_TOLERANCE",
     "ShortestPathDag",
     "ShortestPathDags",

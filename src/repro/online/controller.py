@@ -67,34 +67,6 @@ class ControllerUpdate:
 
 
 @dataclass
-class ControllerBaseline:
-    """Picklable snapshot of a controller's routed baseline state.
-
-    Produced by :meth:`TEController.snapshot` and adopted by
-    :meth:`TEController.from_snapshot`: the SPT rows and the per-destination
-    loads as arrays, so a parallel sweep worker installs the parent's
-    baseline instead of re-running the cold all-destination build.  Tied to
-    a topology by name: adoption validates the network has the same name,
-    node count and link count.
-    """
-
-    topology: str
-    num_nodes: int
-    num_links: int
-    weights: np.ndarray
-    active: np.ndarray
-    capacities: np.ndarray
-    demands: dict[Pair, float]
-    tolerance: float
-    #: Destination of each row of the arrays below.
-    destinations: list[Node]
-    distances: np.ndarray
-    mask: np.ndarray
-    dest_loads: np.ndarray
-    dropped: np.ndarray
-
-
-@dataclass
 class ControllerMeasurement:
     """A routing-state snapshot taken by :meth:`TEController.measure`."""
 
@@ -154,7 +126,6 @@ class TEController:
         weights: WeightsLike | None = None,
         *,
         tolerance: float = DEFAULT_TOLERANCE,
-        _defer_build: bool = False,
     ) -> None:
         demands.validate(network)
         self.network = network
@@ -173,7 +144,7 @@ class TEController:
             self.spt = DynamicSPT(
                 network,
                 weights,
-                destinations=() if _defer_build else demands.destinations(),
+                destinations=demands.destinations(),
                 tolerance=tolerance,
             )
         # Rows follow the SPT's destination rows; `_grow` adds new ones.
@@ -185,66 +156,6 @@ class TEController:
         self._stale: set[int] = set()
         self._grow()
         self._sequence = 0
-
-    # ------------------------------------------------------------------
-    # baseline snapshots (shared across parallel sweep workers)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> ControllerBaseline:
-        """Freeze the current routed state into a picklable baseline."""
-        self._refresh_loads()
-        distances, mask = self.spt.arrays()
-        return ControllerBaseline(
-            topology=self.network.name,
-            num_nodes=self.network.num_nodes,
-            num_links=self.network.num_links,
-            weights=self.spt.weights,
-            active=self.spt.active_mask,
-            capacities=self.capacities.copy(),
-            demands=dict(self._demands),
-            tolerance=self.spt.tolerance,
-            destinations=self.spt.destinations,
-            distances=distances.copy(),
-            mask=mask.copy(),
-            dest_loads=self._dest_loads.copy(),
-            dropped=self._dropped.copy(),
-        )
-
-    @classmethod
-    def from_snapshot(cls, network: Network, snapshot: ControllerBaseline) -> TEController:
-        """Adopt a :meth:`snapshot` baseline without any cold SPT builds.
-
-        ``network`` must be the same topology the snapshot came from (name
-        and shape are validated).  The returned controller is fully warm:
-        its loads match the snapshot and the first measurement costs a sum,
-        not a route.
-        """
-        if (
-            network.name != snapshot.topology
-            or network.num_nodes != snapshot.num_nodes
-            or network.num_links != snapshot.num_links
-        ):
-            raise EventError(
-                f"snapshot of topology {snapshot.topology!r} "
-                f"({snapshot.num_nodes} nodes / {snapshot.num_links} links) does not "
-                f"match network {network.name!r} "
-                f"({network.num_nodes} nodes / {network.num_links} links)"
-            )
-        controller = cls(
-            network,
-            TrafficMatrix(snapshot.demands),
-            weights=snapshot.weights,
-            tolerance=snapshot.tolerance,
-            _defer_build=True,
-        )
-        controller.spt.install_state(
-            snapshot.destinations, snapshot.active, snapshot.distances, snapshot.mask
-        )
-        controller.capacities = snapshot.capacities.copy()
-        controller._grow()
-        controller._dest_loads = snapshot.dest_loads.copy()
-        controller._dropped = snapshot.dropped.copy()
-        controller._stale.clear()
-        return controller
 
     # ------------------------------------------------------------------
     # state views

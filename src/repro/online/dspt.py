@@ -33,7 +33,7 @@ bit-for-bit, because the builder treats every row on its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,28 +282,8 @@ class DynamicSPT:
         return set(self._destinations)
 
     # ------------------------------------------------------------------
-    # snapshots (shared baselines, sweep restores)
+    # sweep restores
     # ------------------------------------------------------------------
-    def install_state(
-        self,
-        destinations: Sequence[Node],
-        active: np.ndarray,
-        distances: np.ndarray,
-        mask: np.ndarray,
-    ) -> None:
-        """Adopt rows exported with :meth:`arrays` without any cold builds.
-
-        The caller owns consistency: the rows must come from an engine over
-        the same network with the same weights and ``active`` mask.  Stats
-        are not carried over.
-        """
-        self._destinations = list(destinations)
-        self._rows = {destination: row for row, destination in enumerate(self._destinations)}
-        self._effective = np.where(active, self._weights, np.inf)
-        self._distances = np.array(distances, dtype=float)
-        self._mask = np.array(mask, dtype=bool)
-        self._dirty = set()
-
     def install_rows(self, rows: list[int], distances: np.ndarray, mask: np.ndarray) -> None:
         """Put saved rows back and mark them clean (the caller restored their links)."""
         self._distances[rows] = distances

@@ -21,8 +21,9 @@ replay *and* the ``repro serve`` daemon now drive:
 * **drive** — :meth:`replay` binds an event trace onto a discrete-event
   simulator and runs it to completion (the engine behind
   ``replay_failure_trace``), while :meth:`reoptimize_offline` runs the
-  warm-started weight search on a :meth:`TEController.snapshot` clone so
-  a live session's state is never blocked mid-search.
+  warm-started weight search on the live controller and installs its
+  weights only once the search has returned, so a search that raises
+  leaves the session untouched.
 
 Sessions are keyed (:attr:`key`, defaulting to the topology name) the
 same way the results store keys runs, which is what makes the serve
@@ -449,19 +450,19 @@ class ControllerSession:
     def reoptimize_offline(
         self, optimizer: object | None = None, warm_start: bool = True
     ) -> LocalSearchResult:
-        """Run the weight search on a snapshot clone, then install the result.
+        """Run the weight search on the current state, then install the result.
 
-        The search runs against a :meth:`TEController.from_snapshot` clone
-        of the live controller — the serve daemon calls this from a worker
-        so the session's own state is only touched for the final (cheap)
-        bulk weight installation.  The installation is sampled onto the
+        :meth:`TEController.reoptimize` installs the weights as one bulk
+        event only after the search returns, so an optimizer that raises
+        leaves the session (weights, rows, timeline) untouched.  The serve
+        daemon runs this under the session's lock, like every other call
+        that touches session state.  The installation is sampled onto the
         timeline as a ``"reoptimize"`` entry.  Returns the optimizer
         result.
         """
-        snapshot = self.controller.snapshot()
-        clone = TEController.from_snapshot(self.network, snapshot)
-        result = clone.reoptimize(optimizer=optimizer, warm_start=warm_start, install=True)
-        self.controller.set_weights(clone.weights.copy())
+        result = self.controller.reoptimize(
+            optimizer=optimizer, warm_start=warm_start, install=True
+        )
         measurement = self.controller.measure()
         when = self._last_time()
         self.timeline.append((when, "reoptimize", measurement))

@@ -408,7 +408,6 @@ def evaluate_scenarios(
     demands: TrafficMatrix,
     scenarios: Sequence[Scenario],
     spec: ProtocolSpec,
-    baseline: object | None = None,
 ) -> list[ScenarioResult]:
     """Evaluate one protocol across several scenarios, batching where safe.
 
@@ -421,10 +420,12 @@ def evaluate_scenarios(
       stacked operation;
     * topology-perturbing scenarios against an even-ECMP protocol with
       demand-independent weights (:meth:`RoutingProtocol.ecmp_forwarding_weights`)
-      are replayed through the online :class:`~repro.online.TEController`
-      as incremental apply → measure → revert events, so a failure or
-      brown-out sweep pays one delta update per perturbed trunk instead of
-      a full recompute per scenario.  Pure link/node failures always
+      are replayed through one freshly built
+      :class:`~repro.online.TEController` as incremental apply → measure →
+      revert events, so a failure or brown-out sweep pays one delta update
+      per perturbed trunk instead of a full recompute per scenario; even a
+      lone eligible scenario takes this path (building the controller
+      costs about as much as one cold cell).  Pure link/node failures always
       qualify; scenarios carrying capacity factors additionally need
       capacity-independent weights
       (:meth:`RoutingProtocol.capacity_independent_forwarding`), since
@@ -436,19 +437,8 @@ def evaluate_scenarios(
     :func:`evaluate_scenario`, preserving its per-cell error isolation
     exactly.  Only protocol code is guarded: a failure inside the
     controller sweep is a bug and propagates.
-
-    ``baseline`` is an optional
-    :class:`~repro.online.controller.ControllerBaseline` snapshot (built
-    once by the parent :class:`BatchRunner`): the sweep controller then
-    adopts the compiled per-destination state instead of re-running a cold
-    Dijkstra per destination, and even a lone eligible scenario rides the
-    incremental path (without a baseline a lone candidate is cheaper cold).
-    A snapshot whose demands or weights do not match raises
-    :class:`RunnerError`.
     """
-    return _evaluate_planned(
-        network, demands, scenarios, spec, _probe(spec, network), baseline
-    )
+    return _evaluate_planned(network, demands, scenarios, spec, _probe(spec, network))
 
 
 def _evaluate_planned(
@@ -457,7 +447,6 @@ def _evaluate_planned(
     scenarios: Sequence[Scenario],
     spec: ProtocolSpec,
     plan: _SweepPlan,
-    baseline: object | None,
 ) -> list[ScenarioResult]:
     """:func:`evaluate_scenarios` with the spec's :func:`_probe` already done."""
     scenarios = list(scenarios)
@@ -517,27 +506,11 @@ def _evaluate_planned(
             except EventError:
                 continue
             candidates.append(index)
-        # A lone candidate is cheaper cold only when the controller must be
-        # built from scratch: building it costs a full all-destination
-        # baseline, which only amortises over several scenarios (mirrors the
-        # demand-batch path's > 1 guard).  With a shared baseline snapshot
-        # adoption is cheap, so even one candidate rides incrementally.
-        if len(candidates) > 1 or (candidates and baseline is not None):
-            if baseline is not None and (
-                baseline.demands != dict(demands.items())  # type: ignore[attr-defined]
-                or not np.array_equal(baseline.weights, plan.weights)  # type: ignore[attr-defined]
-            ):
-                raise RunnerError(
-                    f"baseline snapshot does not match the demands or the "
-                    f"{spec.display_name} weights of this sweep"
-                )
+        if candidates:
             start = time.perf_counter()
-            if baseline is None:
-                controller = TEController(
-                    network, demands, weights=plan.weights, tolerance=plan.tolerance
-                )
-            else:
-                controller = TEController.from_snapshot(network, baseline)  # type: ignore[arg-type]
+            controller = TEController(
+                network, demands, weights=plan.weights, tolerance=plan.tolerance
+            )
             construction = time.perf_counter() - start
             start = time.perf_counter()
             measurements = controller.sweep_scenarios([scenarios[index] for index in candidates])
@@ -565,7 +538,6 @@ def _evaluate_chunk(
         list[Scenario],
         ProtocolSpec,
         _SweepPlan,
-        object | None,
         bool,
     ],
 ) -> tuple[list[ScenarioResult], dict[str, object] | None]:
@@ -576,17 +548,13 @@ def _evaluate_chunk(
     then records into a fresh registry and ships its picklable snapshot back
     for the parent to :meth:`~repro.obs.TelemetryRegistry.merge`.  Serial
     chunks run in the parent's process and record straight into its active
-    registry, so their snapshot slot is ``None``.  ``baseline`` is the
-    parent's shared :class:`~repro.online.controller.ControllerBaseline` for
-    incremental-sweep specs, or ``None``.
+    registry, so their snapshot slot is ``None``.
     """
-    network, demands, scenarios, spec, plan, baseline, traced = payload
+    network, demands, scenarios, spec, plan, traced = payload
 
     def evaluate() -> list[ScenarioResult]:
         with telemetry.span("runner.chunk", protocol=spec.display_name, scenarios=len(scenarios)):
-            return _evaluate_planned(
-                network, demands, scenarios, spec, plan, baseline
-            )
+            return _evaluate_planned(network, demands, scenarios, spec, plan)
 
     if not traced:
         return evaluate(), None
@@ -659,11 +627,8 @@ def cell_key(
     (currently ``{"route": "incremental"}`` for cells eligible for the
     online controller's failure sweep) — a pure function of
     ``(spec, scenario)``, never of store state or chunking, so keys are
-    stable across runs.  Incremental-path and cold-path cells thus never
-    share a key; the residual overlap — lone-candidate chunks (one eligible
-    scenario without a shared baseline is cheaper cold) — is safe because
-    every configuration that flags incremental is result-equivalent on both
-    paths (equivalence-tested to 1e-9).
+    stable across runs.  Every flagged cell is evaluated by the incremental
+    sweep, so incremental-path and cold-path results never share a key.
     """
     from .. import __version__
 
@@ -696,9 +661,9 @@ class RunStats:
     chunks: int = 0
     workers: int = 0
     elapsed: float = 0.0
-    #: One-off setup wall-clock of this run: shared-baseline builds in the
-    #: parent plus controller construction inside chunks.  Equals the sum of
-    #: ``setup_runtime`` over the run's evaluated (non-cached) results.
+    #: One-off setup wall-clock of this run: the controller construction
+    #: inside each chunk, i.e. the sum of ``setup_runtime`` over the run's
+    #: evaluated (non-cached) results.
     setup_seconds: float = 0.0
 
     @property
@@ -842,39 +807,10 @@ class BatchRunner:
         stats.evaluated = len(misses)
         workers = self._effective_workers(len(misses))
         stats.workers = workers
-        #: Cells designated for the incremental sweep, per spec — the
-        #: amortisation base for shared-baseline setup.
-        designated: dict[int, list[tuple[int, int]]] = {}
-        for cell in misses:
-            if cell_incremental(*cell):
-                designated.setdefault(cell[0], []).append(cell)
-        parent_setup: dict[int, float] = {}
-        baselines: dict[int, object] = {}
         if telemetry.enabled():
             telemetry.count("runner.cells", stats.cache_hits, outcome="cache-hit")
             telemetry.count("runner.cells", len(misses), outcome="evaluated")
         if misses:
-            if workers > 1:
-                # Build the compiled baseline once in the parent for every
-                # incremental-sweep spec whose shards would otherwise each
-                # pay a cold all-destination controller build; workers adopt
-                # the pickled snapshot via TEController.from_snapshot.
-                # Serial chunks build their controller in-process: a fresh
-                # build is cheaper than snapshot plus adoption.
-                from ..online.controller import TEController
-
-                for si, cells in designated.items():
-                    if len(cells) < 2:
-                        continue  # a lone cell is cheaper cold
-                    start_setup = time.perf_counter()
-                    with telemetry.span("runner.baseline", protocol=specs[si].display_name):
-                        baselines[si] = TEController(
-                            network,
-                            demands,
-                            weights=plans[si].weights,
-                            tolerance=plans[si].tolerance,
-                        ).snapshot()
-                    parent_setup[si] = time.perf_counter() - start_setup
             sweepable = {si for si, plan in enumerate(plans) if plan.weights is not None}
             chunks = self._chunk(misses, workers, sweepable)
             stats.chunks = len(chunks)
@@ -888,7 +824,6 @@ class BatchRunner:
                     [scenarios[ci] for _, ci in chunk],
                     specs[chunk[0][0]],
                     plans[chunk[0][0]],
-                    baselines.get(chunk[0][0]),
                     traced,
                 )
                 for chunk in chunks
@@ -903,20 +838,9 @@ class BatchRunner:
                         results[cell] = result
                     if registry is not None and snapshot is not None:
                         registry.merge(snapshot)
-            # Fair setup amortisation: chunk-side controller construction is
-            # already charged to the cells it served; the parent's
-            # shared-baseline build is spread evenly across the spec's
-            # designated cells post-hoc.  Invariant (asserted in tests): the
-            # sum of setup_runtime over evaluated cells equals
-            # ``stats.setup_seconds``, the run's setup wall-clock.
+            # Each chunk charged its controller construction to the cells
+            # it served, so the run's setup clock is their sum.
             stats.setup_seconds = sum(results[cell].setup_runtime for cell in misses)
-            for si, setup in parent_setup.items():
-                cells = designated.get(si, [])
-                if cells:
-                    share = setup / len(cells)
-                    for cell in cells:
-                        results[cell].setup_runtime += share
-                stats.setup_seconds += setup
             if store is not None:
                 # Error results are never stored: a transient failure
                 # (solver hiccup, memory pressure) must not permanently
@@ -1017,9 +941,9 @@ class BatchRunner:
         pool to balance.  Otherwise chunk size defaults to ~4 chunks per
         worker for load balancing.  Specs in ``sharded_specs`` (those that
         can ride the incremental controller sweep) instead get exactly one
-        chunk per worker: every chunk adopts or builds its own controller —
-        the sweep's amortised one-off cost — so fewer, larger shards beat
-        finer load balancing.
+        chunk per worker: every chunk builds its own controller — the
+        sweep's amortised one-off cost — so fewer, larger shards beat finer
+        load balancing.
         """
         by_spec: dict[int, list[tuple[int, int]]] = {}
         for cell in misses:

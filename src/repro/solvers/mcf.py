@@ -28,7 +28,6 @@ from scipy.optimize import linprog
 from ..network.demands import TrafficMatrix
 from ..network.flows import FlowAssignment
 from ..network.graph import Network, Node
-from ..network.incidence import incidence_matrix
 from ..network.spt import WeightsLike, as_weight_vector
 
 
@@ -55,21 +54,33 @@ def _stack_conservation(
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Block-diagonal conservation constraints ``B f^t = d^t`` for all commodities.
 
-    The right-hand side ``d^t`` is the demand matrix's column of ``t``; one
-    (redundant) row per destination, its own, is dropped to keep the system
-    full rank.
+    Block ``t`` is the incidence matrix ``B`` (``+1`` at each link's source
+    row, ``-1`` at its target row) without its (redundant) destination row,
+    which keeps the system full rank; the right-hand side ``d^t`` is the
+    demand matrix's column of ``t`` without the same row.  Both are built in
+    one pass over all blocks.
     """
-    incidence = incidence_matrix(network)
-    dense = demands.matrix(network)
-    blocks = []
-    rhs_parts = []
-    for destination in destinations:
-        column = network.node_index(destination)
-        keep = np.arange(network.num_nodes) != column
-        blocks.append(sparse.csr_matrix(incidence[keep, :]))
-        rhs_parts.append(dense[keep, column])
-    a_eq = sparse.block_diag(blocks, format="csr")
-    b_eq = np.concatenate(rhs_parts)
+    num_nodes, num_links = network.num_nodes, network.num_links
+    columns = np.array([network.node_index(destination) for destination in destinations])
+    block = np.arange(len(destinations))[:, None]
+    nodes = np.arange(num_nodes)[None, :]
+    # Row of node v in block t: the block's offset, less one past t's own
+    # row, which is dropped (-1).
+    position = block * (num_nodes - 1) + nodes - (nodes > columns[:, None])
+    position[block[:, 0], columns] = -1
+    sources, targets = network.link_node_indices()
+    link_columns = block * num_links + np.arange(num_links)[None, :]
+    rows = np.concatenate((position[:, sources].ravel(), position[:, targets].ravel()))
+    cols = np.concatenate((link_columns.ravel(), link_columns.ravel()))
+    data = np.repeat([1.0, -1.0], link_columns.size)
+    kept = rows >= 0
+    a_eq = sparse.csr_matrix(
+        (data[kept], (rows[kept], cols[kept])),
+        shape=(len(destinations) * (num_nodes - 1), len(destinations) * num_links),
+    )
+    a_eq.sort_indices()
+    kept_blocks, kept_nodes = np.nonzero(position >= 0)
+    b_eq = demands.matrix(network)[kept_nodes, columns[kept_blocks]]
     return a_eq, b_eq
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.network.demands import TrafficMatrix
 from repro.network.flows import FlowAssignment
-from repro.network.incidence import demand_vector, incidence_matrix, reduced_system
+from repro.network.incidence import incidence_matrix
 
 
 class TestIncidenceMatrix:
@@ -20,28 +20,6 @@ class TestIncidenceMatrix:
     def test_columns_sum_to_zero(self, triangle_network):
         matrix = incidence_matrix(triangle_network)
         assert np.allclose(matrix.sum(axis=0), 0.0)
-
-
-class TestDemandVector:
-    def test_values(self, diamond_network):
-        demands = TrafficMatrix({(1, 4): 8.0, (2, 4): 2.0})
-        vector = demand_vector(diamond_network, demands, 4)
-        assert vector[diamond_network.node_index(1)] == 8.0
-        assert vector[diamond_network.node_index(2)] == 2.0
-        assert vector[diamond_network.node_index(4)] == -10.0
-        assert vector.sum() == pytest.approx(0.0)
-
-    def test_reduced_system_drops_destination_row(self, diamond_network):
-        demands = TrafficMatrix({(1, 4): 8.0})
-        system = reduced_system(diamond_network, demands, 4)
-        assert system["A_eq"].shape == (3, 4)
-        assert system["b_eq"].shape == (3,)
-
-    def test_reduced_system_accepts_precomputed_incidence(self, diamond_network):
-        demands = TrafficMatrix({(1, 4): 8.0})
-        incidence = incidence_matrix(diamond_network)
-        system = reduced_system(diamond_network, demands, 4, incidence=incidence)
-        assert system["A_eq"].shape == (3, 4)
 
 
 class TestConservationResidual:

@@ -224,6 +224,30 @@ class TestControllerSession:
         assert counters["events"] == session.processed_events
         assert sum(counters["events_by_kind"].values()) == counters["events"]
 
+    def test_failed_reoptimize_leaves_session_untouched(self, workload):
+        """An optimizer that raises changes no weight, row or timeline entry."""
+        network, _ = workload
+        _, trace = abilene_trace(network, count=2)
+
+        class Broken:
+            def optimize(self, network, demands, warm_start=None):
+                raise RuntimeError("search failed")
+
+        session = fresh_session(workload)
+        session.feed_many(trace[:2])
+        weights = session.controller.weights
+        rows = [dict(row) for row in session.rows]
+        timeline = list(session.timeline)
+        with pytest.raises(RuntimeError, match="search failed"):
+            session.reoptimize_offline(optimizer=Broken())
+        assert (session.controller.weights == weights).all()
+        assert session.rows == rows
+        assert session.timeline == timeline
+        reference = fresh_session(workload)
+        reference.feed_many(trace[:2])
+        assert session.feed(trace[2]).loads.tolist() == reference.feed(trace[2]).loads.tolist()
+        assert session.rows == reference.rows
+
 
 # ----------------------------------------------------------------------
 # state dump

@@ -2,14 +2,68 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.network.demands import TrafficMatrix
+from repro.network.incidence import incidence_matrix
 from repro.solvers.mcf import (
     SolverError,
+    _stack_conservation,
     solve_min_cost_mcf,
     solve_min_mlu,
     solve_route_subproblem,
 )
+
+
+def _per_destination_conservation(network, demands, destinations):
+    """Reference assembly: one dense incidence slice per destination, then block_diag."""
+    incidence = incidence_matrix(network)
+    dense = demands.matrix(network)
+    blocks, rhs = [], []
+    for destination in destinations:
+        column = network.node_index(destination)
+        keep = np.arange(network.num_nodes) != column
+        blocks.append(sparse.csr_matrix(incidence[keep, :]))
+        rhs.append(dense[keep, column])
+    return sparse.block_diag(blocks, format="csr"), np.concatenate(rhs)
+
+
+class TestConservationAssembly:
+    """The one-build LP assembly equals the per-destination block construction."""
+
+    @pytest.mark.parametrize(
+        "network_fixture, demands_fixture",
+        [("diamond_network", "diamond_demands"), ("fig4", "fig4_tm"), ("abilene", "abilene_tm")],
+    )
+    def test_arrays_match_block_diag_of_dense_slices(
+        self, request, network_fixture, demands_fixture
+    ):
+        network = request.getfixturevalue(network_fixture)
+        demands = request.getfixturevalue(demands_fixture)
+        destinations = demands.destinations()
+        a_eq, b_eq = _stack_conservation(network, demands, destinations)
+        expected_a, expected_b = _per_destination_conservation(network, demands, destinations)
+        assert a_eq.shape == expected_a.shape
+        for name in ("indptr", "indices", "data"):
+            actual, expected = getattr(a_eq, name), getattr(expected_a, name)
+            assert actual.dtype == expected.dtype, name
+            np.testing.assert_array_equal(actual, expected, err_msg=name)
+        assert b_eq.dtype == expected_b.dtype
+        np.testing.assert_array_equal(b_eq, expected_b)
+
+    def test_each_block_drops_its_own_destination_row(self, diamond_network):
+        # Destinations out of node order, one of them without any demand.
+        demands = TrafficMatrix({(1, 4): 8.0, (2, 4): 2.0, (4, 1): 3.0})
+        destinations = [4, 3, 1]
+        a_eq, b_eq = _stack_conservation(diamond_network, demands, destinations)
+        expected_a, expected_b = _per_destination_conservation(
+            diamond_network, demands, destinations
+        )
+        assert a_eq.shape == (3 * 3, 3 * 4)
+        np.testing.assert_array_equal(a_eq.toarray(), expected_a.toarray())
+        np.testing.assert_array_equal(b_eq, expected_b)
+        # Block of destination 4 keeps the rows of nodes 1, 2, 3: the sources' volumes.
+        np.testing.assert_array_equal(b_eq[:3], [8.0, 2.0, 0.0])
 
 
 class TestMinCostMcf:

@@ -43,7 +43,6 @@ from repro.scenarios import capacity_degradations, combine
 from repro.scenarios.runner import (
     BatchRunner,
     ProtocolSpec,
-    RunnerError,
     _incremental_eligible,
     _probe,
     cell_key,
@@ -585,7 +584,7 @@ class TestRunnerIncrementalPath:
             assert result.setup_runtime == 0.0
 
     def test_single_eligible_scenario_matches_cold(self, abilene, abilene_tm):
-        """A lone eligible scenario is evaluated cold — with identical results."""
+        """A lone eligible scenario rides the sweep — with the cold results."""
         scenario = single_link_failures(abilene)[0]
         spec = ProtocolSpec.of("OSPF")
         result = evaluate_scenarios(abilene, abilene_tm, [scenario], spec)[0]
@@ -637,45 +636,8 @@ class TestRunnerIncrementalPath:
 
 
 # ----------------------------------------------------------------------
-# shared compiled baselines (snapshot / from_snapshot) and dirty-row loads
+# dirty-row loads
 # ----------------------------------------------------------------------
-class TestSnapshotBaseline:
-    def test_from_snapshot_matches_parent_without_cold_builds(self, abilene, abilene_tm):
-        parent = TEController(abilene, abilene_tm)
-        parent.link_loads()  # compile the baseline before freezing it
-        warm = TEController.from_snapshot(abilene, parent.snapshot())
-        # Adoption must not pay any per-destination cold Dijkstra.
-        assert warm.spt.stats.initial_builds == 0
-        np.testing.assert_allclose(
-            warm.link_loads(), parent.link_loads(), atol=TOLERANCE, rtol=0
-        )
-        scenarios = single_link_failures(abilene)[:6]
-        for mine, theirs in zip(
-            warm.sweep_scenarios(scenarios), parent.sweep_scenarios(scenarios),
-            strict=True,
-        ):
-            assert mine.mlu == pytest.approx(theirs.mlu, abs=TOLERANCE)
-            assert mine.connected == theirs.connected
-            np.testing.assert_allclose(
-                mine.loads, theirs.loads, atol=TOLERANCE, rtol=0
-            )
-
-    def test_snapshot_survives_pickling(self, abilene, abilene_tm):
-        import pickle
-
-        parent = TEController(abilene, abilene_tm)
-        wire = pickle.loads(pickle.dumps(parent.snapshot()))
-        warm = TEController.from_snapshot(abilene, wire)
-        np.testing.assert_allclose(
-            warm.link_loads(), parent.link_loads(), atol=TOLERANCE, rtol=0
-        )
-
-    def test_snapshot_topology_mismatch_raises(self, abilene, abilene_tm, fig4):
-        snapshot = TEController(abilene, abilene_tm).snapshot()
-        with pytest.raises(EventError, match="does not match"):
-            TEController.from_snapshot(fig4, snapshot)
-
-
 class TestDeltaLoads:
     def test_event_by_event_loads_match_fresh_controller(self, abilene, abilene_tm):
         """The dirty-row loads equal a fresh controller after every event."""
@@ -754,38 +716,37 @@ class TestSetupAmortisation:
         )
         assert all(result.error is None for result in results)
 
-    def test_lone_candidate_rides_warm_baseline(self, abilene, abilene_tm):
-        """One eligible scenario goes incremental iff a baseline is supplied."""
+    def test_lone_candidate_rides_incremental_sweep(self, abilene, abilene_tm):
+        """One eligible scenario builds its own controller, matching cold."""
         spec = ProtocolSpec.of("OSPF")
         scenario = single_link_failures(abilene)[0]
-        controller = TEController(
-            abilene, abilene_tm, weights=spec.build().ecmp_forwarding_weights(abilene)
-        )
-        baseline = controller.snapshot()
-
-        cold = evaluate_scenarios(abilene, abilene_tm, [scenario], spec)[0]
-        warm = evaluate_scenarios(
-            abilene, abilene_tm, [scenario], spec, baseline=baseline
-        )[0]
-        # Cold path: a lone candidate without a snapshot is cheaper per cell
-        # and carries no amortised setup. Warm path: the adopted snapshot
-        # charges its (tiny) construction to setup_runtime.
+        swept = evaluate_scenarios(abilene, abilene_tm, [scenario], spec)[0]
+        cold = evaluate_scenario(abilene, abilene_tm, scenario, spec)
+        # The controller build is charged to setup_runtime; a cold cell has none.
         assert cold.setup_runtime == 0.0
-        assert warm.setup_runtime > 0.0
-        assert warm.error is None
-        assert warm.mlu == pytest.approx(cold.mlu, abs=TOLERANCE)
-        assert warm.utility == pytest.approx(cold.utility, abs=1e-6)
-        assert warm.dropped_volume == pytest.approx(cold.dropped_volume, abs=TOLERANCE)
+        assert swept.setup_runtime > 0.0
+        assert swept.error is None
+        assert swept.mlu == pytest.approx(cold.mlu, abs=TOLERANCE)
+        assert swept.utility == pytest.approx(cold.utility, abs=TOLERANCE)
+        assert swept.dropped_volume == pytest.approx(cold.dropped_volume, abs=TOLERANCE)
 
-    def test_mismatched_baseline_is_an_error(self, abilene, abilene_tm):
-        """A snapshot of other demands is refused, not silently rebuilt."""
-        spec = ProtocolSpec.of("OSPF")
-        baseline = TEController(
-            abilene,
-            abilene_tm.scaled(2.0),
-            weights=spec.build().ecmp_forwarding_weights(abilene),
-        ).snapshot()
-        with pytest.raises(RunnerError, match="does not match"):
-            evaluate_scenarios(
-                abilene, abilene_tm, single_link_failures(abilene)[:2], spec, baseline=baseline
+    def test_sharded_parallel_sweep_recomputes_the_serial_rows(self, abilene, abilene_tm):
+        """Chunks that each build their controller do the serial run's SPT work."""
+        from repro.obs import telemetry
+
+        scenarios = single_link_failures(abilene)[:4]
+        counts = []
+        for runner in (BatchRunner(max_workers=0), BatchRunner(max_workers=2, chunk_size=1)):
+            with telemetry.session(label="sweep") as registry:
+                results = runner.run(abilene, abilene_tm, scenarios, ["OSPF"])
+            assert all(result.error is None for result in results)
+            counts.append(
+                (
+                    registry.counter_value("dspt.events"),
+                    registry.counter_value("dspt.update", path="incremental"),
+                    [result.as_row() for result in results],
+                )
             )
+        assert runner.last_stats.workers == 2 and runner.last_stats.chunks == 4
+        assert counts[0][0] > 0 and counts[0][1] > 0
+        assert counts[1] == counts[0]
