@@ -262,9 +262,9 @@ def test_rand500_incremental_sweep_speedup():
         cold_loads.append((instance, cold.aggregate()))
 
     # Setup (controller construction + baseline routing) is timed apart
-    # from the sweep: it is paid once per sweep — and once per *parallel*
-    # sweep via the shared pickled baseline — so the steady-state
-    # per-scenario cost is what the speedup bar measures.
+    # from the sweep: it is paid once per sweep — and once per chunk of a
+    # parallel sweep, since each chunk builds its own controller — so the
+    # steady-state per-scenario cost is what the speedup bar measures.
     start = time.perf_counter()
     controller = TEController(network, demands, weights=weights)
     controller.link_loads()

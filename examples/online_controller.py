@@ -4,11 +4,11 @@ The scenario engine answers "how bad is each failure?" by re-posing every
 perturbed instance from scratch.  This example shows the *online* view
 instead: :func:`repro.online.replay_failure_trace` (the same engine behind
 ``repro replay``) holds live routing state for the Abilene backbone in a
-:class:`~repro.online.TEController` and consumes a timed event trace —
+:class:`~repro.online.ControllerSession` and consumes a timed event trace —
 every trunk fails for five simulated minutes and then heals — through the
 discrete-event simulator.  Each event is absorbed with an incremental
 shortest-path update (only the affected destination DAGs are touched), the
-MLU timeline is sampled after every event, and at the end the worst outage
+session records one row after every event, and at the end the worst outage
 is re-optimised with a warm-started Fortz-Thorup weight search.
 
 Run with:  PYTHONPATH=src python examples/online_controller.py

@@ -294,7 +294,7 @@ def _build_policy(args: argparse.Namespace):
     )
 
 
-def _event_trace_records(session, topology_name: str) -> list[dict[str, object]]:
+def _event_trace_records(session) -> list[dict[str, object]]:
     """Per-event store records from a session's rows (replay and serve alike).
 
     Both ``repro replay --trace-file`` and the ``repro serve --replay-trace``
@@ -302,9 +302,10 @@ def _event_trace_records(session, topology_name: str) -> list[dict[str, object]]
     after the trace ran, so the two runs' records carry identical identity
     keys and the CI serve-smoke diff pairs them one-to-one per event.
     """
+    topology = session.network.name
     return [
-        {**row, "topology": topology_name, "scenario": f"event-{row['seq']:04d}"}
-        for row in session.event_rows()
+        {**row, "topology": topology, "scenario": f"event-{row['seq']:04d}"}
+        for row in session.rows
     ]
 
 
@@ -313,24 +314,24 @@ def _record_trace_run(
     *,
     kind: str,
     session,
-    network,
-    events: int,
+    records: list[dict[str, object]],
+    scenario_set: str,
     elapsed: float,
     config: dict[str, object],
 ) -> None:
-    """Record a per-event trace run (batch or soak) into the results store."""
+    """Record a trace run (generated, from a file, or soaked) into the results store."""
     stats = session.controller.spt.stats
-    final = session.controller.measure()
+    final = session.measure()
     with _open_store(args) as store:
         manifest = RunManifest.create(
             kind=kind,
-            topology=network.name,
+            topology=session.network.name,
             protocols=("even-ECMP",),
-            scenario_set=f"event-trace-{events}",
+            scenario_set=scenario_set,
             config={
                 "utilization": args.utilization,
                 "seed": args.seed,
-                "events": events,
+                "events": session.processed_events,
                 "baseline_mlu": round(session.baseline.mlu, 6),
                 "final_mlu": round(final.mlu, 6),
                 "policy": args.policy,
@@ -343,8 +344,8 @@ def _record_trace_run(
                 "full_rebuilds": float(stats.full_rebuilds),
             },
         )
-        records = _event_trace_records(session, network.name)
-        records.extend(profile_records(telemetry.get(), network.name))
+        # Traced runs also persist per-span aggregates for `repro results perf`.
+        records = records + profile_records(telemetry.get(), session.network.name)
         run_id = store.record_run(manifest, records)
         print(f"recorded run {run_id} in {store.path}")
 
@@ -368,49 +369,41 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.trace_file:
         # Strict wire-schema parsing: a malformed line is a hard error with
         # its line number (the same validator the serve socket runs).
-        events = read_event_trace(args.trace_file)
-        replay = replay_event_trace(session, events)
-        stats = replay.controller.spt.stats
-        print(
-            f"replayed {replay.processed_events} events from {args.trace_file} on "
-            f"{network.name} in {replay.elapsed * 1e3:.0f} ms wall "
-            f"({stats.incremental_updates} dirty DAG rows recomputed, "
-            f"{stats.full_rebuilds} full rebuilds); baseline MLU "
-            f"{replay.baseline.mlu:.3f}, final MLU {replay.final.mlu:.3f}"
-        )
-        if policy is not None:
-            print(f"policy {args.policy}: {replay.reoptimizations} reoptimization(s)")
-        _record_trace_run(
-            args,
-            kind="replay",
+        replay = replay_event_trace(session, read_event_trace(args.trace_file))
+        source = f" from {args.trace_file}"
+        records = _event_trace_records(session)
+        scenario_set = f"event-trace-{session.processed_events}"
+        config: dict[str, object] = {"command": "replay", "trace_file": str(args.trace_file)}
+    else:
+        scenarios = single_link_failures(network)
+        if args.limit is not None:
+            scenarios = scenarios[: args.limit]
+        if args.export_trace:
+            trace = failure_recovery_trace(
+                network, scenarios, period=args.period, outage=args.outage
+            )
+            count = write_event_trace(args.export_trace, trace)
+            print(f"wrote {count} event(s) to {args.export_trace}")
+        replay = replay_failure_trace(
+            network,
+            demands,
+            scenarios,
+            period=args.period,
+            outage=args.outage,
             session=session,
-            network=network,
-            events=replay.processed_events,
-            elapsed=replay.elapsed,
-            config={"command": "replay", "trace_file": str(args.trace_file)},
         )
-        return 0
-
-    scenarios = single_link_failures(network)
-    if args.limit is not None:
-        scenarios = scenarios[: args.limit]
-    if args.export_trace:
-        trace = failure_recovery_trace(
-            network, scenarios, period=args.period, outage=args.outage
-        )
-        count = write_event_trace(args.export_trace, trace)
-        print(f"wrote {count} event(s) to {args.export_trace}")
-    replay = replay_failure_trace(
-        network,
-        demands,
-        scenarios,
-        period=args.period,
-        outage=args.outage,
-        session=session,
-    )
+        source = ""
+        records = [{**row.as_row(), "topology": network.name} for row in replay.outages]
+        scenario_set = scenario_set_fingerprint(scenarios)
+        config = {
+            "command": "replay",
+            "period": args.period,
+            "outage": args.outage,
+            "scenarios": len(scenarios),
+        }
     stats = replay.controller.spt.stats
     print(
-        f"replayed {replay.processed_events} events on {network.name} in "
+        f"replayed {replay.processed_events} events{source} on {network.name} in "
         f"{replay.elapsed * 1e3:.0f} ms wall "
         f"({stats.incremental_updates} dirty DAG rows recomputed, "
         f"{stats.full_rebuilds} full rebuilds); baseline MLU "
@@ -425,43 +418,24 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 else ""
             )
         )
-    rows = [row.as_row() for row in replay.outages]
-    print()
-    print(format_table(rows, title="Per-outage sustained state"))
-    if replay.worst is not None:
-        print(f"\nworst outage: {replay.worst.scenario_id} (MLU {replay.worst.mlu:.3f})")
-
-    with _open_store(args) as store:
-        manifest = RunManifest.create(
-            kind="replay",
-            topology=network.name,
-            protocols=("even-ECMP",),
-            scenario_set=scenario_set_fingerprint(scenarios),
-            config={
-                "command": "replay",
-                "utilization": args.utilization,
-                "seed": args.seed,
-                "period": args.period,
-                "outage": args.outage,
-                "scenarios": len(scenarios),
-                "events": replay.processed_events,
-                "baseline_mlu": round(replay.baseline.mlu, 6),
-                "final_mlu": round(replay.final.mlu, 6),
-                "policy": args.policy,
-                "reoptimizations": replay.reoptimizations,
-            },
-            timings={
-                "elapsed": replay.elapsed,
-                "incremental_updates": float(stats.incremental_updates),
-                "full_rebuilds": float(stats.full_rebuilds),
-            },
+    if not args.trace_file:
+        print()
+        print(
+            format_table(
+                [row.as_row() for row in replay.outages], title="Per-outage sustained state"
+            )
         )
-        records = [{**row, "topology": network.name} for row in rows]
-        # Traced replays persist per-span aggregates for `repro results perf`
-        # (untraced replays stay record-identical to previous releases).
-        records.extend(profile_records(telemetry.get(), network.name))
-        run_id = store.record_run(manifest, records)
-        print(f"recorded run {run_id} in {store.path}")
+        if replay.worst is not None:
+            print(f"\nworst outage: {replay.worst.scenario_id} (MLU {replay.worst.mlu:.3f})")
+    _record_trace_run(
+        args,
+        kind="replay",
+        session=session,
+        records=records,
+        scenario_set=scenario_set,
+        elapsed=replay.elapsed,
+        config=config,
+    )
     return 0
 
 
@@ -522,8 +496,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             args,
             kind="serve",
             session=session,
-            network=session.network,
-            events=len(events),
+            records=_event_trace_records(session),
+            scenario_set=f"event-trace-{session.processed_events}",
             elapsed=elapsed,
             config={"command": "serve", "trace_file": str(args.replay_trace)},
         )

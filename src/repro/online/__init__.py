@@ -11,8 +11,13 @@ changed — what now?"* with bounded, incremental work:
   distances and DAG masks whose rows an event marks dirty and the next read
   rebuilds with the library's one shortest-path builder;
 * :mod:`~repro.online.controller` — :class:`TEController`, the facade that
-  re-propagates only the dirty rows' loads, warm-started reoptimization
-  and a binding onto the discrete-event simulator.
+  re-propagates only the dirty rows' loads and runs warm-started
+  reoptimization;
+* :mod:`~repro.online.session` — :class:`ControllerSession`, one controller
+  plus an optional :mod:`~repro.online.policy` behind the feed/read/
+  subscribe API that ``repro serve`` and the batch replay
+  (:mod:`~repro.online.replay`) both drive; its per-event rows are its
+  only history.
 
 The scenario runner's failure and brown-out sweeps ride
 :meth:`TEController.sweep_scenarios` automatically (see

@@ -19,16 +19,16 @@ The controller is deliberately ECMP (even splitting over the equal-cost
 DAGs, i.e. the OSPF data plane).  Scenario sweeps use it through
 :meth:`TEController.sweep_scenarios` — the scenario runner's incremental
 fast path, covering link/node failures, capacity brown-outs and their
-mixes; the discrete-event simulator replays timed traces through
-:meth:`TEController.bind`, where :mod:`repro.online.policy` closes the
-loop with thresholded warm-started reoptimization.
+mixes.  Timed traces and closed-loop reoptimization
+(:mod:`repro.online.policy`) run through
+:class:`~repro.online.session.ControllerSession`, which owns a controller.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from ..network.spt import DEFAULT_TOLERANCE, WeightsLike
 from ..obs import telemetry
 from ..routing.compiled import CompiledDag
 from ..scenarios.scenario import Scenario
-from ..simulator.events import Simulator
 from .dspt import DynamicSPT, publish_dspt_counters, snapshot_stats
 from .events import (
     CapacityChange,
@@ -155,6 +154,13 @@ class TEController:
         #: Rows whose loads must be re-propagated on the next read.
         self._stale: set[int] = set()
         self._grow()
+        # One scatter of the pairs into their destinations' rows.
+        sources, targets, volumes = demands.layout(network)
+        row_of = np.zeros(network.num_nodes, dtype=np.int64)
+        row_of[[network.node_index(d) for d in self.spt.destinations]] = np.arange(
+            len(self._demand)
+        )
+        self._demand[row_of[targets], sources] = volumes
         self._sequence = 0
 
     # ------------------------------------------------------------------
@@ -269,22 +275,19 @@ class TEController:
         self._stale.update(map(self.spt.row, affected))
 
     def _grow(self) -> None:
-        """Give destinations the SPT gained since the last call their rows."""
-        destinations = self.spt.destinations
-        start = len(self._dropped)
-        if start == len(destinations):
+        """Give destinations the SPT gained since the last call zero rows.
+
+        A destination gained after construction has no demand yet: the
+        only pair toward it is the one :meth:`_apply_demand` then sets.
+        """
+        start, stop = len(self._dropped), len(self.spt.destinations)
+        if start == stop:
             return
-        new = {destination: k for k, destination in enumerate(destinations[start:])}
-        demand = np.zeros((len(new), self.network.num_nodes))
-        node_index = self.network.node_index
-        for (source, target), volume in self._demands.items():
-            k = new.get(target)
-            if k is not None:
-                demand[k, node_index(source)] = volume
-        self._demand = np.vstack((self._demand, demand))
-        self._dest_loads = np.vstack((self._dest_loads, np.zeros((len(new), self.network.num_links))))
-        self._dropped = np.append(self._dropped, np.zeros(len(new)))
-        self._stale.update(range(start, len(destinations)))
+        new = stop - start
+        self._demand = np.vstack((self._demand, np.zeros((new, self.network.num_nodes))))
+        self._dest_loads = np.vstack((self._dest_loads, np.zeros((new, self.network.num_links))))
+        self._dropped = np.append(self._dropped, np.zeros(new))
+        self._stale.update(range(start, stop))
 
     # ------------------------------------------------------------------
     # routing state (lazy, per-destination rows)
@@ -428,7 +431,7 @@ class TEController:
         return update
 
     # ------------------------------------------------------------------
-    # scenario sweeps and simulator binding
+    # scenario sweeps
     # ------------------------------------------------------------------
     def sweep_scenarios(
         self, scenarios: Sequence[Scenario]
@@ -496,26 +499,3 @@ class TEController:
         if stats_before is not None:
             publish_dspt_counters(stats_before, self.spt.stats)
         return measurements
-
-    def bind(
-        self,
-        simulator: Simulator,
-        events: Iterable[NetworkEvent],
-        on_update: Callable[["TEController", ControllerUpdate], None] | None = None,
-    ) -> int:
-        """Schedule an event trace on a discrete-event simulator.
-
-        Each event is applied at its ``time``; ``on_update`` (if given) runs
-        after each application — the place to sample :meth:`measure` or
-        trigger :meth:`reoptimize`.  Returns the number of scheduled events.
-        """
-        count = 0
-        for event in events:
-            def _fire(sim: Simulator, event: NetworkEvent = event) -> None:
-                update = self.apply(event)
-                if on_update is not None:
-                    on_update(self, update)
-
-            simulator.schedule(event.time, _fire, label=event.kind)
-            count += 1
-        return count

@@ -16,7 +16,7 @@ demand drifting.  This module defines that stream's vocabulary:
 
 Events are frozen dataclasses with a ``time`` stamp so they can be replayed
 through the discrete-event :class:`~repro.simulator.events.Simulator` (see
-:meth:`~repro.online.controller.TEController.bind`), logged, and compared.
+:meth:`~repro.online.session.ControllerSession.replay`), logged, and compared.
 Converters translate the scenario engine's declarative perturbations into
 event streams: :func:`scenario_events` expands *any* topology-perturbing
 :class:`~repro.scenarios.scenario.Scenario` — link/node failures, capacity
@@ -68,7 +68,7 @@ class NetworkEvent:
     """Base class of all online events.
 
     ``time`` is the (simulated or wall-clock) timestamp; the controller does
-    not interpret it, but the simulator binding schedules on it and the
+    not interpret it, but a session replay schedules on it and the
     :class:`~repro.online.controller.ControllerUpdate` it returns keeps it.
     """
 
@@ -408,8 +408,8 @@ def failure_recovery_trace(
 
     Scenario ``i`` fails at ``start + i * period`` and recovers ``outage``
     later, so at most one scenario is down at a time when
-    ``outage <= period``.  The trace is what the controller's simulator
-    binding replays (see ``examples/online_controller.py``).
+    ``outage <= period``.  The trace is what a session replay runs (see
+    ``examples/online_controller.py``).
     """
     if period <= 0 or outage <= 0:
         raise EventError("period and outage must be positive")

@@ -1,4 +1,4 @@
-"""Closed-loop reoptimization policies for the simulator binding.
+"""Closed-loop reoptimization policies for a controller session.
 
 The controller can *absorb* events incrementally and it can *reoptimize*
 (warm-started weight search); this module closes the loop between the two.
@@ -16,11 +16,11 @@ trace and decides when to spend a reoptimization:
   practice (one weight search per event) but it bounds how much MLU a
   thresholded policy leaves on the table.
 
-Policies are attached inside :func:`repro.online.replay.replay_failure_trace`
-(``policy=...``; the CLI exposes it as ``repro replay --policy``), record a
-:class:`PolicyDecision` per triggered reoptimization, and call an optional
-``on_reoptimize`` callback so the replay can fold post-reoptimization
-measurements into its timeline and per-outage rows.
+A policy is attached to a :class:`~repro.online.session.ControllerSession`
+(``policy=...``; the CLI exposes it as ``repro replay --policy``), records
+a :class:`PolicyDecision` per triggered reoptimization, and calls an
+optional ``on_reoptimize`` callback, through which the session records the
+post-reoptimization measurement as a ``"reoptimize"`` row.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .controller import ControllerMeasurement, ControllerUpdate, TEController
 
 #: ``(controller, decision, measurement)`` hook run after a policy installed
 #: new weights; ``measurement`` is the post-installation state so callers
-#: (e.g. the replay timeline) need not re-measure.
+#: (e.g. the session's rows) need not re-measure.
 ReoptimizeHook = Callable[
     [TEController, "PolicyDecision", ControllerMeasurement], None
 ]
@@ -101,10 +101,10 @@ class _PolicyBase:
         update: ControllerUpdate,
         measurement: ControllerMeasurement | None = None,
     ) -> None:
-        """Called after every controller event (wire into ``bind(on_update=)``).
+        """Called after every controller event (the session's :meth:`feed` does).
 
-        Callers that already sampled the post-event state (the replay does,
-        for its timeline) pass it as ``measurement`` so the policy does not
+        Callers that already measured the post-event state (the session
+        does, for its row) pass it as ``measurement`` so the policy does not
         re-measure; without it the policy measures itself.
         """
         raise NotImplementedError

@@ -1,20 +1,18 @@
-"""Batch TE-controller trace replay (the engine behind ``repro replay``).
+"""Batch trace replay over a :class:`~repro.online.session.ControllerSession`.
 
-This module used to own the whole replay loop; since the
-:class:`~repro.online.session.ControllerSession` extraction it is a *thin
-batch driver*: build the timed fail → repair trace, drive a session over a
-discrete-event simulator, and summarise one row per outage.  The serve
-daemon (:mod:`repro.serve`) drives the very same session API one event at
-a time over a socket, which is why a socket replay of a trace and this
-batch replay of the same trace report bit-identical measurements.
+The engine behind ``repro replay``: build the timed fail → repair trace,
+run it through :meth:`ControllerSession.replay`, and summarise the
+session's rows into one row per outage.  The serve daemon (:mod:`repro.serve`)
+feeds the same session API one event at a time over a socket, so a socket
+replay and this batch replay of the same trace record identical rows.
 
 A replay can also run **closed-loop**: pass a policy from
-:mod:`repro.online.policy` and every triggered reoptimization is folded
-into the timeline (kind ``"reoptimize"``), so the per-outage rows report
-the *sustained* state of each outage — the last measurement inside its
-window, i.e. what the network looked like after the policy (if any) had
-reacted — and :attr:`ReplayResult.worst` compares fairly between the
-no-policy, closed-loop and every-event-oracle replays.
+:mod:`repro.online.policy` and every triggered reoptimization is recorded
+as a ``"reoptimize"`` row, so the per-outage rows report the *sustained*
+state of each outage — the last row inside its window, i.e. what the
+network looked like after the policy (if any) had reacted — and
+:attr:`ReplayResult.worst` compares fairly between the no-policy,
+closed-loop and every-event-oracle replays.
 
 The controller construction knobs (tolerance, custom weights) live on
 :class:`ControllerSession`: build a session and pass ``session=``.
@@ -23,23 +21,23 @@ The controller construction knobs (tolerance, custom weights) live on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..network.demands import TrafficMatrix
 from ..network.graph import Network
 from ..obs import telemetry
 from ..scenarios.scenario import Scenario
-from .controller import ControllerMeasurement, ControllerUpdate, TEController
+from .controller import ControllerMeasurement, TEController
 from .events import NetworkEvent, failure_recovery_trace
-from .session import ControllerSession
+from .session import REOPTIMIZE, ControllerSession
 
 
 @dataclass
 class OutageRow:
     """The sustained measurement of one outage in the trace.
 
-    ``mlu`` (and friends) come from the *last* sample inside the outage
-    window: the final failure event without a policy, the post-
+    ``mlu`` (and friends) come from the *last* session row inside the
+    outage window: the final failure event without a policy, the post-
     reoptimization measurement when a policy reacted in time.
     """
 
@@ -69,70 +67,80 @@ class OutageRow:
 
 @dataclass
 class ReplayResult:
-    """Everything a failure/recovery trace replay produced."""
+    """What a trace replay produced: a view of the session it drove."""
 
-    controller: TEController
-    baseline: ControllerMeasurement
+    session: ControllerSession
     final: ControllerMeasurement
-    outages: list[OutageRow]
-    timeline: list[tuple[float, str, ControllerMeasurement]]
-    processed_events: int
+    #: One sustained row per outage window (empty for an arbitrary trace).
+    outages: list[OutageRow] = field(default_factory=list)
     elapsed: float = 0.0
-    samples: list[ControllerUpdate] = field(default_factory=list)
-    #: The attached policy (``None`` for a plain replay); its ``decisions``
-    #: carry per-reoptimization before/after MLU.
-    policy: object | None = None
-    #: The session the replay drove (timeline/rows/subscriptions live here).
-    session: ControllerSession | None = None
+
+    @property
+    def controller(self) -> TEController:
+        return self.session.controller
+
+    @property
+    def baseline(self) -> ControllerMeasurement:
+        return self.session.baseline
+
+    @property
+    def policy(self) -> object | None:
+        """The attached policy; its ``decisions`` carry before/after MLU."""
+        return self.session.policy
+
+    @property
+    def processed_events(self) -> int:
+        """Network events fed (policy timers and reoptimizations excluded)."""
+        return self.session.processed_events
+
+    @property
+    def reoptimizations(self) -> int:
+        return self.session.reoptimizations
 
     @property
     def worst(self) -> OutageRow | None:
         """The outage with the highest sustained MLU (``None`` on an empty trace)."""
         return max(self.outages, key=lambda row: row.mlu, default=None)
 
-    @property
-    def reoptimizations(self) -> int:
-        return len(getattr(self.policy, "decisions", ()))
-
 
 def outage_rows(
-    timeline: Sequence[tuple[float, str, ControllerMeasurement]],
+    rows: Sequence[Mapping[str, object]],
     scenarios: Sequence[Scenario],
     period: float,
     outage: float,
 ) -> list[OutageRow]:
-    """Summarise a replay timeline into one sustained row per outage window."""
-    rows: list[OutageRow] = []
+    """Summarise a session's rows into one sustained row per outage window."""
+    summary: list[OutageRow] = []
     for index, scenario in enumerate(scenarios):
         down, up = index * period, index * period + outage
         window = [
-            (when, kind, measurement)
-            for when, kind, measurement in timeline
-            if down <= when < up and kind in ("link-failure", "reoptimize")
+            row
+            for row in rows
+            if down <= row["time"] < up and row["kind"] in ("link-failure", REOPTIMIZE)
         ]
         if not window:
             continue
-        _, _, measurement = window[-1]
+        last = window[-1]
         if telemetry.enabled():
             # Sustained MLU: what each outage actually ran at until repair.
             telemetry.observe(
                 "replay.sustained_mlu",
-                measurement.mlu,
+                last["mlu"],
                 edges=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0),
             )
-        rows.append(
+        summary.append(
             OutageRow(
                 scenario_id=scenario.scenario_id,
                 time=down,
-                mlu=measurement.mlu,
-                utility=measurement.utility,
-                routed_volume=measurement.routed_volume,
-                dropped_volume=measurement.dropped_volume,
-                connected=measurement.connected,
-                reoptimizations=sum(1 for _, kind, _m in window if kind == "reoptimize"),
+                mlu=last["mlu"],
+                utility=last["utility"],
+                routed_volume=last["routed"],
+                dropped_volume=last["dropped"],
+                connected=last["connected"],
+                reoptimizations=sum(1 for row in window if row["kind"] == REOPTIMIZE),
             )
         )
-    return rows
+    return summary
 
 
 def replay_event_trace(
@@ -141,24 +149,12 @@ def replay_event_trace(
     """Replay an arbitrary event trace through a session (no outage windows).
 
     The batch counterpart of feeding the same trace over the serve socket:
-    events run in simulated-time order on a discrete-event simulator, every
-    sample lands on the session timeline, and the result's
-    ``session.event_rows()`` are the records ``repro replay --trace-file``
+    events run in simulated-time order on a discrete-event simulator, and
+    ``session.rows`` are the records ``repro replay --trace-file``
     stores (and the serve soak run must match bit-for-bit).
     """
-    processed, elapsed = session.replay(events)
-    return ReplayResult(
-        controller=session.controller,
-        baseline=session.baseline,
-        final=session.controller.measure(),
-        outages=[],
-        timeline=session.timeline,
-        processed_events=processed,
-        elapsed=elapsed,
-        samples=session.samples,
-        policy=session.policy,
-        session=session,
-    )
+    elapsed = session.replay(events)
+    return ReplayResult(session=session, final=session.measure(), elapsed=elapsed)
 
 
 def replay_failure_trace(
@@ -171,16 +167,16 @@ def replay_failure_trace(
     *,
     session: ControllerSession | None = None,
 ) -> ReplayResult:
-    """Replay ``scenarios`` as a timed fail → repair trace and sample MLU.
+    """Replay ``scenarios`` as a timed fail → repair trace and summarise each outage.
 
     Each scenario fails at ``i * period`` and heals ``outage`` seconds
     later; the controller absorbs every directed-link event incrementally
-    and the MLU timeline is sampled after each one.  With a ``policy``
+    and the session records a row after each one.  With a ``policy``
     (:class:`~repro.online.policy.ClosedLoopPolicy` /
     :class:`~repro.online.policy.OraclePolicy`) each triggered
-    reoptimization is sampled into the timeline too.  The per-outage rows
-    report the last sample inside each outage window — the sustained state
-    the network actually ran in until repair.
+    reoptimization is recorded too.  The per-outage rows report the last
+    row inside each outage window — the sustained state the network
+    actually ran in until repair.
 
     Pass a prebuilt :class:`ControllerSession` (``session=``) to control
     the controller's construction (tolerance, custom weights).
@@ -190,16 +186,6 @@ def replay_failure_trace(
     elif policy is not None and session.policy is not policy:
         raise ValueError("pass the policy on the ControllerSession, not alongside session=")
     trace = failure_recovery_trace(network, scenarios, period=period, outage=outage)
-    processed, elapsed = session.replay(trace)
-    return ReplayResult(
-        controller=session.controller,
-        baseline=session.baseline,
-        final=session.controller.measure(),
-        outages=outage_rows(session.timeline, scenarios, period, outage),
-        timeline=session.timeline,
-        processed_events=processed,
-        elapsed=elapsed,
-        samples=session.samples,
-        policy=session.policy,
-        session=session,
-    )
+    result = replay_event_trace(session, trace)
+    result.outages = outage_rows(session.rows, scenarios, period, outage)
+    return result

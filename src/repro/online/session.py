@@ -1,29 +1,26 @@
-"""The formal controller-session API: feed events, read state, subscribe.
+"""The controller-session API: feed events, read state, subscribe.
 
-:func:`~repro.online.replay.replay_failure_trace` used to blur three
-concerns inside one function — event ingestion (the simulator binding),
-controller state (baseline, timeline, samples) and policy wiring.  A
-long-running service cannot be built on that surface, so this module
-extracts it as :class:`ControllerSession`, the object both the batch
-replay *and* the ``repro serve`` daemon now drive:
+:class:`ControllerSession` is the one object the batch replay
+(:mod:`repro.online.replay`) and the ``repro serve`` daemon both drive:
 
-* **feed** — :meth:`ControllerSession.feed` applies one event, samples the
-  resulting measurement into the session timeline and hands it to the
-  attached policy (exactly the ordering the replay always used, so the
-  two paths stay bit-for-bit identical);
-* **read state** — :meth:`measure`, :meth:`forwarding`,
-  :meth:`status`, :meth:`counters` and the deterministic
-  :meth:`state_dump` / :meth:`from_state_dump` round trip;
+* **feed** — :meth:`ControllerSession.feed` applies one event, records the
+  resulting measurement as a row and hands it to the attached policy;
+* **read state** — :meth:`measure`, :meth:`forwarding`, :meth:`status`,
+  :meth:`counters` and the deterministic :meth:`state_dump` /
+  :meth:`from_state_dump` round trip;
 * **subscribe** — :meth:`subscribe` registers ``(session, time, kind,
-  measurement)`` callbacks fired after every sample (events and policy
-  reoptimizations alike), the hook the serve daemon and future streaming
-  consumers build on;
-* **drive** — :meth:`replay` binds an event trace onto a discrete-event
-  simulator and runs it to completion (the engine behind
-  ``replay_failure_trace``), while :meth:`reoptimize_offline` runs the
-  warm-started weight search on the live controller and installs its
-  weights only once the search has returned, so a search that raises
-  leaves the session untouched.
+  measurement)`` callbacks fired after every recorded row (events and
+  reoptimizations alike);
+* **drive** — :meth:`replay` schedules :meth:`feed` for each event of a
+  trace on a discrete-event simulator and runs it to completion, while
+  :meth:`reoptimize_offline` runs the warm-started weight search on the
+  live controller and installs its weights only once the search has
+  returned, so a search that raises leaves the session untouched.
+
+The session's history is :attr:`ControllerSession.rows`, one
+:func:`measurement_row` per sample and nothing else; the counters are
+integers kept next to it.  A socket feed and a simulator replay of the
+same trace run the same :meth:`feed`, so their rows are identical.
 
 Sessions are keyed (:attr:`key`, defaulting to the topology name) the
 same way the results store keys runs, which is what makes the serve
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import time as _time
 from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol, cast
 
 import numpy as np
 
@@ -58,7 +55,10 @@ STATE_DUMP_SCHEMA = 1
 #: acceptance tolerance while staying JSON-round-trip stable.
 ROW_DECIMALS = 12
 
-#: ``(session, time, kind, measurement)`` callback fired after every sample.
+#: Row kind of a weight installation (events use their own ``kind``).
+REOPTIMIZE = "reoptimize"
+
+#: ``(session, time, kind, measurement)`` callback fired after every row.
 SessionSubscriber = Callable[
     ["ControllerSession", float, str, ControllerMeasurement], None
 ]
@@ -126,6 +126,22 @@ class ControllerSession:
         The session's identity for multi-tenant serving and recorded soak
         runs; defaults to ``network.name`` (the way the results store keys
         runs by topology).
+
+    Examples
+    --------
+    Every sample is one row; the counters are kept next to the rows.
+
+    >>> from repro.online import LinkRecovery
+    >>> from repro.topology.backbones import abilene_network
+    >>> from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
+    >>> net = abilene_network()
+    >>> tm = abilene_traffic_matrix(net, total_volume=50.0, seed=1)
+    >>> session = ControllerSession(net, tm)
+    >>> edge = net.links[0].endpoints
+    >>> _ = session.feed(LinkFailure(time=1.0, link=edge))
+    >>> _ = session.feed(LinkRecovery(time=2.0, link=edge))
+    >>> len(session.rows), session.counters()["events"]
+    (2, 2)
     """
 
     def __init__(
@@ -144,13 +160,10 @@ class ControllerSession:
         self.policy = policy
         #: The pre-event measurement (taken once, before any feed).
         self.baseline: ControllerMeasurement = self.controller.measure()
-        #: ``(time, kind, measurement)`` samples, events and reoptimizations.
-        self.timeline: list[tuple[float, str, ControllerMeasurement]] = []
-        #: The controller updates behind the event samples, in feed order.
-        self.samples: list[ControllerUpdate] = []
         self._rows: list[dict[str, object]] = []
+        #: Rows recorded per kind (event kinds and ``"reoptimize"``).
+        self._kinds: dict[str, int] = {}
         self._subscribers: list[SessionSubscriber] = []
-        self._simulator: Simulator | None = None
         if policy is not None:
             policy.attach(self.controller, None, on_reoptimize=self._policy_reoptimized)
 
@@ -158,14 +171,14 @@ class ControllerSession:
     # feed
     # ------------------------------------------------------------------
     def feed(self, event: NetworkEvent) -> ControllerMeasurement:
-        """Apply one event, sample the result, notify the policy/subscribers.
+        """Apply one event, record the result, notify subscribers and the policy.
 
-        Returns the post-event (pre-policy) measurement — the number the
-        batch replay puts on its timeline for this event, so a socket feed
-        and a simulator replay of the same trace report identical values.
+        Returns the post-event (pre-policy) measurement, the one the event's
+        row records.
         """
         update = self.controller.apply(event)
-        measurement = self._sample(update)
+        measurement = self.controller.measure()
+        self._record(event.time, event.kind, measurement)
         if self.policy is not None:
             self.policy.observe(self.controller, update, measurement=measurement)
         return measurement
@@ -174,31 +187,22 @@ class ControllerSession:
         """Feed a batch of events in order."""
         return [self.feed(event) for event in events]
 
-    def _sample(self, update: ControllerUpdate) -> ControllerMeasurement:
-        measurement = self.controller.measure()
-        self.samples.append(update)
-        when, kind = update.event.time, update.event.kind
-        self.timeline.append((when, kind, measurement))
+    def _record(self, when: float, kind: str, measurement: ControllerMeasurement) -> None:
+        """Append one row, count it, and notify the subscribers."""
         self._rows.append(measurement_row(len(self._rows), when, kind, measurement))
-        self._notify(when, kind, measurement)
-        return measurement
+        self._kinds[kind] = self._kinds.get(kind, 0) + 1
+        for subscriber in tuple(self._subscribers):
+            subscriber(self, when, kind, measurement)
 
     def _policy_reoptimized(
         self, controller: TEController, decision: object, measurement: ControllerMeasurement
     ) -> None:
         # The policy hands over its post-installation measurement, so the
-        # timeline entry costs no extra measure().
-        when = getattr(decision, "time", self._last_time())
-        self.timeline.append((when, "reoptimize", measurement))
-        self._rows.append(measurement_row(len(self._rows), when, "reoptimize", measurement))
-        self._notify(when, "reoptimize", measurement)
-
-    def _notify(self, when: float, kind: str, measurement: ControllerMeasurement) -> None:
-        for subscriber in tuple(self._subscribers):
-            subscriber(self, when, kind, measurement)
+        # row costs no extra measure().
+        self._record(getattr(decision, "time", self._last_time()), REOPTIMIZE, measurement)
 
     def _last_time(self) -> float:
-        return self.timeline[-1][0] if self.timeline else 0.0
+        return cast(float, self._rows[-1]["time"]) if self._rows else 0.0
 
     # ------------------------------------------------------------------
     # subscribe
@@ -224,11 +228,13 @@ class ControllerSession:
 
     @property
     def processed_events(self) -> int:
-        return len(self.samples)
+        """Network events fed (reoptimization rows excluded)."""
+        return len(self._rows) - self.reoptimizations
 
     @property
     def reoptimizations(self) -> int:
-        return len(getattr(self.policy, "decisions", ()))
+        """Weight installations recorded, by the policy or :meth:`reoptimize_offline`."""
+        return self._kinds.get(REOPTIMIZE, 0)
 
     def event_rows(self) -> list[dict[str, object]]:
         """Flat per-sample records (events and reoptimizations, in order)."""
@@ -282,12 +288,13 @@ class ControllerSession:
     def counters(self) -> dict[str, object]:
         """Telemetry-style counters (the serve ``counters`` query)."""
         stats = self.controller.spt.stats
-        by_kind: dict[str, int] = {}
-        for update in self.samples:
-            by_kind[update.event.kind] = by_kind.get(update.event.kind, 0) + 1
         return {
             "events": self.processed_events,
-            "events_by_kind": dict(sorted(by_kind.items())),
+            "events_by_kind": {
+                kind: count
+                for kind, count in sorted(self._kinds.items())
+                if kind != REOPTIMIZE
+            },
             "reoptimizations": self.reoptimizations,
             "dspt_incremental_updates": stats.incremental_updates,
             "dspt_full_rebuilds": stats.full_rebuilds,
@@ -397,8 +404,8 @@ class ControllerSession:
                 raise EventError(f"state dump names unknown link ({u!r}, {v!r})")
             session.controller.apply(LinkFailure(link=link.endpoints))
         # Restoration events went through the controller directly (plumbing,
-        # not history): the session timeline stays empty and the baseline is
-        # the *restored* state, not the pre-failure network.
+        # not history): the session has no rows and the baseline is the
+        # *restored* state, not the pre-failure network.
         session.baseline = session.controller.measure()
         return session
 
@@ -409,35 +416,30 @@ class ControllerSession:
         self,
         events: Sequence[NetworkEvent],
         simulator: Simulator | None = None,
-    ) -> tuple[int, float]:
+    ) -> float:
         """Run an event trace to completion on a discrete-event simulator.
 
-        Binds the trace, re-attaches the policy with the simulator clock
-        (hold/cooldown run on simulated time), runs, and returns
-        ``(processed_events, elapsed_seconds)``.  Samples land on
-        :attr:`timeline` exactly as :meth:`feed` would place them.
+        Schedules :meth:`feed` at each event's ``time``, re-attaches the
+        policy with the simulator clock (hold/cooldown run on simulated
+        time), runs, and returns the elapsed wall seconds.
         """
         simulator = simulator if simulator is not None else Simulator()
-        self._simulator = simulator
         policy = self.policy
         if policy is not None:
             policy.attach(
                 self.controller, simulator, on_reoptimize=self._policy_reoptimized
             )
-
-        def on_update(controller: TEController, update: ControllerUpdate) -> None:
-            measurement = self._sample(update)
-            if policy is not None:
-                policy.observe(controller, update, measurement=measurement)
-
-        scheduled = self.controller.bind(simulator, events, on_update=on_update)
+        for event in events:
+            simulator.schedule(
+                event.time, lambda _sim, event=event: self.feed(event), label=event.kind
+            )
         stats_before = (
             snapshot_stats(self.controller.spt.stats) if telemetry.enabled() else None
         )
         start = _time.perf_counter()
         with telemetry.span(
             "replay.trace",
-            events=scheduled,
+            events=len(events),
             session=self.key,
             policy=type(policy).__name__ if policy is not None else "none",
         ):
@@ -445,7 +447,7 @@ class ControllerSession:
         elapsed = _time.perf_counter() - start
         if stats_before is not None:
             publish_dspt_counters(stats_before, self.controller.spt.stats)
-        return simulator.processed_events, elapsed
+        return elapsed
 
     def reoptimize_offline(
         self, optimizer: object | None = None, warm_start: bool = True
@@ -454,18 +456,13 @@ class ControllerSession:
 
         :meth:`TEController.reoptimize` installs the weights as one bulk
         event only after the search returns, so an optimizer that raises
-        leaves the session (weights, rows, timeline) untouched.  The serve
+        leaves the session (weights, rows, counters) untouched.  The serve
         daemon runs this under the session's lock, like every other call
-        that touches session state.  The installation is sampled onto the
-        timeline as a ``"reoptimize"`` entry.  Returns the optimizer
-        result.
+        that touches session state.  The installation is recorded as a
+        ``"reoptimize"`` row.  Returns the optimizer result.
         """
         result = self.controller.reoptimize(
             optimizer=optimizer, warm_start=warm_start, install=True
         )
-        measurement = self.controller.measure()
-        when = self._last_time()
-        self.timeline.append((when, "reoptimize", measurement))
-        self._rows.append(measurement_row(len(self._rows), when, "reoptimize", measurement))
-        self._notify(when, "reoptimize", measurement)
+        self._record(self._last_time(), REOPTIMIZE, self.controller.measure())
         return result

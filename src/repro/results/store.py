@@ -29,6 +29,7 @@ import sqlite3
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
 
+from ..serve.wire import sanitize
 from .diffing import RunDiff, diff_records
 from .manifest import RunManifest
 
@@ -103,31 +104,6 @@ def _dump_view(payload: Mapping[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _sanitize(value: object) -> object:
-    """Replace non-finite floats with their string names, recursively.
-
-    ``json.dumps`` would otherwise emit bare ``Infinity``/``NaN`` tokens —
-    Python parses them back, but they are invalid JSON for jq/JSON.parse
-    and every strict consumer of ``--json`` output and exported views.
-    Infeasible scenario cells (``mlu = inf``) therefore persist as the
-    strings ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"``, which also compare
-    exactly in diffs.
-    """
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "Infinity"
-        if value == float("-inf"):
-            return "-Infinity"
-        return value
-    if isinstance(value, Mapping):
-        return {key: _sanitize(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(item) for item in value]
-    return value
-
-
 class ResultsStore:
     """Queryable store of run manifests and metrics in one SQLite file."""
 
@@ -174,7 +150,7 @@ class ResultsStore:
                 row,
             )
             for seq, record in enumerate(records):
-                clean = _sanitize(dict(record))
+                clean = sanitize(dict(record))
                 self._connection.execute(
                     "INSERT INTO records (run_id, seq, topology, workload, scenario,"
                     " protocol, metrics) VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -557,7 +533,7 @@ def load_bench_view(
         config={"view_flags": flags, "source": path.name, **{k: v for k, v in flags.items()}},
         note=note or f"imported from {path}",
     )
-    return manifest, [_sanitize(dict(record)) for record in results]
+    return manifest, [sanitize(dict(record)) for record in results]
 
 
 def open_store(path: str | Path | None = None) -> ResultsStore:

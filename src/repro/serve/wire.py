@@ -125,7 +125,16 @@ def parse_frame(line: bytes) -> Frame:
 
 
 def sanitize(value: object) -> object:
-    """Replace non-finite floats with their string names (strict JSON)."""
+    """Replace non-finite floats with their string names, recursively.
+
+    ``json.dumps`` would otherwise emit bare ``Infinity``/``NaN`` tokens —
+    Python parses them back, but they are invalid JSON for jq/JSON.parse
+    and every strict consumer.  Wire frames, ``--json`` output, results
+    store records and exported views all go through this one function, so
+    an infeasible cell (``mlu = inf``) persists as the string
+    ``"Infinity"`` (or ``"-Infinity"`` / ``"NaN"``), which also compares
+    exactly in diffs.  Tuples become lists, as JSON has no tuple.
+    """
     if isinstance(value, float):
         if value != value:
             return "NaN"

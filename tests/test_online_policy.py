@@ -1,8 +1,8 @@
-"""Closed-loop reoptimization policies on the simulator binding.
+"""Closed-loop reoptimization policies on a session's simulator replay.
 
 Pins the policy semantics (hold timers are simulated-time events, breaches
 that heal cost nothing, the oracle reoptimizes every event) and the replay
-integration (reoptimizations fold into the timeline and the per-outage
+integration (reoptimizations fold into the session rows and the per-outage
 sustained rows).
 """
 
@@ -12,10 +12,12 @@ import pytest
 
 from repro.online import (
     ClosedLoopPolicy,
+    ControllerSession,
     LinkFailure,
     LinkRecovery,
     OraclePolicy,
     TEController,
+    failure_recovery_trace,
     replay_failure_trace,
 )
 from repro.online.policy import POLICY_FACTORIES
@@ -58,17 +60,15 @@ class TestClosedLoopPolicy:
 
     def test_sustained_breach_triggers_after_hold(self, workload):
         network, demands = workload
-        controller = TEController(network, demands)
-        simulator = Simulator()
-        policy = make_policy().attach(controller, simulator)
+        policy = make_policy()
+        session = ControllerSession(network, demands, policy=policy)
         # link:1-2 degrades the MLU above the 0.95 target (see the online
         # controller benchmark) and never heals within this trace.
         trace = [
             LinkFailure(time=10.0, link=(1, 2)),
             LinkFailure(time=10.0, link=(2, 1)),
         ]
-        controller.bind(simulator, trace, on_update=policy.observe)
-        simulator.run()
+        session.replay(trace)
         assert policy.reoptimizations == 1
         decision = policy.decisions[0]
         assert decision.time == pytest.approx(40.0)  # breach at 10 + hold 30
@@ -78,19 +78,17 @@ class TestClosedLoopPolicy:
 
     def test_breach_that_heals_within_hold_costs_nothing(self, workload):
         network, demands = workload
-        controller = TEController(network, demands)
-        simulator = Simulator()
         # Target above the healed baseline (~0.997) but below the degraded
         # MLU (~1.019): only the outage window breaches.
-        policy = make_policy(target_mlu=1.0, hold=50.0).attach(controller, simulator)
+        policy = make_policy(target_mlu=1.0, hold=50.0)
+        session = ControllerSession(network, demands, policy=policy)
         trace = [
             LinkFailure(time=10.0, link=(1, 2)),
             LinkFailure(time=10.0, link=(2, 1)),
             LinkRecovery(time=30.0, link=(1, 2)),
             LinkRecovery(time=30.0, link=(2, 1)),
         ]
-        controller.bind(simulator, trace, on_update=policy.observe)
-        simulator.run()
+        session.replay(trace)
         assert policy.reoptimizations == 0
 
     def test_direct_feed_honours_cooldown(self, workload):
@@ -111,14 +109,20 @@ class TestClosedLoopPolicy:
     def test_unattainable_target_terminates(self, workload):
         """A breach the search cannot clear must not self-schedule forever."""
         network, demands = workload
-        controller = TEController(network, demands)
-        simulator = Simulator()
+
+        class CappedSimulator(Simulator):
+            """Stops after 50 callbacks: a runaway re-arm fails, not hangs."""
+
+            def run(self, until=None, max_events=None):
+                super().run(until, max_events=50)
+
+        simulator = CappedSimulator()
         # Far below the baseline MLU: every state breaches, no weight
         # setting can fix it.
-        policy = make_policy(target_mlu=0.05, hold=5.0).attach(controller, simulator)
+        policy = make_policy(target_mlu=0.05, hold=5.0)
+        session = ControllerSession(network, demands, policy=policy)
         trace = [LinkFailure(time=1.0, link=(1, 2))]
-        controller.bind(simulator, trace, on_update=policy.observe)
-        simulator.run(max_events=50)
+        session.replay(trace, simulator)
         assert simulator.pending() == 0  # terminated, no runaway re-arm
         assert policy.reoptimizations == 1
 
@@ -129,17 +133,13 @@ class TestClosedLoopPolicy:
 class TestOraclePolicy:
     def test_reoptimizes_every_event(self, workload):
         network, demands = workload
-        controller = TEController(network, demands)
-        simulator = Simulator()
-        policy = OraclePolicy(optimizer_factory=small_optimizer).attach(
-            controller, simulator
-        )
+        policy = OraclePolicy(optimizer_factory=small_optimizer)
+        session = ControllerSession(network, demands, policy=policy)
         trace = [
             LinkFailure(time=1.0, link=(1, 2)),
             LinkRecovery(time=2.0, link=(1, 2)),
         ]
-        controller.bind(simulator, trace, on_update=policy.observe)
-        simulator.run()
+        session.replay(trace)
         assert policy.reoptimizations == len(trace)
         assert all(d.trigger == "every-event" for d in policy.decisions)
 
@@ -161,6 +161,20 @@ class TestReplayIntegration:
         # The sustained row reflects the post-reoptimization state.
         assert looped.outages[0].reoptimizations >= 1
         assert looped.outages[0].mlu < plain.outages[0].mlu
-        assert any(kind == "reoptimize" for _, kind, _m in looped.timeline)
+        assert any(row["kind"] == "reoptimize" for row in looped.session.rows)
         # Rows expose the count for the results store.
         assert looped.outages[0].as_row()["reoptimizations"] >= 1
+
+    def test_processed_events_counts_network_events_only(self, workload):
+        """Policy hold timers and reoptimizations are not trace events."""
+        network, demands = workload
+        scenarios = single_link_failures(network)[:3]
+        trace = failure_recovery_trace(network, scenarios, period=600, outage=300)
+        policy = make_policy(target_mlu=0.5)
+        replay = replay_failure_trace(
+            network, demands, scenarios, period=600, outage=300, policy=policy
+        )
+        assert replay.reoptimizations == len(policy.decisions) >= 1
+        assert replay.processed_events == len(trace)
+        rows = replay.session.rows
+        assert len(rows) == len(trace) + replay.reoptimizations

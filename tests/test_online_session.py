@@ -2,18 +2,21 @@
 
 Pins the contracts the serve daemon is built on: the wire-schema dict
 round trip and its strict validation, line-numbered trace-file errors,
-feed-vs-simulator bit-for-bit equivalence, the byte-stable state-dump
-round trip, and the ``replay_failure_trace`` deprecation shim.
+feed-vs-simulator bit-for-bit equivalence, counters kept next to the rows,
+the byte-stable state-dump round trip, and the ``replay_failure_trace``
+batch driver.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.online import (
     CapacityChange,
+    ClosedLoopPolicy,
     ControllerSession,
     DemandUpdate,
     LinkFailure,
@@ -31,8 +34,10 @@ from repro.online import (
 )
 from repro.online.events import EventError
 from repro.online.session import ROW_DECIMALS, measurement_row
+from repro.protocols.fortz_thorup import FortzThorup
 from repro.scenarios import single_link_failures
 from repro.serve.wire import dumps_state
+from repro.simulator.events import Simulator
 from repro.topology.backbones import abilene_network
 from repro.traffic.fortz_thorup_tm import abilene_traffic_matrix
 
@@ -168,9 +173,23 @@ class TestControllerSession:
         replayed = fresh_session(workload)
         replayed.replay(trace)
         assert fed.event_rows() == replayed.event_rows()
-        assert [(t, k, m.mlu) for t, k, m in fed.timeline] == [
-            (t, k, m.mlu) for t, k, m in replayed.timeline
-        ]
+
+    def test_replay_runs_trace_through_simulator(self, workload):
+        network, _ = workload
+        session = fresh_session(workload)
+        baseline = session.baseline
+        scenarios = single_link_failures(network)[:3]
+        trace = failure_recovery_trace(network, scenarios, period=10.0, outage=5.0)
+        simulator = Simulator()
+        timeline = []
+        session.subscribe(lambda s, when, kind, m: timeline.append((when, s.mlu())))
+        session.replay(trace, simulator)
+        assert session.processed_events == len(trace)
+        assert simulator.processed_events == len(trace)
+        assert len(timeline) == len(trace)
+        # After every outage healed, the controller is back at baseline.
+        assert timeline[-1][1] == pytest.approx(baseline.mlu, abs=1e-9)
+        assert max(t for t, _ in timeline) == trace[-1].time
 
     def test_measurement_row_is_rounded(self, workload):
         session = fresh_session(workload)
@@ -224,8 +243,34 @@ class TestControllerSession:
         assert counters["events"] == session.processed_events
         assert sum(counters["events_by_kind"].values()) == counters["events"]
 
+    def test_counters_match_a_recount_of_the_rows(self, workload):
+        """Events, policy and offline reoptimizations: the counters are the rows'."""
+        network, _ = workload
+        _, trace = abilene_trace(network, count=2)
+
+        def optimizer():
+            return FortzThorup(restarts=1, seed=0, max_evaluations=30)
+
+        # Without a simulator the policy reacts to the first breaching event.
+        policy = ClosedLoopPolicy(target_mlu=0.05, optimizer_factory=optimizer, cooldown=1e9)
+        session = fresh_session(workload, policy=policy)
+        session.feed_many(trace[:2])
+        session.reoptimize_offline(optimizer=optimizer())
+        session.feed_many(trace[2:])
+        rows = session.rows
+        assert [row["seq"] for row in rows] == list(range(len(rows)))
+        kinds = Counter(row["kind"] for row in rows)
+        reoptimizations = kinds.pop("reoptimize")
+        assert reoptimizations == len(policy.decisions) + 1 == 2
+        counters = session.counters()
+        assert counters["events"] == sum(kinds.values()) == len(trace)
+        assert counters["events_by_kind"] == dict(sorted(kinds.items()))
+        assert counters["reoptimizations"] == reoptimizations
+        status = session.status()
+        assert (status["events"], status["reoptimizations"]) == (len(trace), 2)
+
     def test_failed_reoptimize_leaves_session_untouched(self, workload):
-        """An optimizer that raises changes no weight, row or timeline entry."""
+        """An optimizer that raises changes no weight, row or counter."""
         network, _ = workload
         _, trace = abilene_trace(network, count=2)
 
@@ -237,12 +282,12 @@ class TestControllerSession:
         session.feed_many(trace[:2])
         weights = session.controller.weights
         rows = [dict(row) for row in session.rows]
-        timeline = list(session.timeline)
+        counters = session.counters()
         with pytest.raises(RuntimeError, match="search failed"):
             session.reoptimize_offline(optimizer=Broken())
         assert (session.controller.weights == weights).all()
         assert session.rows == rows
-        assert session.timeline == timeline
+        assert session.counters() == counters
         reference = fresh_session(workload)
         reference.feed_many(trace[:2])
         assert session.feed(trace[2]).loads.tolist() == reference.feed(trace[2]).loads.tolist()
@@ -307,7 +352,8 @@ class TestReplayShim:
             network, demands, scenarios[:1], session=session
         )
         assert result.session is session
-        assert result.timeline is session.timeline
+        assert result.controller is session.controller
+        assert result.processed_events == session.processed_events == 4
         assert result.outages
 
     def test_foreign_policy_alongside_session_rejected(self, workload):

@@ -49,7 +49,6 @@ from repro.scenarios.runner import (
     evaluate_scenario,
     evaluate_scenarios,
 )
-from repro.simulator.events import Simulator
 from repro.solvers.assignment import ecmp_assignment
 
 TOLERANCE = 1e-9
@@ -296,6 +295,26 @@ class TestController:
         )
         assert controller.demands.total_volume() == pytest.approx(expected.total_volume())
 
+    def test_demand_rows_match_a_pair_loop(self):
+        """The constructor's one scatter, then a destination gained by an event."""
+        net = Network(name="square")
+        for u, v in [(1, 2), (2, 3), (3, 4), (4, 1)]:
+            net.add_duplex_link(u, v, 10.0)
+        tm = TrafficMatrix({(1, 3): 2.0, (4, 3): 1.5, (3, 1): 0.5, (2, 4): 3.0})
+        controller = TEController(net, tm, weights=[1.0] * net.num_links)
+        controller.ensemble_link_loads([TrafficMatrix({(3, 2): 1.0})])
+        controller.apply(DemandUpdate(source=4, target=2, volume=2.5))
+        controller.measure()
+
+        def reference(demands):
+            expected = np.zeros((len(controller.spt.destinations), net.num_nodes))
+            for (source, target), volume in demands.items():
+                expected[controller.spt.row(target), net.node_index(source)] = volume
+            return expected
+
+        np.testing.assert_array_equal(controller._demand, reference(controller.demands))
+        assert controller.spt.destinations == [3, 1, 4, 2]
+
     def test_capacity_change_moves_mlu_not_loads(self, abilene, abilene_tm):
         controller = TEController(abilene, abilene_tm)
         before = controller.measure()
@@ -380,26 +399,6 @@ class TestController:
             net, TrafficMatrix({(1, 3): 2.0})
         )
         np.testing.assert_allclose(loads[0], cold.aggregate(), atol=TOLERANCE, rtol=0)
-
-    def test_bind_replays_trace_through_simulator(self, abilene, abilene_tm):
-        controller = TEController(abilene, abilene_tm)
-        baseline = controller.measure()
-        scenarios = single_link_failures(abilene)[:3]
-        trace = failure_recovery_trace(abilene, scenarios, period=10.0, outage=5.0)
-        simulator = Simulator()
-        timeline = []
-        scheduled = controller.bind(
-            simulator,
-            trace,
-            on_update=lambda c, update: timeline.append((update.event.time, c.mlu())),
-        )
-        assert scheduled == len(trace)
-        simulator.run()
-        assert simulator.processed_events == len(trace)
-        assert len(timeline) == len(trace)
-        # After every outage healed, the controller is back at baseline.
-        assert timeline[-1][1] == pytest.approx(baseline.mlu, abs=TOLERANCE)
-        assert max(t for t, _ in timeline) == trace[-1].time
 
     def test_unknown_event_type_raises(self, abilene, abilene_tm):
         controller = TEController(abilene, abilene_tm)
