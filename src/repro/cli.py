@@ -8,12 +8,11 @@ later (by a human or by CI):
 * ``repro sweep`` — a :class:`~repro.scenarios.BatchRunner` sweep of
   protocols over a scenario set, recorded with a full run manifest; cells
   already in the store are served from it, never re-evaluated;
+  ``--parallel`` shards it across all CPUs, serial otherwise;
 * ``repro replay`` — the online TE controller's failure/recovery trace
   replay (:func:`repro.online.replay_failure_trace`), one record per
   outage; ``--policy closed-loop|oracle`` runs it closed-loop (thresholded
   or every-event warm-started reoptimization);
-* ``repro bench`` — the benchmark harness under ``benchmarks/`` via
-  pytest, in smoke/default/full mode, recording into the same store;
 * ``repro trace {sweep,replay}`` — the same sweep/replay commands run
   under an active :mod:`repro.obs` telemetry session: spans, counters and
   histograms land in a ``trace.jsonl`` file (``--trace``), with an
@@ -23,17 +22,17 @@ later (by a human or by CI):
   ``trace sweep`` reads no stored cells so every instrumented path
   actually executes; traced runs persist per-span timing aggregates
   (``scenario="__profile__"``) into the store;
-* ``repro results perf`` — span self-time trends over those profile
-  records, and ``--gate BASE..HEAD``, the statistical (median ± k·MAD)
-  regression gate CI runs against ``latest~1``;
+* ``repro results perf --gate BASE..HEAD`` — the statistical (median ±
+  k·MAD) span-timing regression gate CI runs against ``latest~1``;
 * ``repro results {list,show,query,diff,export,import,delete,gc,plot}`` —
   the store's query surface (``gc --keep-last N`` is the retention knob;
   ``list``/``show``/``query`` take ``--format table|csv|json``).  ``diff``
   is what CI gates on: timing fields are always informational, metric
   fields hard-fail (see :mod:`repro.results.diffing`); ``export``
   regenerates the committed ``BENCH_*.json`` views byte-for-byte;
-  ``plot`` renders a per-metric trendline over stored runs (terminal
-  sparkline always, PNG via ``--png``).
+  ``plot`` renders a per-metric terminal sparkline and table over stored
+  runs — span self-time trends included, as ``plot --scenario
+  __profile__ --metric self_seconds --agg sum --by span``.
 
 Every subcommand takes ``--store`` (default ``$REPRO_RESULTS_DB`` or
 ``~/.cache/repro/results.sqlite``).
@@ -43,8 +42,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -55,7 +52,6 @@ from .online.events import EventError
 from .results import (
     AGGREGATIONS,
     FORMATS,
-    PROFILE_SCENARIO,
     VIEW_FILENAMES,
     PerfError,
     PlotError,
@@ -66,10 +62,8 @@ from .results import (
     format_output,
     load_bench_view,
     metric_trend,
-    profile_rows,
     render_terminal,
     scenario_set_fingerprint,
-    write_png,
 )
 from .results import gate as perf_gate
 from .scenarios import (
@@ -130,12 +124,9 @@ SCENARIO_SETS: dict[str, Callable[..., list[Scenario]]] = {
     ),
 }
 
-#: Benchmark modules ``repro bench`` knows how to run (paths are relative
-#: to the benchmarks directory of a repository checkout).
-BENCH_MODULES = {
-    "routing": "test_routing_speed.py",
-    "online": "test_online_controller.py",
-}
+#: Record filters ``results query`` and ``results plot`` share (one parent
+#: parser), passed to :meth:`ResultsStore.query` together with ``limit``.
+RECORD_FILTERS = ("kind", "benchmark", "topology", "workload", "scenario", "protocol")
 
 
 class CLIError(ValueError):
@@ -211,10 +202,6 @@ def build_workload(
     return network, demands
 
 
-def _open_store(args: argparse.Namespace) -> ResultsStore:
-    return ResultsStore(args.store)
-
-
 def _resolve_side(store: ResultsStore, ref: str):
     """A diff side: a run reference, or a path to a ``BENCH_*.json`` view."""
     if ref.endswith(".json"):
@@ -244,10 +231,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.limit is not None:
         scenarios = scenarios[: args.limit]
     protocols = parse_protocols(args.protocols)
-    workers = (os.cpu_count() or 1) if args.parallel else args.workers
 
-    with _open_store(args) as store:
-        runner = BatchRunner(max_workers=workers, results_store=store)
+    with ResultsStore(args.store) as store:
+        runner = BatchRunner(max_workers=None if args.parallel else 0, results_store=store)
         results = runner.run(
             network,
             demands,
@@ -322,7 +308,7 @@ def _record_trace_run(
     """Record a trace run (generated, from a file, or soaked) into the results store."""
     stats = session.controller.spt.stats
     final = session.measure()
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         manifest = RunManifest.create(
             kind=kind,
             topology=session.network.name,
@@ -344,7 +330,7 @@ def _record_trace_run(
                 "full_rebuilds": float(stats.full_rebuilds),
             },
         )
-        # Traced runs also persist per-span aggregates for `repro results perf`.
+        # Traced runs also persist per-span aggregates for `results plot`/`perf`.
         records = records + profile_records(telemetry.get(), session.network.name)
         run_id = store.record_run(manifest, records)
         print(f"recorded run {run_id} in {store.path}")
@@ -557,36 +543,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    bench_dir = Path(args.benchmarks_dir)
-    if not bench_dir.is_dir():
-        print(
-            f"benchmarks directory {bench_dir} not found — run `repro bench` from a "
-            "repository checkout (or pass --benchmarks-dir)",
-            file=sys.stderr,
-        )
-        return 2
-    modules = sorted(set(args.module or BENCH_MODULES))
-    paths = []
-    for module in modules:
-        if module not in BENCH_MODULES:
-            print(
-                f"unknown bench module {module!r}; known: {', '.join(sorted(BENCH_MODULES))}",
-                file=sys.stderr,
-            )
-            return 2
-        paths.append(str(bench_dir / BENCH_MODULES[module]))
-    env = dict(os.environ)
-    env["REPRO_RESULTS_DB"] = str(Path(args.store).resolve())
-    env["REPRO_BENCH_SMOKE"] = "1" if args.smoke else "0"
-    env["REPRO_FULL_BENCH"] = "1" if args.full else "0"
-    command = [sys.executable, "-m", "pytest", "-q", *paths]
-    print(f"$ {' '.join(command)}  (REPRO_BENCH_SMOKE={env['REPRO_BENCH_SMOKE']}, "
-          f"REPRO_FULL_BENCH={env['REPRO_FULL_BENCH']}, store={env['REPRO_RESULTS_DB']})")
-    completed = subprocess.run(command, env=env)
-    return completed.returncode
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: the repo's custom static-analysis pass."""
     from .devtools import CheckError, check_paths, format_json, format_rule_listing, format_table
@@ -605,7 +561,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_results_list(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         manifests = store.runs(kind=args.kind, benchmark=args.benchmark, limit=args.limit)
         if not manifests and args.format == "table":
             print(f"no runs recorded in {store.path}")
@@ -621,23 +577,22 @@ def cmd_results_list(args: argparse.Namespace) -> int:
 
 
 def cmd_results_show(args: argparse.Namespace) -> int:
-    fmt = "json" if args.json else args.format
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         manifest = store.get_run(args.run)
         records = store.records(manifest.run_id)
-        if fmt == "json":
+        if args.format == "json":
             payload = {
                 "manifest": manifest.to_row(),
                 "records": [] if args.no_records else records,
             }
             # to_row packs config/timings/protocols as JSON strings; unpack
-            # them again so --json output is plain nested JSON.
+            # them again so JSON output is plain nested JSON.
             payload["manifest"]["protocols"] = list(manifest.protocols)
             payload["manifest"]["config"] = manifest.config
             payload["manifest"]["timings"] = manifest.timings
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
-        if fmt == "csv":
+        if args.format == "csv":
             # CSV is for machines: records only, no manifest preamble.
             print(format_output(records, fmt="csv"))
             return 0
@@ -645,112 +600,75 @@ def cmd_results_show(args: argparse.Namespace) -> int:
             print(f"{key:>16}: {value}")
         if records and not args.no_records:
             print()
-            print(format_output(records, fmt=fmt, title=f"{len(records)} record(s)"))
+            print(format_output(records, fmt=args.format, title=f"{len(records)} record(s)"))
     return 0
 
 
+def _record_filters(args: argparse.Namespace) -> dict[str, object]:
+    """The shared filter options as :meth:`ResultsStore.query` keywords."""
+    return {name: getattr(args, name) for name in (*RECORD_FILTERS, "limit")}
+
+
 def cmd_results_query(args: argparse.Namespace) -> int:
-    fmt = "json" if args.json else args.format
-    with _open_store(args) as store:
-        rows = store.query(
-            kind=args.kind,
-            benchmark=args.benchmark,
-            run=args.run,
-            topology=args.topology,
-            workload=args.workload,
-            scenario=args.scenario,
-            protocol=args.protocol,
-            limit=args.limit,
-        )
-        if not rows and fmt == "table":
+    with ResultsStore(args.store) as store:
+        rows = store.query(run=args.run, **_record_filters(args))
+        if not rows and args.format == "table":
             print("no matching records")
         else:
-            print(format_output(rows, fmt=fmt))
+            print(format_output(rows, fmt=args.format))
     return 0
 
 
 def cmd_results_plot(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
-        rows = store.query(
-            kind=args.kind,
-            benchmark=args.benchmark,
-            topology=args.topology,
-            workload=args.workload,
-            scenario=args.scenario,
-            protocol=args.protocol,
-            limit=args.limit,
-        )
+    with ResultsStore(args.store) as store:
+        rows = store.query(**_record_filters(args))
     series = metric_trend(rows, args.metric, agg=args.agg, by=args.by)
     print(f"{args.metric} ({args.agg} per run, oldest → newest)")
     print()
     print(render_terminal(series, args.metric))
-    if args.png:
-        write_png(args.png, series)
-        print(f"\nwrote {args.png}")
     return 0
 
 
 def cmd_results_perf(args: argparse.Namespace) -> int:
-    """``repro results perf``: span-timing trends and the regression gate.
+    """``repro results perf --gate BASE..HEAD``: the span-timing regression gate.
 
-    Without ``--gate``, renders per-span self-time trends over the stored
-    ``__profile__`` records (the same sparkline machinery as ``results
-    plot``).  With ``--gate BASE..HEAD``, compares HEAD's spans against the
-    run history ending at BASE (median ± k·MAD noise band, absolute and
-    relative floors) and exits 1 when any span regressed.
+    Compares HEAD's spans against the run history ending at BASE (median ±
+    k·MAD noise band, absolute and relative floors) and exits 1 when any
+    span regressed.  The spans' trends are a ``results plot`` view:
+    ``--scenario __profile__ --metric self_seconds --agg sum --by span``.
     """
-    with _open_store(args) as store:
-        if args.gate:
-            base_ref, separator, head_ref = args.gate.partition("..")
-            if not separator or not base_ref or not head_ref:
-                raise CLIError(
-                    f"malformed --gate reference {args.gate!r} (expected BASE..HEAD, "
-                    "e.g. 'latest~1:sweep..latest:sweep')"
-                )
-            report = perf_gate(
-                store,
-                base_ref,
-                head_ref,
-                metric=args.metric,
-                k=args.k,
-                min_seconds=args.min_seconds,
-                rel_floor=args.rel_floor,
-                window=args.window,
-            )
-            print(report.summary())
-            shown = [v for v in report.verdicts if v.regressed or args.all]
-            if shown:
-                print()
-                print(format_table([verdict.as_row() for verdict in shown]))
-            if not report.ok:
-                print(f"\nFAIL: {len(report.regressions)} span(s) regressed "
-                      f"beyond the noise band")
-                return 1
-            print("\nOK: no span regressed beyond the noise band")
-            return 0
-        rows = profile_rows(
-            store,
-            kind=args.kind,
-            topology=args.topology,
-            span=args.span,
-            limit=args.limit,
+    base_ref, separator, head_ref = args.gate.partition("..")
+    if not separator or not base_ref or not head_ref:
+        raise CLIError(
+            f"malformed --gate reference {args.gate!r} (expected BASE..HEAD, "
+            "e.g. 'latest~1:sweep..latest:sweep')"
         )
-        if not rows:
-            print(f"no {PROFILE_SCENARIO!r} records in {store.path} — profile "
-                  "records are written by `repro trace` runs")
-            return 0
-        series = metric_trend(rows, args.metric, agg="sum", by="span")
-        if args.last is not None:
-            for s in series:
-                del s.points[: max(0, len(s.points) - args.last)]
-        print(f"{args.metric} per span (sum per run, oldest → newest)")
+    with ResultsStore(args.store) as store:
+        report = perf_gate(
+            store,
+            base_ref,
+            head_ref,
+            metric=args.metric,
+            k=args.k,
+            min_seconds=args.min_seconds,
+            rel_floor=args.rel_floor,
+            window=args.window,
+        )
+    print(report.summary())
+    shown = [v for v in report.verdicts if v.regressed or args.all]
+    if shown:
         print()
-        print(render_terminal(series, args.metric))
+        print(format_table([verdict.as_row() for verdict in shown]))
+    if not report.ok:
+        print(f"\nFAIL: {len(report.regressions)} span(s) regressed "
+              f"beyond the noise band")
+        return 1
+    print("\nOK: no span regressed beyond the noise band")
     return 0
 
 
 def cmd_results_diff(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         try:
             side_a = _resolve_side(store, args.run_a)
             side_b = _resolve_side(store, args.run_b)
@@ -779,7 +697,7 @@ def cmd_results_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_results_export(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         text = store.export_bench_view(args.benchmark, run=args.run)
         if args.output:
             Path(args.output).write_text(text)
@@ -790,7 +708,7 @@ def cmd_results_export(args: argparse.Namespace) -> int:
 
 
 def cmd_results_import(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         for path in args.paths:
             run_id = store.import_bench_view(path)
             print(f"imported {path} as run {run_id}")
@@ -798,14 +716,14 @@ def cmd_results_import(args: argparse.Namespace) -> int:
 
 
 def cmd_results_delete(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         run_id = store.delete_run(args.run)
         print(f"deleted run {run_id}")
     return 0
 
 
 def cmd_results_gc(args: argparse.Namespace) -> int:
-    with _open_store(args) as store:
+    with ResultsStore(args.store) as store:
         cells = store.cell_count()
         deleted = store.gc(args.keep_last, kind=args.kind, benchmark=args.benchmark)
         stale = cells - store.cell_count()
@@ -847,11 +765,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--limit", type=int, default=None,
                         help="evaluate only the first N scenarios")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool size (0 = serial, the default)")
     parser.add_argument("--parallel", action="store_true",
                         help="shard scenario chunks across all CPUs, one online "
-                        "controller per worker (overrides --workers)")
+                        "controller per worker (default: serial)")
     parser.set_defaults(handler=cmd_sweep)
 
 
@@ -929,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Sweeps, replays, benchmarks and the queryable results store "
+        description="Sweeps, replays, traces and the queryable results store "
         "of the SPEF (ICDCS 2011) reproduction.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -1002,22 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the rule table and exit")
     check.set_defaults(handler=cmd_check)
 
-    bench = subparsers.add_parser(
-        "bench",
-        parents=[store_parent],
-        help="run the benchmark harness (pytest) and record into the store",
-    )
-    bench.add_argument("--module", action="append", choices=sorted(BENCH_MODULES),
-                       help="bench module(s) to run (default: all)")
-    bench_mode = bench.add_mutually_exclusive_group()
-    bench_mode.add_argument("--smoke", action="store_true",
-                            help="tiny workloads, correctness-only (CI smoke mode)")
-    bench_mode.add_argument("--full", action="store_true",
-                            help="full (slow) sweep sizes")
-    bench.add_argument("--benchmarks-dir", default="benchmarks",
-                       help="path to the benchmarks directory (default: ./benchmarks)")
-    bench.set_defaults(handler=cmd_bench)
-
     results = subparsers.add_parser("results", help="query the results store")
     results_sub = results.add_subparsers(dest="results_command", required=True)
 
@@ -1036,31 +936,26 @@ def build_parser() -> argparse.ArgumentParser:
     results_show.add_argument("--format", choices=FORMATS, default="table",
                               help="output format; csv prints the records only "
                               "(default: table)")
-    results_show.add_argument("--json", action="store_true",
-                              help="alias for --format json")
     results_show.add_argument("--no-records", action="store_true")
     results_show.set_defaults(handler=cmd_results_show)
 
-    results_query = results_sub.add_parser("query", parents=[store_parent],
+    filter_parent = argparse.ArgumentParser(add_help=False)
+    for name in RECORD_FILTERS:
+        filter_parent.add_argument(f"--{name}", default=None)
+    filter_parent.add_argument("--limit", type=int, default=None,
+                               help="consider only the newest N records")
+
+    results_query = results_sub.add_parser("query", parents=[store_parent, filter_parent],
                                            help="flat record rows across runs")
-    results_query.add_argument("--kind", default=None)
-    results_query.add_argument("--benchmark", default=None)
     results_query.add_argument("--run", default=None)
-    results_query.add_argument("--topology", default=None)
-    results_query.add_argument("--workload", default=None)
-    results_query.add_argument("--scenario", default=None)
-    results_query.add_argument("--protocol", default=None)
-    results_query.add_argument("--limit", type=int, default=None)
     results_query.add_argument("--format", choices=FORMATS, default="table",
                                help="output format (default: table)")
-    results_query.add_argument("--json", action="store_true",
-                               help="alias for --format json")
     results_query.set_defaults(handler=cmd_results_query)
 
     results_plot = results_sub.add_parser(
         "plot",
-        parents=[store_parent],
-        help="per-metric trendline over stored runs (sparkline + optional PNG)",
+        parents=[store_parent, filter_parent],
+        help="per-metric trendline over stored runs (sparkline + per-run table)",
     )
     results_plot.add_argument("--metric", required=True,
                               help="record field to plot, e.g. max_utilization")
@@ -1070,40 +965,21 @@ def build_parser() -> argparse.ArgumentParser:
     results_plot.add_argument("--by", default=None, metavar="FIELD",
                               help="split into one series per value of this field, "
                               "e.g. protocol")
-    results_plot.add_argument("--png", default=None, metavar="PATH",
-                              help="also write a PNG (pure-stdlib raster writer)")
-    results_plot.add_argument("--kind", default=None)
-    results_plot.add_argument("--benchmark", default=None)
-    results_plot.add_argument("--topology", default=None)
-    results_plot.add_argument("--workload", default=None)
-    results_plot.add_argument("--scenario", default=None)
-    results_plot.add_argument("--protocol", default=None)
-    results_plot.add_argument("--limit", type=int, default=None,
-                              help="consider only the newest N records")
     results_plot.set_defaults(handler=cmd_results_plot)
 
     results_perf = results_sub.add_parser(
         "perf",
         parents=[store_parent],
-        help="span-timing trends over traced runs, and the --gate regression check",
+        help="the span-timing regression gate over traced runs",
     )
+    results_perf.add_argument("--gate", required=True, metavar="BASE..HEAD",
+                              help="compare HEAD's span timings against the run "
+                              "history ending at BASE (e.g. "
+                              "'latest~1:sweep..latest:sweep'); exits 1 on "
+                              "regressions")
     results_perf.add_argument("--metric", default="self_seconds",
-                              help="profile record field to trend/gate "
+                              help="profile record field to gate "
                               "(default: self_seconds)")
-    results_perf.add_argument("--span", default=None, metavar="NAME",
-                              help="restrict to one span name")
-    results_perf.add_argument("--kind", default=None,
-                              help="restrict to runs of this kind (sweep, replay)")
-    results_perf.add_argument("--topology", default=None)
-    results_perf.add_argument("--last", type=int, default=None, metavar="N",
-                              help="show only the newest N runs per span trend")
-    results_perf.add_argument("--limit", type=int, default=None,
-                              help="consider only the newest N profile records")
-    results_perf.add_argument("--gate", default=None, metavar="BASE..HEAD",
-                              help="regression gate: compare HEAD's span timings "
-                              "against the run history ending at BASE "
-                              "(e.g. 'latest~1:sweep..latest:sweep'); exits 1 "
-                              "on regressions")
     results_perf.add_argument("--k", type=float, default=5.0,
                               help="MAD multiplier for the noise band (default: 5)")
     results_perf.add_argument("--min-seconds", type=float, default=0.005,
@@ -1116,8 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="baseline history window in runs, walking back "
                               "from BASE (default: 10)")
     results_perf.add_argument("--all", action="store_true",
-                              help="with --gate, show every gated span, not only "
-                              "regressions")
+                              help="show every gated span, not only regressions")
     results_perf.set_defaults(handler=cmd_results_perf)
 
     results_diff = results_sub.add_parser(

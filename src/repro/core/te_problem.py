@@ -87,9 +87,6 @@ class TESolution:
         """``sum log(1 - u_ij)``, the metric plotted in Fig. 10/13."""
         return normalized_utility(self.flows.utilization())
 
-    def weights_dict(self) -> dict:
-        return self.problem.network.weight_dict(self.link_weights)
-
 
 def solve_optimal_te(
     problem: TEProblem,

@@ -19,7 +19,8 @@ performance investigation actually consumes:
   ``span_tree`` lines are recomputed from the span lines.
 * :func:`profile_records` — per-span-name timing aggregates shaped as
   results-store records (``scenario="__profile__"``), the persistence
-  layer under ``repro results perf`` and its regression gate.
+  layer under ``repro results plot`` span trends and the ``repro results
+  perf`` regression gate.
 """
 
 from __future__ import annotations

@@ -338,14 +338,6 @@ class TelemetryRegistry:
     def counter_breakdown(self, name: str) -> dict[TagsKey, float]:
         return {t: v for (n, t), v in self.counters.items() if n == name}
 
-    def span_totals(self) -> dict[str, tuple[int, float, float]]:
-        """``{name: (count, total wall seconds, total cpu seconds)}``."""
-        totals: dict[str, tuple[int, float, float]] = {}
-        for record in self.spans:
-            count_, wall, cpu = totals.get(record.name, (0, 0.0, 0.0))
-            totals[record.name] = (count_ + 1, wall + record.wall, cpu + record.cpu)
-        return totals
-
     def self_times(self) -> dict[int, float]:
         """Per-span *self* wall time: own wall minus direct children's wall.
 

@@ -15,12 +15,11 @@ across runs and PRs:
   (timing vs shape vs metric) behind ``repro results diff``;
 * :mod:`~repro.results.formatting` — the shared ``table|csv|json`` row
   renderer behind every ``repro results`` listing (rich optional);
-* :mod:`~repro.results.plotting` — per-metric trendlines over stored runs
-  (terminal sparklines, stdlib-written PNG) for ``repro results
-  plot``;
-* :mod:`~repro.results.perf` — span-timing history over ``__profile__``
-  records and the median±MAD regression gate behind ``repro results
-  perf [--gate]``.
+* :mod:`~repro.results.plotting` — per-metric terminal trendlines over
+  stored runs for ``repro results plot``;
+* :mod:`~repro.results.perf` — the median±MAD span-timing regression
+  gate over ``__profile__`` records behind ``repro results perf
+  --gate``.
 
 The scenario :class:`~repro.scenarios.BatchRunner` (``results_store=``),
 the benchmark harness (:mod:`benchmarks.bench_utils`) and the ``repro``
@@ -44,7 +43,6 @@ from .perf import (
     PerfError,
     SpanVerdict,
     gate,
-    profile_rows,
 )
 from .plotting import (
     AGGREGATIONS,
@@ -54,7 +52,6 @@ from .plotting import (
     metric_trend,
     render_terminal,
     sparkline,
-    write_png,
 )
 from .store import (
     VIEW_FILENAMES,
@@ -80,13 +77,11 @@ __all__ = [
     "metric_trend",
     "render_terminal",
     "sparkline",
-    "write_png",
     "PROFILE_SCENARIO",
     "GateReport",
     "PerfError",
     "SpanVerdict",
     "gate",
-    "profile_rows",
     "KNOWN_KINDS",
     "RunManifest",
     "git_revision",

@@ -1,11 +1,11 @@
-"""Span-timing history and the statistical perf-regression gate.
+"""The statistical span-timing regression gate over traced runs.
 
 ``repro trace`` runs persist per-span timing aggregates
 (:func:`repro.obs.profiling.profile_records`, identity
 ``scenario="__profile__"``) next to their sweep/replay records.  This
-module is the read side: trends of a span's self time across runs, and a
-gate that answers CI's question — *did this span get slower than its own
-history explains?*
+module is the gate that reads them and answers CI's question — *did this
+span get slower than its own history explains?*  (A span's trend across
+runs is a ``repro results plot --scenario __profile__`` view.)
 
 The gate is statistical, not exact: shared runners jitter, so a span's
 baseline is summarised as ``median ± k·MAD`` over a window of prior runs,
@@ -37,7 +37,6 @@ __all__ = [
     "GateReport",
     "SpanVerdict",
     "gate",
-    "profile_rows",
 ]
 
 
@@ -57,23 +56,6 @@ def _span_values(
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             values[str(record.get("span", record.get("workload", "")))] = float(value)
     return values
-
-
-def profile_rows(
-    store: object,
-    topology: str | None = None,
-    span: str | None = None,
-    kind: str | None = None,
-    limit: int | None = None,
-) -> list[dict[str, object]]:
-    """Flat ``__profile__`` record rows across runs (newest runs first)."""
-    return store.query(  # type: ignore[attr-defined]
-        kind=kind,
-        topology=topology,
-        scenario=PROFILE_SCENARIO,
-        workload=span,
-        limit=limit,
-    )
 
 
 @dataclass

@@ -1,39 +1,19 @@
-"""Metric trendlines over recorded runs: terminal sparklines + PNG files.
+"""Metric trendlines over recorded runs, rendered in the terminal.
 
 ``repro results plot`` turns the store's flat :meth:`~ResultsStore.query`
 rows into one value per run (per optional group), ordered oldest → newest
 — the BENCH trajectory over git shas as a picture instead of two raw JSON
-views.  Rendering is dependency-light:
-
-* the terminal always works: a Unicode sparkline per series plus a
-  per-run table (sha, created, value);
-* ``--png`` writes an image through a small pure-stdlib PNG writer
-  (zlib + struct): 640x320 8-bit RGB, recessive light-gray axes/gridlines, 2px series
-  lines with small square markers in a fixed categorical palette.  The
-  builtin writer draws no text — the terminal output carries the legend
-  and the numbers; the image carries the shape.
-
-Series colors are assigned in fixed palette order by first appearance,
-never cycled or re-ranked when a filter changes the series count.
+views: a Unicode sparkline per series plus a per-run table (sha, created,
+value).  Span self-time trends are the same view over the traced runs'
+``__profile__`` records (``--scenario __profile__ --metric self_seconds
+--agg sum --by span``).
 """
 
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
-
-#: Fixed categorical palette (colorblind-checked order; see README).
-PALETTE: tuple[str, ...] = (
-    "#2a78d6",  # blue
-    "#eb6834",  # orange
-    "#1baf7a",  # aqua-green
-    "#eda100",  # yellow
-    "#e87ba4",  # magenta
-    "#008300",  # green
-)
 
 _SPARK = "▁▂▃▄▅▆▇█"
 
@@ -196,132 +176,3 @@ def render_terminal(series: Sequence[TrendSeries], metric: str) -> str:
         lines.append("  ".join(str(row.get(key, "")).ljust(widths[key]) for key in header))
     return "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# PNG rendering
-# ----------------------------------------------------------------------
-def _hex_rgb(color: str) -> tuple[int, int, int]:
-    color = color.lstrip("#")
-    return int(color[0:2], 16), int(color[2:4], 16), int(color[4:6], 16)
-
-
-class _Raster:
-    """A tiny 8-bit RGB canvas with thick-line and marker primitives."""
-
-    def __init__(self, width: int, height: int) -> None:
-        self.width = width
-        self.height = height
-        self.pixels = bytearray(b"\xff" * (width * height * 3))
-
-    def set(self, x: int, y: int, rgb: tuple[int, int, int]) -> None:
-        if 0 <= x < self.width and 0 <= y < self.height:
-            offset = (y * self.width + x) * 3
-            self.pixels[offset : offset + 3] = bytes(rgb)
-
-    def dot(self, x: int, y: int, rgb: tuple[int, int, int], radius: int = 0) -> None:
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                self.set(x + dx, y + dy, rgb)
-
-    def line(
-        self,
-        x0: int,
-        y0: int,
-        x1: int,
-        y1: int,
-        rgb: tuple[int, int, int],
-        thickness: int = 1,
-    ) -> None:
-        """Bresenham with a square pen of the given thickness."""
-        radius = max(0, thickness // 2)
-        dx, dy = abs(x1 - x0), -abs(y1 - y0)
-        sx = 1 if x0 < x1 else -1
-        sy = 1 if y0 < y1 else -1
-        err = dx + dy
-        while True:
-            self.dot(x0, y0, rgb, radius)
-            if x0 == x1 and y0 == y1:
-                break
-            doubled = 2 * err
-            if doubled >= dy:
-                err += dy
-                x0 += sx
-            if doubled <= dx:
-                err += dx
-                y0 += sy
-
-    def encode(self) -> bytes:
-        """The canvas as a minimal PNG byte string (one IDAT, filter 0)."""
-        raw = bytearray()
-        stride = self.width * 3
-        for y in range(self.height):
-            raw.append(0)  # filter: None
-            raw.extend(self.pixels[y * stride : (y + 1) * stride])
-
-        def chunk(kind: bytes, payload: bytes) -> bytes:
-            return (
-                struct.pack(">I", len(payload))
-                + kind
-                + payload
-                + struct.pack(">I", zlib.crc32(kind + payload) & 0xFFFFFFFF)
-            )
-
-        header = struct.pack(">IIBBBBB", self.width, self.height, 8, 2, 0, 0, 0)
-        return b"".join(
-            (
-                b"\x89PNG\r\n\x1a\n",
-                chunk(b"IHDR", header),
-                chunk(b"IDAT", zlib.compress(bytes(raw), 9)),
-                chunk(b"IEND", b""),
-            )
-        )
-
-
-def write_png(path: str, series: Sequence[TrendSeries]) -> None:
-    """Write the trend as a PNG through the pure-stdlib raster writer.
-
-    The image is text-free (the terminal output carries the legend and the
-    numbers); raises :class:`PlotError` when there is nothing to plot.
-    """
-    if not series or not any(s.points for s in series):
-        raise PlotError("nothing to plot")
-    width, height = 640, 320
-    left, right, top, bottom = 48, 16, 16, 32
-    plot_w, plot_h = width - left - right, height - top - bottom
-    raster = _Raster(width, height)
-    axis = (0xB4, 0xB4, 0xB4)
-    grid = (0xE3, 0xE3, 0xE3)
-    all_values = [value for s in series for value in s.values]
-    low, high = min(all_values), max(all_values)
-    if high - low <= 0:
-        pad = abs(high) * 0.1 or 1.0
-        low, high = low - pad, high + pad
-    else:
-        pad = (high - low) * 0.08
-        low, high = low - pad, high + pad
-    max_points = max(len(s.points) for s in series)
-
-    def to_xy(index: int, value: float) -> tuple[int, int]:
-        fx = index / (max_points - 1) if max_points > 1 else 0.5
-        fy = (value - low) / (high - low)
-        return left + round(fx * (plot_w - 1)), top + round((1 - fy) * (plot_h - 1))
-
-    # Recessive horizontal gridlines (quartiles), then the two axes.
-    for i in range(1, 4):
-        y = top + round(i * (plot_h - 1) / 4)
-        raster.line(left, y, left + plot_w - 1, y, grid)
-    raster.line(left, top, left, top + plot_h - 1, axis)
-    raster.line(left, top + plot_h - 1, left + plot_w - 1, top + plot_h - 1, axis)
-
-    for position, s in enumerate(series):
-        rgb = _hex_rgb(PALETTE[position % len(PALETTE)])
-        previous: tuple[int, int] | None = None
-        for index, value in enumerate(s.values):
-            point = to_xy(index, value)
-            if previous is not None:
-                raster.line(*previous, *point, rgb, thickness=2)
-            previous = point
-        for index, value in enumerate(s.values):
-            raster.dot(*to_xy(index, value), rgb, radius=3)
-    with open(path, "wb") as handle:
-        handle.write(raster.encode())

@@ -611,7 +611,9 @@ def _telemetry_summary_record(
 #:    (cold-cell loads shift at float round-off).
 #: 6: Frank-Wolfe takes exact slope-root steps over a stacked iterate, so
 #:    FW-based cells (SPEF, PEFT) shift at float round-off.
-CACHE_VERSION = 6
+#: 7: the demands fingerprint hashes the sorted pair layout's index and
+#:    volume arrays (same matrices, new digests).
+CACHE_VERSION = 7
 
 
 def cell_key(
@@ -763,7 +765,7 @@ class BatchRunner:
         if store is not None:
             # Cell keys need fingerprints, hashed once per scenario/spec.
             network_fp = network_fingerprint(network)
-            demands_fp = demands_fingerprint(demands)
+            demands_fp = demands_fingerprint(demands, network)
             scenario_fps = [scenario.fingerprint() for scenario in scenarios]
             spec_fps = [spec.fingerprint() for spec in specs]
         # One probe per spec decides its fast paths.  Specs that can ride
@@ -912,8 +914,8 @@ class BatchRunner:
         if telemetry_record is not None:
             records.append(telemetry_record)
         # Traced runs additionally persist per-span timing aggregates
-        # (scenario="__profile__") — the history `repro results perf`
-        # trends and gates on.  Untraced runs add nothing, keeping them
+        # (scenario="__profile__") — the history `repro results plot`
+        # trends and `repro results perf` gates on.  Untraced runs add nothing, keeping them
         # record-identical to pre-telemetry behaviour.
         records.extend(profile_records(telemetry.get(), network.name))
         return store.record_run(manifest, records)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -132,9 +132,6 @@ class Scenario:
         against one compiled weight setting in a single stacked operation.
         """
         return bool(self.failed_links or self.failed_nodes or self.capacity_factors)
-
-    def with_id(self, scenario_id: str) -> Scenario:
-        return replace(self, scenario_id=scenario_id)
 
     def merged_capacity_factors(self) -> dict[Edge, float]:
         """Per-edge capacity multipliers with duplicates merged multiplicatively.
@@ -291,10 +288,19 @@ def network_fingerprint(network: Network) -> str:
     return _sha256(payload)
 
 
-def demands_fingerprint(demands: TrafficMatrix) -> str:
-    """A stable hash of a traffic matrix (order independent)."""
-    payload = sorted((repr(pair), round(float(volume), 12)) for pair, volume in demands.items())
-    return _sha256(payload)
+def demands_fingerprint(demands: TrafficMatrix, network: Network) -> str:
+    """A stable hash of a traffic matrix on ``network`` (pair order independent).
+
+    Hashes the pair layout's node indices, sorted by (source, target), and
+    the volumes rounded to 12 decimals.  Indices name nodes only together
+    with ``network``'s node list, which :func:`network_fingerprint` covers.
+    """
+    sources, targets, volumes = demands.layout(network)
+    order = np.lexsort((targets, sources))
+    digest = hashlib.sha256()
+    for array in (sources[order], targets[order], np.round(volumes[order], 12)):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _sha256(payload: object) -> str:

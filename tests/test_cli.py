@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import (
-    BENCH_MODULES,
     CLIError,
     SCENARIO_SETS,
     TOPOLOGIES,
@@ -36,7 +35,7 @@ def test_help_exits_zero(capsys):
     assert "sweep" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["sweep", "replay", "bench", "results"])
+@pytest.mark.parametrize("command", ["sweep", "replay", "results"])
 def test_subcommand_help_exits_zero(command, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(command, "--help")
@@ -56,26 +55,29 @@ def test_unknown_topology_is_usage_error(tmp_path, capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--smoke"),
+        ("sweep", "--workers", "0"),
+        ("results", "show", "latest", "--json"),
+        ("results", "query", "--json"),
+        ("results", "plot", "--metric", "mlu", "--png", "trend.png"),
+        ("results", "perf", "--gate", "a..b", "--span", "controller.cell"),
+        ("results", "perf", "--gate", "a..b", "--last", "5"),
+    ],
+)
+def test_removed_paths_and_options_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv, "--store", str(tmp_path / "r.sqlite"))
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "r.sqlite").exists()
+
+
 def test_unknown_run_reference_exits_two(tmp_path, capsys):
     code = run_cli("results", "show", "nope", "--store", str(tmp_path / "r.sqlite"))
     assert code == 2
     assert "unknown run" in capsys.readouterr().err
-
-
-def test_bench_rejects_contradictory_smoke_full(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli("bench", "--smoke", "--full", "--store", str(tmp_path / "r.sqlite"))
-    assert excinfo.value.code == 2
-
-
-def test_bench_rejects_missing_benchmarks_dir(tmp_path, capsys):
-    code = run_cli(
-        "bench",
-        "--benchmarks-dir", str(tmp_path / "nowhere"),
-        "--store", str(tmp_path / "r.sqlite"),
-    )
-    assert code == 2
-    assert "benchmarks directory" in capsys.readouterr().err
 
 
 def test_registries_are_wired():
@@ -83,7 +85,6 @@ def test_registries_are_wired():
     assert parser is not None
     assert "abilene" in TOPOLOGIES
     assert "single-link-failures" in SCENARIO_SETS
-    assert set(BENCH_MODULES) == {"routing", "online"}
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +230,8 @@ def test_results_list_and_show(seeded_store, capsys):
     assert "routing-backend" in out and "online-controller" in out
 
     assert run_cli(
-        "results", "show", "latest:routing-backend", "--json", "--store", str(seeded_store)
+        "results", "show", "latest:routing-backend", "--format", "json",
+        "--store", str(seeded_store),
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["manifest"]["benchmark"] == "routing-backend"
@@ -241,7 +243,7 @@ def test_results_query_filters(seeded_store, capsys):
         "results", "query",
         "--benchmark", "routing-backend",
         "--workload", "ecmp-sweep",
-        "--json",
+        "--format", "json",
         "--store", str(seeded_store),
     ) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -512,14 +514,14 @@ def test_trace_sweep_profiling_exports_and_records(tmp_path, capsys):
 def test_traced_sweep_rows_recomputed_match_serial_and_parallel(tmp_path, capsys):
     """Serial and --parallel sweeps recompute the same rows; the diff gates it."""
     store = str(tmp_path / "r.sqlite")
-    for mode in ("--workers=0", "--parallel"):
+    for name, mode in (("serial", ()), ("parallel", ("--parallel",))):
         assert run_cli(
             "trace", "sweep",
             "--topology", "abilene",
             "--protocols", "OSPF",
             "--scenarios", "single-link-failures",
-            mode,
-                "--trace", str(tmp_path / f"t{mode}.jsonl"),
+            *mode,
+            "--trace", str(tmp_path / f"t-{name}.jsonl"),
             "--store", store,
         ) == 0
     capsys.readouterr()
@@ -549,41 +551,21 @@ def test_results_plot_terminal_and_png(tmp_path, capsys):
                 "--store", str(store_path),
         ) == 0
     capsys.readouterr()
-    png_path = tmp_path / "trend.png"
     code = run_cli(
         "results", "plot",
         "--metric", "max_utilization",
         "--agg", "max",
-        "--png", str(png_path),
         "--store", str(store_path),
     )
     out = capsys.readouterr().out
     assert code == 0
     assert "max_utilization" in out and "n=2" in out
-    assert f"wrote {png_path}" in out
-    assert png_path.read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
     code = run_cli(
         "results", "plot", "--metric", "not_a_metric", "--store", str(store_path)
     )
     assert code == 2
     assert "no numeric values" in capsys.readouterr().err
-
-
-def test_write_png_rejects_empty_series(tmp_path):
-    from repro.results.plotting import PlotError, TrendPoint, TrendSeries, write_png
-
-    with pytest.raises(PlotError, match="nothing to plot"):
-        write_png(str(tmp_path / "empty.png"), [])
-    with pytest.raises(PlotError, match="nothing to plot"):
-        write_png(str(tmp_path / "empty.png"), [TrendSeries(label="s", points=[])])
-    assert not (tmp_path / "empty.png").exists()
-    series = [TrendSeries(label="s", points=[
-        TrendPoint(run_id="r1", created_at="t1", git_sha="sha", value=1.0),
-        TrendPoint(run_id="r2", created_at="t2", git_sha="sha", value=2.0),
-    ])]
-    write_png(str(tmp_path / "trend.png"), series)
-    assert (tmp_path / "trend.png").read_bytes().startswith(b"\x89PNG\r\n\x1a\n")
 
 
 def test_results_format_flags(seeded_store, capsys):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.results import PerfError, ResultsStore, gate, profile_rows
+from repro.results import PerfError, ResultsStore, gate
 from repro.results.manifest import RunManifest
 
 TOPOLOGY = "Abilene"
@@ -157,15 +157,6 @@ def test_gate_requires_profiled_baselines(store):
         gate(store, "latest~1", head, window=2)
 
 
-def test_profile_rows_filters_by_span(history):
-    rows = profile_rows(history, span="controller.cell")
-    assert len(rows) == 5
-    assert all(row["span"] == "controller.cell" for row in rows)
-    assert {row["git_sha"] for row in rows} == {"cafe0000"}
-    assert profile_rows(history, span="controller.cell", limit=2)[0]["run_id"] \
-        == history.runs()[0].run_id  # newest first
-
-
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
@@ -191,19 +182,21 @@ def test_cli_perf_gate_exit_codes(tmp_path, capsys):
 
 
 def test_cli_perf_trend_renders_spans(tmp_path, capsys):
+    """Span trends are a `results plot` view over the __profile__ records."""
     db = tmp_path / "results.sqlite"
     with ResultsStore(db) as store:
         for index in range(3):
             _record_run(store, f"00:0{index}:00", {"controller.cell": 0.1 + index / 100})
-    assert main(["results", "perf", "--span", "controller.cell",
-                 "--last", "2", "--store", str(db)]) == 0
+    assert main(["results", "plot", "--scenario", "__profile__",
+                 "--metric", "self_seconds", "--agg", "sum", "--by", "span",
+                 "--store", str(db)]) == 0
     out = capsys.readouterr().out
     assert "controller.cell" in out and "self_seconds" in out
+    assert "last=0.12" in out
 
 
-def test_cli_perf_trend_empty_store_is_not_an_error(tmp_path, capsys):
-    db = tmp_path / "results.sqlite"
-    with ResultsStore(db) as store:
-        pass
-    assert main(["results", "perf", "--store", str(db)]) == 0
-    assert "no '__profile__' records" in capsys.readouterr().out
+def test_cli_perf_without_gate_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["results", "perf", "--store", str(tmp_path / "results.sqlite")])
+    assert excinfo.value.code == 2
+    assert "--gate" in capsys.readouterr().err

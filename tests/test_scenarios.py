@@ -171,6 +171,17 @@ class TestScenario:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_demands_fingerprint_ignores_pair_order_and_sees_volumes(self, abilene_small_tm):
+        net = abilene_network()
+        pairs = list(abilene_small_tm.items())
+        reference = demands_fingerprint(abilene_small_tm, net)
+        assert demands_fingerprint(TrafficMatrix(dict(reversed(pairs))), net) == reference
+        for index in (0, len(pairs) // 2, len(pairs) - 1):
+            changed = dict(pairs)
+            pair, volume = pairs[index]
+            changed[pair] = volume * (1 + 1e-9)
+            assert demands_fingerprint(TrafficMatrix(changed), net) != reference
+
 
 # ----------------------------------------------------------------------
 # Generator determinism (property-based)
@@ -284,7 +295,7 @@ class TestRunner:
         result = evaluate_scenario(net, abilene_small_tm, scenario, spec)
         key = cell_key(
             network_fingerprint(net),
-            demands_fingerprint(abilene_small_tm),
+            demands_fingerprint(abilene_small_tm, net),
             scenario.fingerprint(),
             spec.fingerprint(),
         )
