@@ -73,9 +73,9 @@ def main() -> None:
         f"Re-optimising the worst outage ({scenario.scenario_id}, "
         f"MLU {worst.mlu:.3f}) with warm-started Fortz-Thorup..."
     )
-    from repro.online import failure_events
+    from repro.online import scenario_events
 
-    controller.apply_all(failure_events(network, scenario))
+    controller.apply_all(scenario_events(network, scenario))
     before = controller.measure()
     result = controller.reoptimize(
         optimizer=FortzThorup(restarts=1, seed=0, max_evaluations=150)

@@ -609,31 +609,6 @@ def scenario_robustness_sweep(
     }
 
 
-def abilene_failure_sweep(
-    protocols: Sequence[object] = ("OSPF", "SPEF"),
-    load_fraction: float = 0.5,
-    runner: BatchRunner | None = None,
-    instance: Instance | None = None,
-) -> dict[str, object]:
-    """The canonical demo sweep: every Abilene trunk failure, SPEF vs OSPF.
-
-    Demands are scaled to ``load_fraction`` of the saturation load; the 0.5
-    default is the highest regime where every single-trunk failure still
-    leaves the demands routable (at the Fig. 9 level of 0.85, several
-    failures make even re-optimised TE infeasible).  Pass a ``BatchRunner``
-    with a ``results_store`` to have repeated calls served from its cells.
-    """
-    if instance is None:
-        instance = standard_instances()["Abilene"]
-    demands = instance.at_fraction(load_fraction)
-    return scenario_robustness_sweep(
-        instance.network,
-        demands,
-        protocols=protocols,
-        runner=runner,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 13 -- impact of integer weights
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ and simple numeric series), so benchmark modules stay declarative.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 
 def format_table(
@@ -120,14 +120,3 @@ def print_report(*sections: str) -> None:
         print(section)
         print()
 
-
-def series_summary(values: Iterable[float]) -> dict[str, float]:
-    """Min/mean/max of a numeric series (for quick assertions in benchmarks)."""
-    data = [float(v) for v in values]
-    if not data:
-        return {"min": 0.0, "mean": 0.0, "max": 0.0}
-    return {
-        "min": min(data),
-        "mean": sum(data) / len(data),
-        "max": max(data),
-    }

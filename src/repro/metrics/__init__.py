@@ -1,51 +1,19 @@
-"""Metrics: utilization, utility, load-balance criteria and path diversity."""
+"""Metrics: equal-cost path diversity (Table V).
 
-from ..core.objectives import normalized_utility
-from .load_balance import (
-    alternative_routings,
-    is_min_max_balanced,
-    is_qbeta_balanced,
-    minimizes_mlu,
-    proportional_balance_score,
-    spare_capacity,
-)
+Link utilization and MLU are methods of
+:class:`~repro.network.flows.FlowAssignment`; the (q, beta) load-balance
+criterion of Eq. (4) is
+:meth:`~repro.core.objectives.LoadBalanceObjective.verify_load_balance`.
+"""
+
 from .paths import (
-    average_path_diversity,
     equal_cost_path_counts,
     equal_cost_path_histogram,
     histogram_from_dags,
-    multipath_pairs,
-    used_link_count,
-)
-from .utilization import (
-    UtilizationSummary,
-    load_imbalance,
-    max_link_utilization,
-    overloaded_links,
-    sorted_link_utilizations,
-    underutilized_links,
-    utilization_percentiles,
 )
 
 __all__ = [
-    "normalized_utility",
-    "alternative_routings",
-    "is_min_max_balanced",
-    "is_qbeta_balanced",
-    "minimizes_mlu",
-    "proportional_balance_score",
-    "spare_capacity",
-    "average_path_diversity",
     "equal_cost_path_counts",
     "equal_cost_path_histogram",
     "histogram_from_dags",
-    "multipath_pairs",
-    "used_link_count",
-    "UtilizationSummary",
-    "load_imbalance",
-    "max_link_utilization",
-    "overloaded_links",
-    "sorted_link_utilizations",
-    "underutilized_links",
-    "utilization_percentiles",
 ]

@@ -3,13 +3,12 @@
 Table V reports, for Cernet2 at several load levels, how many ingress-egress
 pairs see 1, 2, 3 or 4 equal-cost shortest paths under SPEF's first weights,
 compared with OSPF's InvCap weights.  These helpers compute that histogram for
-any weight setting, and a few related diversity measures.
+any weight setting.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -81,24 +80,3 @@ def histogram_from_dags(
     """Table V histogram computed from already-built DAGs (e.g. a SPEF solution)."""
     counts = _pair_counts(dags, network)
     return dict(Counter(min(count, max_paths) for count in counts.values()))
-
-
-def multipath_pairs(histogram: dict[int, int]) -> int:
-    """Number of pairs with at least two equal-cost paths."""
-    return sum(count for paths, count in histogram.items() if paths >= 2)
-
-
-def average_path_diversity(
-    network: Network, weights: WeightsLike, tolerance: float = 1e-9
-) -> float:
-    """Mean number of equal-cost paths over all ordered pairs."""
-    counts = equal_cost_path_counts(network, weights, tolerance)
-    if not counts:
-        return 0.0
-    return float(np.mean([max(value, 0) for value in counts.values()]))
-
-
-def used_link_count(mean_link_load: Mapping[tuple, float], threshold: float = 1e-6) -> int:
-    """How many links carry load above ``threshold`` (the Fig. 11 comparison)."""
-    # repro: allow[REP004] integer count: the accumulation is order-free.
-    return sum(1 for load in mean_link_load.values() if load > threshold)

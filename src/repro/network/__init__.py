@@ -12,10 +12,7 @@ from .spt import (
     all_shortest_path_dags,
     as_weight_vector,
     distances_to,
-    path_cost,
     shortest_path_dag,
-    shortest_path_length,
-    shortest_paths,
 )
 
 __all__ = [
@@ -36,8 +33,5 @@ __all__ = [
     "all_shortest_path_dags",
     "as_weight_vector",
     "distances_to",
-    "path_cost",
     "shortest_path_dag",
-    "shortest_path_length",
-    "shortest_paths",
 ]

@@ -316,36 +316,3 @@ def all_shortest_path_dags(
     distances, mask = shortest_path_mask(network, destinations, vector, tolerance)
     return ShortestPathDags(network, destinations, distances, mask, tolerance)
 
-
-def shortest_path_length(
-    network: Network,
-    source: Node,
-    destination: Node,
-    weights: WeightsLike,
-) -> float:
-    """Length of the shortest path from ``source`` to ``destination``."""
-    distances = distances_to(network, destination, weights)
-    if source not in distances:
-        raise UnreachableError(f"{source!r} cannot reach {destination!r}")
-    return distances[source]
-
-
-def shortest_paths(
-    network: Network,
-    source: Node,
-    destination: Node,
-    weights: WeightsLike,
-    tolerance: float = DEFAULT_TOLERANCE,
-    limit: int | None = None,
-) -> list[list[Node]]:
-    """All equal-cost shortest paths between one source-destination pair."""
-    dag = shortest_path_dag(network, destination, weights, tolerance)
-    return dag.paths_from(source, limit=limit)
-
-
-def path_cost(network: Network, path: Sequence[Node], weights: WeightsLike) -> float:
-    """Total weight of ``path`` (a node list) under ``weights``."""
-    vector = as_weight_vector(network, weights)
-    return float(
-        sum(vector[network.link_index(u, v)] for u, v in zip(path[:-1], path[1:], strict=True))
-    )

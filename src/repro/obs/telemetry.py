@@ -103,9 +103,9 @@ __all__ = [
     "DEFAULT_FRACTION_EDGES",
 ]
 
-#: Default bucket edges for fraction-valued histograms (e.g. the affected
-#: cone as a fraction of reachable nodes).  Dense at the low end, where the
-#: incremental path wins, because that is where tuning decisions live.
+#: Default bucket edges of :meth:`TelemetryRegistry.observe`: a histogram of
+#: fractions in [0, 1], dense at the low end where small shares need the
+#: resolution.  Call sites with other ranges pass their own ``edges``.
 DEFAULT_FRACTION_EDGES: tuple[float, ...] = (
     0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0,
 )

@@ -50,14 +50,12 @@ from .events import (
     LinkWeightChange,
     NetworkEvent,
     TraceFormatError,
-    failure_events,
     failure_recovery_trace,
     from_dict,
     is_incremental_sweepable,
     is_pure_failure,
     parse_event_line,
     read_event_trace,
-    recovery_events,
     scenario_events,
     scenario_failed_edges,
     to_dict,
@@ -89,7 +87,6 @@ __all__ = [
     "replay_event_trace",
     "replay_failure_trace",
     "TEController",
-    "failure_events",
     "failure_recovery_trace",
     "from_dict",
     "is_incremental_sweepable",
@@ -98,7 +95,6 @@ __all__ = [
     "outage_rows",
     "parse_event_line",
     "read_event_trace",
-    "recovery_events",
     "scenario_events",
     "scenario_failed_edges",
     "to_dict",

@@ -135,15 +135,16 @@ class TEController:
             from ..protocols.ospf import invcap_weights
 
             weights = invcap_weights(network)
+        destinations = demands.destinations()
         with telemetry.span(
             "controller.setup",
             topology=network.name,
-            destinations=len(demands.destinations()),
+            destinations=len(destinations),
         ):
             self.spt = DynamicSPT(
                 network,
                 weights,
-                destinations=demands.destinations(),
+                destinations=destinations,
                 tolerance=tolerance,
             )
         # Rows follow the SPT's destination rows; `_grow` adds new ones.

@@ -20,10 +20,9 @@ through the discrete-event :class:`~repro.simulator.events.Simulator` (see
 Converters translate the scenario engine's declarative perturbations into
 event streams: :func:`scenario_events` expands *any* topology-perturbing
 :class:`~repro.scenarios.scenario.Scenario` — link/node failures, capacity
-brown-outs, and their combinations — into per-link events
-(:func:`failure_events` / :func:`recovery_events` remain the pure-failure
-subset), and :func:`failure_recovery_trace` turns a scenario sweep into a
-timed fail → measure → repair trace.
+brown-outs, and their combinations — into per-link events, and
+:func:`failure_recovery_trace` turns a sweep of pure failures into a timed
+fail → measure → repair trace of those events.
 
 The capacity conversion pins the scenario algebra's semantics: duplicate
 edges in ``capacity_factors`` merge multiplicatively (exactly as
@@ -369,34 +368,6 @@ def scenario_events(
     return failures + capacities
 
 
-def failure_events(
-    network: Network, scenario: Scenario, time: float = 0.0
-) -> list[LinkFailure]:
-    """Expand a pure-failure scenario into per-link :class:`LinkFailure` events."""
-    if not is_pure_failure(scenario):
-        raise EventError(
-            f"scenario {scenario.scenario_id!r} is not a pure link/node failure"
-        )
-    return [
-        LinkFailure(time=time, link=edge)
-        for edge in scenario_failed_edges(network, scenario)
-    ]
-
-
-def recovery_events(
-    network: Network, scenario: Scenario, time: float = 0.0
-) -> list[LinkRecovery]:
-    """The :class:`LinkRecovery` events that revert :func:`failure_events`."""
-    if not is_pure_failure(scenario):
-        raise EventError(
-            f"scenario {scenario.scenario_id!r} is not a pure link/node failure"
-        )
-    return [
-        LinkRecovery(time=time, link=edge)
-        for edge in scenario_failed_edges(network, scenario)
-    ]
-
-
 def failure_recovery_trace(
     network: Network,
     scenarios: Sequence[Scenario],
@@ -415,7 +386,17 @@ def failure_recovery_trace(
         raise EventError("period and outage must be positive")
     trace: list[NetworkEvent] = []
     for index, scenario in enumerate(scenarios):
+        if not is_pure_failure(scenario):
+            raise EventError(
+                f"scenario {scenario.scenario_id!r} is not a pure link/node failure"
+            )
         down = start + index * period
-        trace.extend(failure_events(network, scenario, time=down))
-        trace.extend(recovery_events(network, scenario, time=down + outage))
+        failures = scenario_events(network, scenario, time=down)
+        trace.extend(failures)
+        # A pure failure expands to LinkFailure events only.
+        trace.extend(
+            LinkRecovery(time=down + outage, link=event.link)
+            for event in failures
+            if isinstance(event, LinkFailure)
+        )
     return trace

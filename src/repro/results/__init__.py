@@ -59,7 +59,6 @@ from .store import (
     ResultsStoreError,
     default_results_path,
     load_bench_view,
-    open_store,
 )
 
 __all__ = [
@@ -93,5 +92,4 @@ __all__ = [
     "ResultsStoreError",
     "default_results_path",
     "load_bench_view",
-    "open_store",
 ]

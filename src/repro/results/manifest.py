@@ -20,6 +20,7 @@ unpacking JSON.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import subprocess
@@ -59,10 +60,12 @@ def git_revision(cwd: str | None = None) -> str:
     invoked from some unrelated git repo must not stamp that repo's sha
     onto the manifest.  Provenance must never make recording fail: outside
     a work tree this degrades to the ``GITHUB_SHA`` / ``GIT_SHA``
-    environment variables and finally to ``"unknown"``.
+    environment variables and finally to ``"unknown"``.  The package's own
+    revision is resolved once per process: the code a process runs cannot
+    change under it.
     """
     if cwd is None:
-        cwd = str(Path(__file__).resolve().parent)
+        return _package_revision()
     with contextlib.suppress(OSError, subprocess.SubprocessError):
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -78,6 +81,11 @@ def git_revision(cwd: str | None = None) -> str:
         if value:
             return value
     return "unknown"
+
+
+@functools.cache
+def _package_revision() -> str:
+    return git_revision(str(Path(__file__).resolve().parent))
 
 
 def scenario_set_fingerprint(scenarios: Sequence[Scenario]) -> str:

@@ -534,8 +534,3 @@ def load_bench_view(
         note=note or f"imported from {path}",
     )
     return manifest, [sanitize(dict(record)) for record in results]
-
-
-def open_store(path: str | Path | None = None) -> ResultsStore:
-    """Open (creating if needed) the results store at ``path`` or the default."""
-    return ResultsStore(path)

@@ -862,7 +862,7 @@ class BatchRunner:
         ]
         if store is not None:
             self.last_run_id = self._record(
-                store, network, specs, scenarios, ordered, stats, record_config
+                store, network, specs, scenario_fps, ordered, stats, record_config
             )
         return ordered
 
@@ -871,17 +871,17 @@ class BatchRunner:
         store: ResultsStore,
         network: Network,
         specs: Sequence[ProtocolSpec],
-        scenarios: Sequence[Scenario],
+        scenario_fps: Sequence[str],
         results: Sequence[ScenarioResult],
         stats: RunStats,
         record_config: dict[str, object] | None,
     ) -> str:
         """Write this run (manifest + one record per cell) to the store."""
         from ..obs.profiling import profile_records
-        from ..results import RunManifest, scenario_set_fingerprint
+        from ..results import RunManifest
 
         config: dict[str, object] = {
-            "scenarios": len(scenarios),
+            "scenarios": len(scenario_fps),
             "protocols": len(specs),
             "cache_hits": stats.cache_hits,
             "evaluated": stats.evaluated,
@@ -897,7 +897,8 @@ class BatchRunner:
             kind="sweep",
             topology=network.name,
             protocols=[spec.display_name for spec in specs],
-            scenario_set=scenario_set_fingerprint(scenarios),
+            # `scenario_set_fingerprint(scenarios)` over the run's own hashes.
+            scenario_set=_sha256(sorted(scenario_fps)),
             config=config,
             timings=timings,
         )

@@ -20,7 +20,7 @@ trace; the CI serve-smoke job gates on that diff.
 """
 
 from .client import ServeClient, ServeClientError
-from .daemon import ServerThread, TEServer, build_sessions
+from .daemon import ServerThread, TEServer
 from .wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -42,7 +42,6 @@ __all__ = [
     "ServerThread",
     "TEServer",
     "WireError",
-    "build_sessions",
     "dumps_state",
     "dumps_state_file",
     "error_frame",

@@ -28,7 +28,7 @@ import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from ..network import NetworkError
@@ -372,15 +372,3 @@ class ServerThread:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-def build_sessions(
-    specs: Sequence[ControllerSession],
-) -> dict[str, ControllerSession]:
-    """Key a list of sessions by :attr:`ControllerSession.key` (must be unique)."""
-    sessions: dict[str, ControllerSession] = {}
-    for session in specs:
-        if session.key in sessions:
-            raise ValueError(f"duplicate session key {session.key!r}")
-        sessions[session.key] = session
-    return sessions

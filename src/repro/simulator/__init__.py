@@ -3,7 +3,6 @@
 from .events import EventHandle, Simulator
 from .simulation import (
     FlowLevelSimulation,
-    SimulatedFlow,
     SimulationResult,
     proportional_split_ratios,
     simulate_protocol,
@@ -13,7 +12,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "FlowLevelSimulation",
-    "SimulatedFlow",
     "SimulationResult",
     "proportional_split_ratios",
     "simulate_protocol",

@@ -36,18 +36,6 @@ SplitRatios = dict[Node, dict[Node, dict[Node, float]]]
 
 
 @dataclass
-class SimulatedFlow:
-    """One flow in flight."""
-
-    source: Node
-    destination: Node
-    rate: float
-    path: tuple[Node, ...]
-    start_time: float
-    end_time: float
-
-
-@dataclass
 class SimulationResult:
     """Aggregated outcome of one simulation run."""
 

@@ -20,13 +20,7 @@ from .netflow import (
     cernet2_traffic_matrix,
     synthesize_netflow,
 )
-from .scaling import (
-    LoadPoint,
-    load_sweep,
-    scale_to_network_load,
-    scale_to_optimal_mlu,
-    sweep_until_saturation,
-)
+from .scaling import scale_to_network_load
 
 __all__ = [
     "ABILENE_COORDINATES",
@@ -43,9 +37,5 @@ __all__ = [
     "NetflowSample",
     "cernet2_traffic_matrix",
     "synthesize_netflow",
-    "LoadPoint",
-    "load_sweep",
     "scale_to_network_load",
-    "scale_to_optimal_mlu",
-    "sweep_until_saturation",
 ]

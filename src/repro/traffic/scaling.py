@@ -1,29 +1,18 @@
-"""Demand scaling utilities: congestion-level sweeps.
+"""Demand scaling to a target network load.
 
 The paper "create[s] different test cases by uniformly increasing the traffic
 demands until the maximal link utilization almost reaches 100% with SPEF".
-These helpers implement that procedure: scale a base traffic matrix to hit a
-target *network load* (total demand over total capacity, the x-axis of
-Fig. 10) or a target *optimal MLU* (found by bisection against the min-MLU
-LP), and build whole sweeps of instances.
+:func:`scale_to_network_load` scales a base traffic matrix to a target
+*network load* (total demand over total capacity, the x-axis of Fig. 10).
+The saturation point itself and the Fig. 10 load grid are
+:meth:`~repro.analysis.experiments.Instance.saturation_load` and
+:meth:`~repro.analysis.experiments.Instance.fig10_loads`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable, Sequence
-
 from ..network.demands import TrafficMatrix
 from ..network.graph import Network
-from ..solvers.mcf import solve_min_mlu
-
-
-@dataclass(frozen=True)
-class LoadPoint:
-    """One point of a congestion sweep."""
-
-    network_load: float
-    demands: TrafficMatrix
 
 
 def scale_to_network_load(
@@ -38,77 +27,3 @@ def scale_to_network_load(
     if current <= 0:
         raise ValueError("cannot scale an empty traffic matrix to a positive load")
     return demands.scaled(target_load / current)
-
-
-def scale_to_optimal_mlu(
-    network: Network,
-    demands: TrafficMatrix,
-    target_mlu: float,
-    tolerance: float = 1e-3,
-    max_iterations: int = 40,
-) -> TrafficMatrix:
-    """Scale ``demands`` so the *optimal* (min-max) MLU equals ``target_mlu``.
-
-    Because the minimum achievable MLU is linear in a uniform demand scaling,
-    a single LP solve suffices: if the base matrix achieves optimal MLU ``m``,
-    scaling by ``target_mlu / m`` hits the target exactly.  The bisection
-    parameters are kept for API compatibility and only used to refine when
-    numerical noise from the LP makes the direct scaling miss the target.
-    """
-    if target_mlu <= 0:
-        raise ValueError("target MLU must be positive")
-    base = solve_min_mlu(network, demands, allow_overload=True).objective
-    if base <= 0:
-        raise ValueError("base traffic matrix routes with zero utilization")
-    scaled = demands.scaled(target_mlu / base)
-    achieved = solve_min_mlu(network, scaled, allow_overload=True).objective
-    iterations = 0
-    while abs(achieved - target_mlu) > tolerance and iterations < max_iterations:
-        scaled = scaled.scaled(target_mlu / achieved)
-        achieved = solve_min_mlu(network, scaled, allow_overload=True).objective
-        iterations += 1
-    return scaled
-
-
-def load_sweep(
-    network: Network,
-    base_demands: TrafficMatrix,
-    loads: Sequence[float],
-) -> list[LoadPoint]:
-    """Instances at each requested network-load level (Fig. 10 x-axis values)."""
-    return [
-        LoadPoint(network_load=load, demands=scale_to_network_load(network, base_demands, load))
-        for load in loads
-    ]
-
-
-def sweep_until_saturation(
-    network: Network,
-    base_demands: TrafficMatrix,
-    start_load: float,
-    step: float,
-    max_points: int = 12,
-    stop_when: Callable[[TrafficMatrix], bool] | None = None,
-) -> list[LoadPoint]:
-    """Increase the network load until a stopping predicate fires.
-
-    The default predicate reproduces the paper's procedure: stop once the
-    *optimal* MLU (min-max LP) reaches 1, i.e. once even SPEF would saturate a
-    link.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    def default_stop(demands: TrafficMatrix) -> bool:
-        return solve_min_mlu(network, demands, allow_overload=True).objective >= 1.0
-
-    predicate = stop_when or default_stop
-    points: list[LoadPoint] = []
-    load = start_load
-    for _ in range(max_points):
-        demands = scale_to_network_load(network, base_demands, load)
-        points.append(LoadPoint(network_load=load, demands=demands))
-        if predicate(demands):
-            break
-        load += step
-    return points

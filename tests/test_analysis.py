@@ -13,7 +13,6 @@ from repro.analysis.reporting import (
     format_histogram,
     format_series,
     format_table,
-    series_summary,
 )
 from repro.topology.paper_examples import fig4_network
 
@@ -47,11 +46,6 @@ class TestReporting:
         text = format_histogram({1: 10, 2: 3}, title="paths")
         assert "paths" in text
         assert "10" in text
-
-    def test_series_summary(self):
-        summary = series_summary([1.0, 2.0, 3.0])
-        assert summary == {"min": 1.0, "mean": 2.0, "max": 3.0}
-        assert series_summary([]) == {"min": 0.0, "mean": 0.0, "max": 0.0}
 
 
 class TestSmallExperiments:

@@ -10,10 +10,7 @@ from repro.network.spt import (
     all_shortest_path_dags,
     as_weight_vector,
     distances_to,
-    path_cost,
     shortest_path_dag,
-    shortest_path_length,
-    shortest_paths,
 )
 
 
@@ -56,13 +53,6 @@ class TestDistances:
         weights = {(1, 2): 1.0, (2, 4): 1.0, (1, 3): 5.0, (3, 4): 5.0}
         dist = distances_to(diamond_network, 4, weights)
         assert dist[1] == pytest.approx(2.0)
-
-    def test_shortest_path_length(self, diamond_network):
-        assert shortest_path_length(diamond_network, 1, 4, np.ones(4)) == pytest.approx(2.0)
-
-    def test_shortest_path_length_unreachable(self, line_network):
-        with pytest.raises(UnreachableError):
-            shortest_path_length(line_network, 4, 1, np.ones(3))
 
 
 class TestDag:
@@ -123,14 +113,6 @@ class TestDag:
 
 
 class TestPaths:
-    def test_shortest_paths_wrapper(self, diamond_network):
-        paths = shortest_paths(diamond_network, 1, 4, np.ones(4))
-        assert len(paths) == 2
-
-    def test_path_cost(self, diamond_network):
-        weights = {(1, 2): 1.5, (2, 4): 2.5, (1, 3): 1.0, (3, 4): 1.0}
-        assert path_cost(diamond_network, [1, 2, 4], weights) == pytest.approx(4.0)
-
     def test_zero_weight_links_allowed(self, fig1):
         # Table I's beta=0 column assigns weight 0 to link (2, 3).
         weights = {(1, 3): 2.0, (3, 4): 1.0, (1, 2): 1.0, (2, 3): 0.0}

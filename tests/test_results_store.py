@@ -18,6 +18,7 @@ from repro.results import (
     load_bench_view,
     scenario_set_fingerprint,
 )
+from repro.results import manifest as manifest_module
 from repro.scenarios import BatchRunner, single_link_failures
 from repro.scenarios import runner as runner_module
 from repro.topology.backbones import abilene_network
@@ -222,6 +223,22 @@ def test_batch_runner_records_manifested_run(store):
     # Records carry the topology so query(topology=...) works for sweeps.
     rows = store.query(kind="sweep", topology=network.name)
     assert len(rows) == 4
+
+
+def test_manifests_resolve_the_package_revision_once(monkeypatch):
+    calls = []
+    real_run = manifest_module.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+    manifest_module._package_revision.cache_clear()
+    first = RunManifest.create(kind="sweep")
+    second = RunManifest.create(kind="sweep")
+    assert len(calls) == 1
+    assert first.git_sha == second.git_sha
 
 
 def test_batch_runner_accepts_store_path(tmp_path):

@@ -28,11 +28,9 @@ from repro.online import (
     LinkRecovery,
     LinkWeightChange,
     TEController,
-    failure_events,
     failure_recovery_trace,
     is_incremental_sweepable,
     is_pure_failure,
-    recovery_events,
     scenario_events,
     scenario_failed_edges,
 )
@@ -73,17 +71,37 @@ class TestEvents:
         scenario = node_failures(diamond_network, nodes=[2])[0]
         edges = scenario_failed_edges(diamond_network, scenario)
         assert set(edges) == {(1, 2), (2, 4)}
-        events = failure_events(diamond_network, scenario)
+        events = scenario_events(diamond_network, scenario)
         assert [event.link for event in events] == edges
-        back = recovery_events(diamond_network, scenario)
-        assert [event.link for event in back] == edges
+        assert all(isinstance(event, LinkFailure) for event in events)
+        trace = failure_recovery_trace(diamond_network, [scenario])
+        assert [event.link for event in trace] == edges + edges
+        assert all(isinstance(event, LinkRecovery) for event in trace[len(edges) :])
 
     def test_unknown_link_raises(self, diamond_network):
         scenario = Scenario("bad", failed_links=((1, 4),))
         with pytest.raises(EventError):
             scenario_failed_edges(diamond_network, scenario)
-        with pytest.raises(EventError):
-            failure_events(diamond_network, Scenario("demand", demand_scale=2.0))
+        # The trace takes pure failures only.
+        for impure in (
+            Scenario("demand", demand_scale=2.0),
+            Scenario("brown-out", capacity_factors=(((1, 2), 0.5),)),
+        ):
+            with pytest.raises(EventError):
+                failure_recovery_trace(diamond_network, [impure])
+
+    def test_failure_recovery_trace_matches_per_edge_construction(self, abilene):
+        scenarios = [*single_link_failures(abilene), node_failures(abilene)[0]]
+        expected = []
+        for index, scenario in enumerate(scenarios):
+            down = 1.0 + index * 600.0
+            edges = scenario_failed_edges(abilene, scenario)
+            expected += [LinkFailure(time=down, link=edge) for edge in edges]
+            expected += [LinkRecovery(time=down + 300.0, link=edge) for edge in edges]
+        trace = failure_recovery_trace(abilene, scenarios, period=600.0, outage=300.0, start=1.0)
+        assert len(expected) > 2 * len(scenarios)
+        assert [type(event) for event in trace] == [type(event) for event in expected]
+        assert trace == expected
 
     def test_failure_recovery_trace_times(self, diamond_network):
         scenarios = single_link_failures(diamond_network, duplex=False)[:2]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import Instance
 from repro.network.demands import TrafficMatrix
+from repro.solvers.mcf import solve_min_mlu
 from repro.topology.backbones import abilene_network, cernet2_network
 from repro.topology.paper_examples import fig1_network
 from repro.traffic.fortz_thorup_tm import (
@@ -21,12 +23,7 @@ from repro.traffic.gravity import (
     uniform_traffic_matrix,
 )
 from repro.traffic.netflow import cernet2_traffic_matrix, synthesize_netflow
-from repro.traffic.scaling import (
-    load_sweep,
-    scale_to_network_load,
-    scale_to_optimal_mlu,
-    sweep_until_saturation,
-)
+from repro.traffic.scaling import scale_to_network_load
 
 
 class TestGravity:
@@ -179,38 +176,21 @@ class TestScaling:
         with pytest.raises(ValueError):
             scale_to_network_load(fig1, TrafficMatrix(), 0.1)
 
-    def test_scale_to_optimal_mlu(self, fig1, fig1_tm):
-        scaled = scale_to_optimal_mlu(fig1, fig1_tm, target_mlu=0.5)
-        from repro.solvers.mcf import solve_min_mlu
-
-        assert solve_min_mlu(fig1, scaled, allow_overload=True).objective == pytest.approx(
-            0.5, abs=1e-3
+    def test_saturation_load_reaches_saturation_mlu(self, fig1, fig1_tm):
+        # The paper's procedure: scale the demands uniformly until the
+        # optimal (min-max) MLU almost reaches 100%.
+        instance = Instance(fig1, fig1_tm, "Example")
+        saturated = instance.at_load(instance.saturation_load())
+        assert solve_min_mlu(fig1, saturated, allow_overload=True).objective == pytest.approx(
+            Instance.SATURATION_MLU, rel=1e-9
         )
 
-    def test_scale_to_optimal_mlu_validation(self, fig1, fig1_tm):
-        with pytest.raises(ValueError):
-            scale_to_optimal_mlu(fig1, fig1_tm, target_mlu=0.0)
-
-    def test_load_sweep(self, fig1, fig1_tm):
-        points = load_sweep(fig1, fig1_tm, [0.1, 0.2, 0.3])
-        assert [p.network_load for p in points] == [0.1, 0.2, 0.3]
-        for point in points:
-            assert point.demands.network_load(fig1) == pytest.approx(point.network_load)
-
-    def test_sweep_until_saturation_stops(self, fig1, fig1_tm):
-        points = sweep_until_saturation(fig1, fig1_tm, start_load=0.3, step=0.1, max_points=20)
-        assert len(points) < 20
-        from repro.solvers.mcf import solve_min_mlu
-
-        final = solve_min_mlu(fig1, points[-1].demands, allow_overload=True).objective
-        assert final >= 1.0 - 1e-9
-
-    def test_sweep_until_saturation_custom_predicate(self, fig1, fig1_tm):
-        points = sweep_until_saturation(
-            fig1, fig1_tm, start_load=0.1, step=0.1, stop_when=lambda tm: True
+    def test_fig10_loads_are_fractions_of_saturation(self, fig1, fig1_tm):
+        instance = Instance(fig1, fig1_tm, "Example")
+        loads = instance.fig10_loads()
+        assert loads == pytest.approx(
+            [fraction * instance.saturation_load() for fraction in instance.load_fractions],
+            abs=1e-6,
         )
-        assert len(points) == 1
-
-    def test_sweep_step_validation(self, fig1, fig1_tm):
-        with pytest.raises(ValueError):
-            sweep_until_saturation(fig1, fig1_tm, start_load=0.1, step=0.0)
+        for load in loads:
+            assert instance.at_load(load).network_load(fig1) == pytest.approx(load)
